@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race soak fuzz fuzz-smoke nestedcrash-smoke shard-smoke trace-smoke serve-smoke bench bench-compare bench-full experiments examples tools campaign metrics cover clean
+.PHONY: all build vet test test-short race soak fuzz fuzz-smoke nestedcrash-smoke shard-smoke trace-smoke serve-smoke bench-smoke bench bench-compare bench-full experiments examples tools campaign metrics cover clean
 
 all: build vet test
 
@@ -78,6 +78,13 @@ trace-smoke:
 # time-to-first-read exceeds 10% of an offline full recovery.
 serve-smoke:
 	$(GO) run ./cmd/redoserve -bench -out BENCH_serve.json -baseline BENCH_serve.json
+
+# bench-smoke vets and tests the benchmark harness: bench/ is a nested
+# module that `go build ./... && go test ./...` at the root never
+# reaches, so a change to an internal type it consumes breaks it
+# silently without this.
+bench-smoke:
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
 # bench runs the recovery benchmarks and the sequential-vs-parallel
 # comparison; redobench writes BENCH_parallel.json and fails when the

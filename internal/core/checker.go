@@ -185,34 +185,29 @@ func (c *Checker) CheckInstalled(state *model.State, installed graph.Set[model.O
 
 // Check audits the full Recovery Invariant at a hypothetical crash point:
 // given the stable state, the (stable) log, the checkpoint, and the
-// method's redo test and analysis function, it simulates the recovery
-// procedure to learn redo_set, then verifies that operations(log) −
-// redo_set induces an explaining prefix. With verifyEnd set it also
-// replays recovery for real on a clone and confirms the final state.
+// method's redo test and analysis function, it runs the recovery
+// procedure once on a clone to learn redo_set, then verifies that
+// operations(log) − redo_set induces an explaining prefix. With verifyEnd
+// set it also confirms that run's final state. One run serves both
+// because the Section 6 redo tests are stateful (they advance captured
+// page LSNs) and would skip on a second pass what the first redid.
 func (c *Checker) Check(state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc, verifyEnd bool) *Report {
 	if err := log.ValidateAgainst(c.cg); err != nil {
 		return &Report{Violations: []Violation{{Kind: LogInconsistent, Detail: err.Error()}}}
 	}
-	redoSet, err := PredictRedoSet(state, log, checkpoint, redo, analyze)
+	res, err := Recover(state.Clone(), log, checkpoint, redo, analyze)
 	if err != nil {
 		return &Report{Violations: []Violation{{Kind: RecoveryDiverged, Detail: err.Error()}}}
 	}
-	installed := complementOf(c.cg, redoSet)
-	rep := c.CheckInstalled(state, installed)
-	rep.RedoSet = redoSet
-	if verifyEnd {
-		res, err := Recover(state.Clone(), log, checkpoint, redo, analyze)
-		switch {
-		case err != nil:
-			rep.Violations = append(rep.Violations, Violation{Kind: RecoveryDiverged, Detail: err.Error()})
-		case !res.State.Equal(c.FinalState()):
-			rep.Violations = append(rep.Violations, Violation{
-				Kind: RecoveryDiverged,
-				Detail: fmt.Sprintf("recovery ended in %v, want %v (diff: %v)",
-					res.State, c.FinalState(), res.State.Diff(c.FinalState())),
-			})
-		}
-		rep.OK = len(rep.Violations) == 0
+	rep := c.CheckInstalled(state, complementOf(c.cg, res.RedoSet))
+	rep.RedoSet = res.RedoSet
+	if verifyEnd && !res.State.Equal(c.FinalState()) {
+		rep.Violations = append(rep.Violations, Violation{
+			Kind: RecoveryDiverged,
+			Detail: fmt.Sprintf("recovery ended in %v, want %v (diff: %v)",
+				res.State, c.FinalState(), res.State.Diff(c.FinalState())),
+		})
+		rep.OK = false
 	}
 	return rep
 }

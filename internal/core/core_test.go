@@ -144,38 +144,63 @@ func TestRecoverHonorsCheckpoint(t *testing.T) {
 }
 
 func TestAnalysisPhaseThreading(t *testing.T) {
-	// The analysis function sees nil first, then its own previous return
-	// value; a single up-front analysis is the identity afterwards.
-	o := model.Incr(1, "x", 1)
-	p := model.Incr(2, "x", 1)
-	q := model.Incr(3, "x", 1)
-	l := logOf(o, p, q)
-	calls := 0
-	analyze := func(_ *model.State, _ *Log, unrecovered graph.Set[model.OpID], prev Analysis) Analysis {
-		calls++
-		if prev == nil {
-			if len(unrecovered) != 3 {
-				t.Errorf("first analysis saw %d unrecovered, want 3", len(unrecovered))
+	// The run-once contract of Section 4.3: each recovery loop invokes
+	// the analysis exactly once, with the checkpoint it was run with,
+	// and every redo test sees that one value; a nil analysis function
+	// is never invoked and the redo tests see nil.
+	l := logOf(model.Incr(1, "x", 1), model.Incr(2, "x", 1), model.Incr(3, "x", 1), model.Incr(4, "x", 1))
+	checkpoint := graph.NewSet[model.OpID](1)
+	loops := map[string]func(RedoTest, AnalyzeFunc){
+		"Recover": func(redo RedoTest, analyze AnalyzeFunc) {
+			if _, err := Recover(model.NewState(), l, checkpoint, redo, analyze); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"RecoverDense": func(redo RedoTest, analyze AnalyzeFunc) {
+			if _, err := RecoverDense(model.NewState(), l, checkpoint, redo, analyze); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"DecideRedo": func(redo RedoTest, analyze AnalyzeFunc) {
+			DecideRedo(model.NewState(), l, checkpoint, redo, analyze)
+		},
+	}
+	for name, run := range loops {
+		calls := 0
+		analyze := func(_ *model.State, log *Log, ck graph.Set[model.OpID]) Analysis {
+			calls++
+			if log != l || len(ck) != 1 || !ck.Has(1) {
+				t.Errorf("%s: analysis got log %p checkpoint %v, want the ones recovery was run with", name, log, ck)
 			}
 			return "the-analysis"
 		}
-		return prev
-	}
-	var seen []Analysis
-	redo := func(_ *model.Op, _ *model.State, _ *Log, a Analysis) bool {
-		seen = append(seen, a)
-		return true
-	}
-	if _, err := Recover(model.NewState(), l, graph.NewSet[model.OpID](), redo, analyze); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 3 {
-		t.Errorf("analysis calls = %d, want 3 (once per iteration)", calls)
-	}
-	for _, a := range seen {
-		if a != "the-analysis" {
-			t.Errorf("redo test saw analysis %v", a)
+		var seen []Analysis
+		redo := func(_ *model.Op, _ *model.State, _ *Log, a Analysis) bool {
+			if calls != 1 {
+				t.Errorf("%s: redo test ran with %d analysis calls made, want 1", name, calls)
+			}
+			seen = append(seen, a)
+			return true
 		}
+		run(redo, analyze)
+		if calls != 1 {
+			t.Errorf("%s: analysis calls = %d, want 1", name, calls)
+		}
+		if len(seen) != 3 {
+			t.Errorf("%s: redo test ran %d times, want 3", name, len(seen))
+		}
+		for _, a := range seen {
+			if a != "the-analysis" {
+				t.Errorf("%s: redo test saw analysis %v", name, a)
+			}
+		}
+
+		run(func(_ *model.Op, _ *model.State, _ *Log, a Analysis) bool {
+			if a != nil {
+				t.Errorf("%s: nil analysis function, yet redo test saw %v", name, a)
+			}
+			return true
+		}, nil)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"redotheory/internal/graph"
 	"redotheory/internal/model"
@@ -11,10 +10,10 @@ import (
 )
 
 // RedoDecision is the outcome of running the recovery procedure's
-// decision phase alone: the log was scanned in LSN order, the analysis
-// function and redo test ran exactly as in Recover, but no operation was
-// applied. It is the input to the parallel replay engine, which replays
-// Replay's records partitioned into independent components.
+// decision phase alone: the analysis ran once and the log was scanned in
+// LSN order with the redo test exactly as in Recover, but no operation
+// was applied. It is the input to the parallel replay engine, which
+// replays Replay's records partitioned into independent components.
 type RedoDecision struct {
 	// RedoSet is the set the redo test admitted.
 	RedoSet graph.Set[model.OpID]
@@ -32,9 +31,8 @@ type RedoDecision struct {
 }
 
 // DecideRedo runs the decision phase of the recovery procedure of
-// Figure 6 without applying any operation: the same scan, the same
-// analysis calls, the same redo test invocations, against the given
-// state.
+// Figure 6 without applying any operation: the same analysis phase, the
+// same scan, the same redo test invocations, against the given state.
 //
 // Separating decision from application is what makes partitioned replay
 // possible, and it is faithful to sequential Recover exactly when the
@@ -51,11 +49,10 @@ func DecideRedo(state *model.State, log *Log, checkpoint graph.Set[model.OpID], 
 }
 
 // DecideRedoObserved is DecideRedo with telemetry: a "decide" span over
-// the whole phase, per-call analysis span events nested inside it (when
-// a sink is attached), per-record admit/skip events carrying the
-// redo-test verdict, and per-phase durations for analysis and the
-// derived "scan" (decide minus analysis). A nil recorder makes it
-// exactly DecideRedo.
+// the whole phase, the analysis span nested inside it, per-record
+// admit/skip events carrying the redo-test verdict, and per-phase
+// durations for analysis and the derived "scan" (decide minus analysis).
+// A nil recorder makes it exactly DecideRedo.
 func DecideRedoObserved(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) *RedoDecision {
 	d := &RedoDecision{
 		// Presized: every logged operation lands in exactly one of the
@@ -68,16 +65,14 @@ func DecideRedoObserved(rec *obs.Recorder, state *model.State, log *Log, checkpo
 		ReplayIdx: make([]int, 0, log.Len()),
 	}
 	rec.Touch(obs.MRedoExamined, obs.MRedoAdmitted, obs.MRedoSkipped)
-	// Hot path: resolved counter handles, raw clock accumulation, and
-	// sink-guarded event payloads — see RecoverObserved for the rationale.
-	obsOn := rec != nil
+	// Hot path: resolved counter handles and sink-guarded event payloads —
+	// see RecoverObserved for the rationale.
 	cExamined := rec.CounterHandle(obs.MRedoExamined)
 	cAdmitted := rec.CounterHandle(obs.MRedoAdmitted)
 	cSkipped := rec.CounterHandle(obs.MRedoSkipped)
 	cCheckpointed := rec.CounterHandle(obs.MRedoCheckpointed)
 	span := rec.StartSpan(obs.PhaseDecide)
-	var analysisTotal time.Duration
-	var analysis Analysis
+	analysis, analysisTotal := RunAnalysis(rec, analyze, state, log, checkpoint)
 	for i, r := range log.Records() {
 		if checkpoint.Has(r.Op.ID()) {
 			d.Installed.Add(r.Op.ID())
@@ -89,19 +84,6 @@ func DecideRedoObserved(rec *obs.Recorder, state *model.State, log *Log, checkpo
 		}
 		d.Examined++
 		cExamined.Add(1)
-		if analyze != nil {
-			var t0 time.Time
-			if obsOn {
-				rec.Emit(obs.Event{Type: obs.EvSpanBegin, Phase: obs.PhaseAnalysis})
-				t0 = time.Now()
-			}
-			analysis = analyze(state, log, unrecoveredAfter(log, checkpoint, r.LSN), analysis)
-			if obsOn {
-				dur := time.Since(t0)
-				analysisTotal += dur
-				rec.Emit(obs.Event{Type: obs.EvSpanEnd, Phase: obs.PhaseAnalysis, Dur: dur})
-			}
-		}
 		if redo(r.Op, state, log, analysis) {
 			d.RedoSet.Add(r.Op.ID())
 			d.Replay = append(d.Replay, r)
@@ -120,7 +102,6 @@ func DecideRedoObserved(rec *obs.Recorder, state *model.State, log *Log, checkpo
 	}
 	if rec != nil {
 		total := span.End()
-		rec.ObserveDuration("phase."+string(obs.PhaseAnalysis), analysisTotal)
 		rec.ObserveDuration("phase."+string(obs.PhaseScan), total-analysisTotal)
 	}
 	return d

@@ -27,11 +27,8 @@ func decideFixture() (*model.State, *Log, graph.Set[model.OpID], RedoTest, Analy
 		return op.ID() >= analysis.(model.OpID)
 	}
 	calls := new(int)
-	analyze := func(_ *model.State, _ *Log, _ graph.Set[model.OpID], prev Analysis) Analysis {
+	analyze := func(*model.State, *Log, graph.Set[model.OpID]) Analysis {
 		*calls++
-		if prev != nil {
-			return prev
-		}
 		return model.OpID(3)
 	}
 	return s, l, checkpoint, redo, analyze, calls

@@ -14,13 +14,12 @@ import (
 // nothing at all.
 type Analysis interface{}
 
-// AnalyzeFunc maps a state, a log, the set of currently unrecovered
-// operations, and the previous analysis to a new analysis. The recovery
-// procedure invokes it at the start of every loop iteration with the
-// previous value (nil on the first iteration); a method with a single
-// up-front analysis phase returns its computed value on the first call
-// and echoes prev thereafter.
-type AnalyzeFunc func(state *model.State, log *Log, unrecovered graph.Set[model.OpID], prev Analysis) Analysis
+// AnalyzeFunc is a method's analysis phase: it maps a state, a log, and
+// the checkpoint to an analysis. The recovery procedure runs it exactly
+// once, before the first record is examined, and hands its value
+// unchanged to every redo test. The unrecovered set at that moment is
+// operations(log) − checkpoint, which the arguments determine.
+type AnalyzeFunc func(state *model.State, log *Log, checkpoint graph.Set[model.OpID]) Analysis
 
 // RedoTest decides whether a logged operation should be replayed
 // (Section 4.4). It is the heart of the recovery procedure.
@@ -42,11 +41,25 @@ type Result struct {
 	Examined int
 }
 
-// Recover is the redo recovery procedure of Figure 6. It scans the
-// unrecovered operations — the logged operations outside the checkpoint —
-// in log order; for each it runs the analysis phase, applies the redo
-// test, and replays the operation if the test says yes. The state is
-// mutated in place and also returned in the Result.
+// RunAnalysis is the analysis phase every recovery loop starts with: it
+// runs analyze once inside a PhaseAnalysis span and returns its value and
+// the time it took. A nil analyze yields a nil analysis, no span, and a
+// zero phase observation, so rollups carry a uniform schema.
+func RunAnalysis(rec *obs.Recorder, analyze AnalyzeFunc, state *model.State, log *Log, checkpoint graph.Set[model.OpID]) (Analysis, time.Duration) {
+	if analyze == nil {
+		rec.ObserveDuration("phase."+string(obs.PhaseAnalysis), 0)
+		return nil, 0
+	}
+	span := rec.StartSpan(obs.PhaseAnalysis)
+	analysis := analyze(state, log, checkpoint)
+	return analysis, span.End()
+}
+
+// Recover is the redo recovery procedure of Figure 6. It runs the
+// analysis phase, then scans the unrecovered operations — the logged
+// operations outside the checkpoint — in log order; for each it applies
+// the redo test and replays the operation if the test says yes. The
+// state is mutated in place and also returned in the Result.
 //
 // Correctness is the Recovery Corollary (Corollary 4): if the installed
 // set operations(log) − redo_set induces a prefix of the installation
@@ -57,11 +70,11 @@ func Recover(state *model.State, log *Log, checkpoint graph.Set[model.OpID], red
 }
 
 // RecoverObserved is Recover with telemetry: an umbrella "recover" span
-// over the whole procedure, per-record analysis/replay span events (when
-// a sink is attached), per-recovery phase durations for analysis, replay,
-// and scan (the loop minus the time inside analysis and replay), and
-// admit/skip events with the redo-test verdict. A nil recorder makes it
-// exactly Recover.
+// over the whole procedure, one analysis span, per-record replay span
+// events (when a sink is attached), per-recovery phase durations for
+// analysis, replay, and scan (the loop minus the time inside analysis and
+// replay), and admit/skip events with the redo-test verdict. A nil
+// recorder makes it exactly Recover.
 func RecoverObserved(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) (*Result, error) {
 	res := &Result{
 		State:     state,
@@ -81,8 +94,8 @@ func RecoverObserved(rec *obs.Recorder, state *model.State, log *Log, checkpoint
 	cCheckpointed := rec.CounterHandle(obs.MRedoCheckpointed)
 	cReplayed := rec.CounterHandle(obs.MReplayRecords)
 	span := rec.StartRootSpan(obs.PhaseRecover, "sequential recovery")
-	var analysisTotal, replayTotal time.Duration
-	var analysis Analysis
+	var replayTotal time.Duration
+	analysis, analysisTotal := RunAnalysis(rec, analyze, state, log, checkpoint)
 	for _, r := range log.Records() {
 		if checkpoint.Has(r.Op.ID()) {
 			res.Installed.Add(r.Op.ID())
@@ -96,19 +109,6 @@ func RecoverObserved(rec *obs.Recorder, state *model.State, log *Log, checkpoint
 		// in LSN order, which is consistent with the conflict order.
 		res.Examined++
 		cExamined.Add(1)
-		if analyze != nil {
-			var t0 time.Time
-			if obsOn {
-				rec.Emit(obs.Event{Type: obs.EvSpanBegin, Phase: obs.PhaseAnalysis})
-				t0 = time.Now()
-			}
-			analysis = analyze(state, log, unrecoveredAfter(log, checkpoint, r.LSN), analysis)
-			if obsOn {
-				d := time.Since(t0)
-				analysisTotal += d
-				rec.Emit(obs.Event{Type: obs.EvSpanEnd, Phase: obs.PhaseAnalysis, Dur: d})
-			}
-		}
 		if redo(r.Op, state, log, analysis) {
 			res.RedoSet.Add(r.Op.ID())
 			res.Replayed = append(res.Replayed, r.Op.ID())
@@ -144,32 +144,18 @@ func RecoverObserved(rec *obs.Recorder, state *model.State, log *Log, checkpoint
 		total := span.End()
 		// One observation per recovery for each nested phase (zero when the
 		// phase did no work), so rollups carry a uniform schema.
-		rec.ObserveDuration("phase."+string(obs.PhaseAnalysis), analysisTotal)
 		rec.ObserveDuration("phase."+string(obs.PhaseReplay), replayTotal)
 		rec.ObserveDuration("phase."+string(obs.PhaseScan), total-analysisTotal-replayTotal)
 	}
 	return res, nil
 }
 
-// unrecoveredAfter returns the operations still unrecovered when the
-// record with the given LSN is about to be examined: logged operations
-// outside the checkpoint with LSN ≥ from.
-func unrecoveredAfter(log *Log, checkpoint graph.Set[model.OpID], from LSN) graph.Set[model.OpID] {
-	out := graph.NewSet[model.OpID]()
-	for _, r := range log.Records() {
-		if r.LSN >= from && !checkpoint.Has(r.Op.ID()) {
-			out.Add(r.Op.ID())
-		}
-	}
-	return out
-}
-
 // PredictRedoSet runs the recovery procedure against a clone of the state
 // and returns the redo set it would choose, leaving the real state
 // untouched. The Recovery Invariant (Section 4.5) quantifies over exactly
 // this hypothetical: "if, at any time, the recovery procedure would
-// choose to redo some set of operations…"; the invariant checker uses
-// this to audit a live system without disturbing it.
+// choose to redo some set of operations…"; the supervisor's progress
+// measure uses this to audit a live system without disturbing it.
 func PredictRedoSet(state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) (graph.Set[model.OpID], error) {
 	res, err := Recover(state.Clone(), log, checkpoint, redo, analyze)
 	if err != nil {

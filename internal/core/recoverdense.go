@@ -11,8 +11,8 @@ import (
 )
 
 // RecoverDense is the redo recovery procedure of Figure 6 running on
-// the dense replay representation: the same scan, the same analysis
-// calls, the same redo-test invocations, and the same final state as
+// the dense replay representation: the same analysis phase, the same
+// scan, the same redo-test invocations, and the same final state as
 // Recover, but replay recomputes against an interned, slice-backed
 // state instead of the map-backed one, and the per-record read set is
 // assembled in a pooled scratch map. The map/string API is preserved
@@ -34,8 +34,8 @@ func RecoverDense(state *model.State, log *Log, checkpoint graph.Set[model.OpID]
 
 // RecoverDenseObserved is RecoverDense with telemetry. It emits the
 // identical instrumentation schema to RecoverObserved — the umbrella
-// "recover" span, per-record analysis/replay span events when a sink
-// is attached, admit/skip verdict events, and per-recovery phase
+// "recover" span, one analysis span, per-record replay span events when
+// a sink is attached, admit/skip verdict events, and per-recovery phase
 // durations for analysis, replay, and scan — so metrics consumers
 // cannot tell the representations apart. A nil recorder makes it
 // exactly RecoverDense.
@@ -73,13 +73,13 @@ func RecoverDenseObserved(rec *obs.Recorder, state *model.State, log *Log, check
 	// Root span: a top-level sequential recovery begins its own trace;
 	// one nested inside a supervised attempt joins the attempt's tree.
 	span := rec.StartRootSpan(obs.PhaseRecover, "sequential dense recovery")
-	var analysisTotal, replayTotal time.Duration
-	var analysis Analysis
-	// Per-record micro events (verdicts plus the id-less analysis/replay
-	// span pairs) are batched into one EmitBatch per record: the
+	var replayTotal time.Duration
+	analysis, analysisTotal := RunAnalysis(rec, analyze, state, log, checkpoint)
+	// Per-record micro events (verdicts plus the id-less replay span
+	// pairs) are batched into one EmitBatch per record: the
 	// emission lock and clock are paid once per record, which is what
 	// keeps full tracing inside the redobench overhead tolerance.
-	var evbuf [5]obs.Event
+	var evbuf [3]obs.Event
 	for i, r := range log.Records() {
 		sinking := rec.Sinking()
 		ev := evbuf[:0]
@@ -93,22 +93,6 @@ func RecoverDenseObserved(rec *obs.Recorder, state *model.State, log *Log, check
 		}
 		res.Examined++
 		cExamined.Add(1)
-		if analyze != nil {
-			var t0 time.Time
-			if obsOn {
-				t0 = time.Now()
-			}
-			analysis = analyze(state, log, unrecoveredAfter(log, checkpoint, r.LSN), analysis)
-			if obsOn {
-				d := time.Since(t0)
-				analysisTotal += d
-				if sinking {
-					ev = append(ev,
-						obs.Event{Type: obs.EvSpanBegin, Phase: obs.PhaseAnalysis},
-						obs.Event{Type: obs.EvSpanEnd, Phase: obs.PhaseAnalysis, Dur: d})
-				}
-			}
-		}
 		if redo(r.Op, state, log, analysis) {
 			res.RedoSet.Add(r.Op.ID())
 			res.Replayed = append(res.Replayed, r.Op.ID())
@@ -167,7 +151,6 @@ func RecoverDenseObserved(rec *obs.Recorder, state *model.State, log *Log, check
 		total := span.End()
 		// One observation per recovery for each nested phase (zero when
 		// the phase did no work), so rollups carry a uniform schema.
-		rec.ObserveDuration("phase."+string(obs.PhaseAnalysis), analysisTotal)
 		rec.ObserveDuration("phase."+string(obs.PhaseReplay), replayTotal)
 		rec.ObserveDuration("phase."+string(obs.PhaseScan), total-analysisTotal-replayTotal)
 	}

@@ -1,0 +1,165 @@
+package method
+
+import (
+	"math/rand"
+	"testing"
+
+	"redotheory/internal/core"
+	"redotheory/internal/graph"
+	"redotheory/internal/model"
+	"redotheory/internal/workload"
+)
+
+// countingDPT is physiological+dpt with an Analyze that records every
+// invocation and the checkpoint it was handed.
+type countingDPT struct {
+	*PhysiologicalDPT
+	calls       int
+	checkpoints []graph.Set[model.OpID]
+}
+
+func (c *countingDPT) Analyze() core.AnalyzeFunc {
+	inner := c.PhysiologicalDPT.Analyze()
+	return func(s *model.State, l *core.Log, ck graph.Set[model.OpID]) core.Analysis {
+		c.calls++
+		c.checkpoints = append(c.checkpoints, ck)
+		return inner(s, l, ck)
+	}
+}
+
+// hotPageCrashed executes n HotPage operations with a seeded schedule of
+// page flushes and log forces and one checkpoint a quarter of the way in,
+// forces the log, and crashes: the unrecovered tail is 3n/4 records, so
+// recovery's work scales with n.
+func hotPageCrashed(t testing.TB, mk func(*model.State) DB, n int) DB {
+	t.Helper()
+	ps := workload.Pages(32)
+	db := mk(initialState(ps))
+	rng := rand.New(rand.NewSource(7))
+	for i, op := range workload.HotPage(n, ps, 7) {
+		if err := db.Exec(op); err != nil {
+			t.Fatalf("%s: exec op %d: %v", db.Name(), i, err)
+		}
+		if rng.Float64() < 0.3 {
+			db.FlushOne()
+		}
+		if rng.Float64() < 0.2 {
+			db.FlushLog()
+		}
+		if i == n/4 {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatalf("%s: checkpoint: %v", db.Name(), err)
+			}
+		}
+	}
+	db.FlushLog()
+	db.Crash()
+	return db
+}
+
+// TestAnalysisRunsOncePerRecovery pins the run-once contract at the
+// method level: Recover, RecoverParallel, and every RecoverInstalling
+// pass — run to completion, stopped early, stopped before its first
+// record, and restarted — invoke the analysis exactly once each, with the
+// checkpoint the pass was run with. Plain physiological has no analysis
+// to invoke at all.
+func TestAnalysisRunsOncePerRecovery(t *testing.T) {
+	db := &countingDPT{PhysiologicalDPT: hotPageCrashed(t, func(s *model.State) DB { return NewPhysiologicalDPT(s) }, 200).(*PhysiologicalDPT)}
+	want := 0
+	expectOneMore := func(what string) {
+		t.Helper()
+		want++
+		if db.calls != want {
+			t.Fatalf("%s: analysis calls = %d, want %d", what, db.calls, want)
+		}
+		got, ck := db.checkpoints[want-1], db.Checkpointed()
+		if len(got) != len(ck) || len(ck) == 0 {
+			t.Fatalf("%s: analysis got a %d-op checkpoint, recovery ran with %d", what, len(got), len(ck))
+		}
+		for id := range ck {
+			if !got.Has(id) {
+				t.Fatalf("%s: analysis checkpoint lacks op %d", what, id)
+			}
+		}
+	}
+	if _, err := Recover(db); err != nil {
+		t.Fatal(err)
+	}
+	expectOneMore("Recover")
+	if _, err := RecoverParallel(db, ParallelOptions{Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	expectOneMore("RecoverParallel")
+	for _, stop := range []int{0, 3, 5, -1} {
+		n, done, err := RecoverInstalling(db, stop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done != (stop < 0) || (stop >= 0 && n != stop) {
+			t.Fatalf("RecoverInstalling(stop=%d) redid %d, done=%v", stop, n, done)
+		}
+		expectOneMore("RecoverInstalling")
+	}
+	if NewPhysiological(model.NewState()).Analyze() != nil {
+		t.Error("plain physiological grew an analysis phase")
+	}
+}
+
+// TestCheckerVerifyEndStatefulRedoTest is the regression test for the
+// audit handing one stateful page-LSN redo test to two recoveries: the
+// second skipped what the first had redone and reported a false
+// recovery-diverged.
+func TestCheckerVerifyEndStatefulRedoTest(t *testing.T) {
+	db := hotPageCrashed(t, func(s *model.State) DB { return NewPhysiological(s) }, 200)
+	checker, err := core.NewChecker(db.StableLog(), db.RecoveryBase())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := checker.Check(db.StableState(), db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze(), true)
+	if len(rep.RedoSet) == 0 {
+		t.Fatal("fixture redoes nothing; the defect needs at least one redone record")
+	}
+	if !rep.OK {
+		t.Errorf("verifyEnd audit of a sound crash state failed: %s", rep.Summary())
+	}
+}
+
+// TestRecoveryAllocsScaleLinearly guards the analysis phase against
+// creeping back into the per-record loop: doubling the unrecovered tail
+// may at most double recovery's allocation count (2.5x with slack), where
+// a per-record rebuild of the unrecovered set measured 2.75–3.03x (bytes
+// quadruple; map growth keeps the count below that). Counts only, no
+// clocks.
+func TestRecoveryAllocsScaleLinearly(t *testing.T) {
+	const n = 4096
+	for _, f := range []struct {
+		name string
+		mk   func(*model.State) DB
+	}{
+		{"physiological+dpt", func(s *model.State) DB { return NewPhysiologicalDPT(s) }},
+		{"logical", func(s *model.State) DB { return NewLogical(s) }},
+	} {
+		small, large := hotPageCrashed(t, f.mk, n), hotPageCrashed(t, f.mk, 2*n)
+		for _, loop := range []struct {
+			name string
+			run  func(DB)
+		}{
+			{"Recover", func(db DB) {
+				if _, err := Recover(db); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"DecideRedo", func(db DB) {
+				core.DecideRedo(db.StableState(), db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze())
+			}},
+		} {
+			a := testing.AllocsPerRun(2, func() { loop.run(small) })
+			b := testing.AllocsPerRun(2, func() { loop.run(large) })
+			if b > 2.5*a {
+				t.Errorf("%s %s: %.0f allocs at n=%d, %.0f at 2n (%.2fx, want ≤ 2.5x)", f.name, loop.name, a, n, b, b/a)
+			} else {
+				t.Logf("%s %s: %.0f allocs at n=%d, %.0f at 2n (%.2fx)", f.name, loop.name, a, n, b, b/a)
+			}
+		}
+	}
+}

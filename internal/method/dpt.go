@@ -1,6 +1,8 @@
 package method
 
 import (
+	"sort"
+
 	"redotheory/internal/core"
 	"redotheory/internal/graph"
 	"redotheory/internal/model"
@@ -73,10 +75,10 @@ func (d *PhysiologicalDPT) Checkpointed() graph.Set[model.OpID] {
 	return checkpointedUpTo(d.StableLog(), ck.Payload.(dptCheckpoint).bound)
 }
 
-// Analyze reconstructs the dirty page table: start from the checkpoint's
-// snapshot and scan the stable log forward from the checkpoint position,
-// entering each newly dirtied page with the dirtying record's LSN. The
-// reconstruction runs once; later iterations thread it through.
+// Analyze reconstructs the dirty page table in one pass: start from the
+// checkpoint's snapshot and scan the stable log forward from the
+// checkpoint position, entering each newly dirtied page with the
+// dirtying record's LSN.
 func (d *PhysiologicalDPT) Analyze() core.AnalyzeFunc {
 	ckPayload := dptCheckpoint{bound: 1, dpt: nil}
 	at := core.LSN(1)
@@ -84,18 +86,14 @@ func (d *PhysiologicalDPT) Analyze() core.AnalyzeFunc {
 		ckPayload = ck.Payload.(dptCheckpoint)
 		at = ck.AtLSN
 	}
-	return func(_ *model.State, log *core.Log, _ graph.Set[model.OpID], prev core.Analysis) core.Analysis {
-		if prev != nil {
-			return prev
-		}
+	return func(_ *model.State, log *core.Log, _ graph.Set[model.OpID]) core.Analysis {
 		dpt := make(map[model.Var]core.LSN, len(ckPayload.dpt))
 		for p, lsn := range ckPayload.dpt {
 			dpt[p] = lsn
 		}
-		for _, r := range log.Records() {
-			if r.LSN < at {
-				continue
-			}
+		recs := log.Records()
+		from := sort.Search(len(recs), func(i int) bool { return recs[i].LSN >= at })
+		for _, r := range recs[from:] {
 			page := r.Op.Writes()[0]
 			if _, ok := dpt[page]; !ok {
 				dpt[page] = r.LSN

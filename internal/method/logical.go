@@ -116,15 +116,11 @@ func (d *Logical) RedoTest() core.RedoTest {
 	return func(*model.Op, *model.State, *core.Log, core.Analysis) bool { return true }
 }
 
-// Analyze returns a single up-front analysis locating the last stable
-// checkpoint (the classic "find the checkpoint record" scan), threaded
-// through unchanged on later iterations.
+// Analyze returns the analysis locating the last stable checkpoint (the
+// classic "find the checkpoint record" scan).
 func (d *Logical) Analyze() core.AnalyzeFunc {
 	ck, ok := d.log.StableCheckpoint()
-	return func(_ *model.State, _ *core.Log, _ graph.Set[model.OpID], prev core.Analysis) core.Analysis {
-		if prev != nil {
-			return prev
-		}
+	return func(*model.State, *core.Log, graph.Set[model.OpID]) core.Analysis {
 		if !ok {
 			return core.LSN(1)
 		}

@@ -49,9 +49,7 @@ func RecoverInstalling(db Installer, stopAfter int) (int, bool, error) {
 	log := db.StableLog()
 	checkpoint := db.Checkpointed()
 	redo := db.RedoTest()
-	analyze := db.Analyze()
-
-	var analysis core.Analysis
+	analysis, _ := core.RunAnalysis(nil, db.Analyze(), state, log, checkpoint)
 	redone := 0
 	for _, r := range log.Records() {
 		if checkpoint.Has(r.Op.ID()) {
@@ -59,9 +57,6 @@ func RecoverInstalling(db Installer, stopAfter int) (int, bool, error) {
 		}
 		if stopAfter >= 0 && redone >= stopAfter {
 			return redone, false, nil
-		}
-		if analyze != nil {
-			analysis = analyze(state, log, nil, analysis)
 		}
 		if !redo(r.Op, state, log, analysis) {
 			continue

@@ -4,7 +4,7 @@
 // Sauer & Härder, built on the paper's state-blind decision phase.
 //
 // On startup the engine runs only the cheap decision phase
-// (core.DecideRedo): the same scan, analysis calls, and redo-test
+// (core.DecideRedo): the same analysis phase, scan, and redo-test
 // invocations as offline recovery, but applying nothing. The admitted
 // record set is then partitioned into interference components
 // (internal/partition), and two indexes make any page independently
@@ -315,7 +315,6 @@ func (e *Engine) ensure(ci int, sweep bool) error {
 	cs.err = e.replayComponent(c)
 	span.End()
 	cs.redone.Add(1)
-	cs.done.Store(true)
 	e.rec.ObserveDuration(obs.MServeGateWait, time.Since(t0))
 	if sweep {
 		e.swept.Add(1)
@@ -336,6 +335,10 @@ func (e *Engine) ensure(ci int, sweep bool) error {
 		e.fullyAt.Store(int64(d))
 		e.doneOnce.Do(func() { close(e.done) })
 	}
+	// Published last: a caller that sees done without taking cs.mu (Drain
+	// racing the sweeper) must also see the component counted, or Result
+	// reports it as still unrecovered.
+	cs.done.Store(true)
 	return cs.err
 }
 

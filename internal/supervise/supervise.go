@@ -598,7 +598,7 @@ func (s *session) runInstalling(crashAfter int, a *Attempt) error {
 	log := s.db.StableLog()
 	checkpoint := s.db.Checkpointed()
 	redo := s.db.RedoTest()
-	analyze := s.db.Analyze()
+	analysis, _ := core.RunAnalysis(s.rec, s.db.Analyze(), state, log, checkpoint)
 
 	// One span per fuzzy-checkpointed install batch: opened lazily at
 	// the batch's first install, closed when its progress checkpoint is
@@ -609,16 +609,12 @@ func (s *session) runInstalling(crashAfter int, a *Attempt) error {
 	batch := 0
 	defer func() { bs.End() }()
 
-	var analysis core.Analysis
 	for _, r := range log.Records() {
 		if checkpoint.Has(r.Op.ID()) {
 			continue
 		}
 		if err := s.checkDeadline(); err != nil {
 			return err
-		}
-		if analyze != nil {
-			analysis = analyze(state, log, nil, analysis)
 		}
 		if !redo(r.Op, state, log, analysis) {
 			continue

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"redotheory/internal/core"
+	"redotheory/internal/graph"
 	"redotheory/internal/method"
 	"redotheory/internal/model"
 	"redotheory/internal/obs"
@@ -678,5 +680,47 @@ func TestSuperviseSpanTree(t *testing.T) {
 	}
 	if batches == 0 {
 		t.Fatal("no install-batch spans under the attempts")
+	}
+}
+
+// countingDPT is physiological+dpt with an Analyze that counts its
+// invocations.
+type countingDPT struct {
+	*method.PhysiologicalDPT
+	calls int
+}
+
+func (c *countingDPT) Analyze() core.AnalyzeFunc {
+	inner := c.PhysiologicalDPT.Analyze()
+	return func(s *model.State, l *core.Log, ck graph.Set[model.OpID]) core.Analysis {
+		c.calls++
+		return inner(s, l, ck)
+	}
+}
+
+// TestSuperviseAnalysisOncePerAttempt: the analysis phase is run-once
+// per recovery procedure, however many records the attempt examines —
+// each supervised attempt on the sequential rung invokes it once for its
+// installing pass and once for the progress measure's hypothetical
+// recovery, including attempts a nested crash cuts short.
+func TestSuperviseAnalysisOncePerAttempt(t *testing.T) {
+	db := &countingDPT{PhysiologicalDPT: crashedDB(t, allMethods()["physiological+dpt"], 23, 40).(*method.PhysiologicalDPT)}
+	want := oracle(db)
+	res, err := Supervise(db, Options{
+		Seed:          1,
+		Sleep:         noSleep,
+		StartRung:     RungSequential,
+		SkipAudit:     true,
+		Crashes:       CrashPlan{Points: []int{2, 0}},
+		EscalateAfter: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || len(res.Attempts) != 3 || !res.State.Equal(want) {
+		t.Fatalf("converged=%v attempts=%d", res.Converged, len(res.Attempts))
+	}
+	if db.calls != 2*len(res.Attempts) {
+		t.Errorf("analysis calls = %d over %d attempts, want %d", db.calls, len(res.Attempts), 2*len(res.Attempts))
 	}
 }
