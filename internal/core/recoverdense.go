@@ -14,11 +14,11 @@ import (
 // the dense replay representation: the same analysis phase, the same
 // scan, the same redo-test invocations, and the same final state as
 // Recover, but replay recomputes against an interned, slice-backed
-// state instead of the map-backed one, and the per-record read set is
-// assembled in a pooled scratch map. The map/string API is preserved
-// at the edges: state is read up front, mutated only by the final
-// write-back of replayed variables, and returned in the Result exactly
-// as Recover would have left it.
+// state instead of the map-backed one, through RecordView.Replay's
+// positional value buffers. The map/string API is preserved at the
+// edges: state is read up front, mutated only by the final write-back
+// of replayed variables, and returned in the Result exactly as Recover
+// would have left it.
 //
 // Faithfulness rests on the same contract DecideRedo documents: the
 // redo test and analysis function are state-blind, so handing them the
@@ -42,8 +42,10 @@ func RecoverDense(state *model.State, log *Log, checkpoint graph.Set[model.OpID]
 func RecoverDenseObserved(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) (*Result, error) {
 	lv := DefaultViews.ViewOfObserved(log, rec)
 	ds := dense.FromState(lv.In, state)
-	scratch := dense.GetScratch()
-	defer dense.PutScratch(scratch)
+	// ds is private to this recovery and only its value slots are read
+	// back (WriteBack), so the presence bits Replay skips are never
+	// consulted.
+	var buf ReplayBuf
 	// touched collects the ids replay wrote (deduplicated via seen) for
 	// the final write-back into the map-backed state.
 	seen := make([]uint64, (lv.In.Len()+63)/64)
@@ -105,12 +107,7 @@ func RecoverDenseObserved(rec *obs.Recorder, state *model.State, log *Log, check
 				t0 = time.Now()
 			}
 			v := &lv.Views[i]
-			clear(scratch.Reads)
-			rvars := r.Op.Reads()
-			for k, id := range v.Reads {
-				scratch.Reads[rvars[k]] = ds.Value(id)
-			}
-			ws, err := r.Op.ComputeFrom(scratch.Reads)
+			err := v.Replay(ds, &buf)
 			if obsOn {
 				d := time.Since(t0)
 				replayTotal += d
@@ -124,9 +121,7 @@ func RecoverDenseObserved(rec *obs.Recorder, state *model.State, log *Log, check
 				span.End()
 				return nil, fmt.Errorf("core: replaying %s: %w", r.Op, err)
 			}
-			wvars := r.Op.Writes()
-			for k, id := range v.Writes {
-				ds.Set(id, ws[wvars[k]])
+			for _, id := range v.Writes {
 				if seen[id>>6]&(1<<(id&63)) == 0 {
 					seen[id>>6] |= 1 << (id & 63)
 					touched = append(touched, id)

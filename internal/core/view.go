@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"redotheory/internal/dense"
+	"redotheory/internal/model"
 	"redotheory/internal/obs"
 )
 
@@ -20,6 +21,39 @@ type RecordView struct {
 	Writes []uint32
 	// Size is Rec.SizeBytes, precomputed once at view-build time.
 	Size int
+}
+
+// ReplayBuf holds the positional value buffers one replay loop (one
+// sequential recovery, one parallel worker, one lazily redone
+// component) reuses across records. The zero value is ready to use;
+// a ReplayBuf must not be shared between goroutines.
+type ReplayBuf struct{ vals []model.Value }
+
+// Replay is the redo step every dense engine runs: gather the
+// record's read values from the arena by interned id, apply the
+// operation's positional function, scatter its outputs to the write
+// ids. Writes go to the value slots only (StoreRaw), which is what
+// lets workers replaying disjoint components share ds; a caller that
+// consults the presence bitmap afterwards must Mark the written ids.
+func (v *RecordView) Replay(ds *dense.State, buf *ReplayBuf) error {
+	nr, n := len(v.Reads), len(v.Reads)+len(v.Writes)
+	if cap(buf.vals) < n {
+		buf.vals = make([]model.Value, 2*n)
+	}
+	reads, out := buf.vals[:nr], buf.vals[nr:n]
+	for k, id := range v.Reads {
+		reads[k] = ds.Value(id)
+	}
+	// A function that skips a slot must write the zero Value, not
+	// whatever the previous record left there.
+	clear(out)
+	if err := v.Rec.Op.Apply(reads, out); err != nil {
+		return err
+	}
+	for k, id := range v.Writes {
+		ds.StoreRaw(id, out[k])
+	}
+	return nil
 }
 
 // LogView is the dense projection of a log: one interner covering

@@ -8,10 +8,12 @@
 //   - an Interner assigns each model.Var a small dense uint32 id during
 //     the log scan (strings stop at the interning boundary);
 //   - a State stores values in a flat arena indexed by id, with a
-//     presence bitmap standing in for map membership;
-//   - a pooled Scratch gives replay loops a reusable read-set map, so
-//     the per-record allocation count no longer scales with the read
-//     set.
+//     presence bitmap standing in for map membership.
+//
+// Operations are positional functions over value slices aligned with
+// their read and write sets (model.PosFunc), so a replayed record is a
+// gather by id, one call, and a scatter by id (core.RecordView.Replay)
+// with no map in between.
 //
 // The representation is an implementation detail of the replay engines
 // in internal/core and internal/method: their public surfaces still

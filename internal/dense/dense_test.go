@@ -138,15 +138,3 @@ func TestStateWriteBack(t *testing.T) {
 		t.Fatalf("after WriteBack: %v, want %v (z untouched, y erased, w preserved)", dst, want)
 	}
 }
-
-// TestScratchReuse: the pool hands back cleared scratchpads.
-func TestScratchReuse(t *testing.T) {
-	s := GetScratch()
-	s.Reads["x"] = model.IntVal(1)
-	PutScratch(s)
-	s2 := GetScratch()
-	defer PutScratch(s2)
-	if len(s2.Reads) != 0 {
-		t.Fatalf("pooled scratch came back with %d stale reads", len(s2.Reads))
-	}
-}

@@ -69,7 +69,7 @@ func (d *GenLSN) Exec(op *model.Op) error {
 	if err != nil {
 		return err
 	}
-	rec := d.log.Append(op, recordSize(op, ws))
+	rec := d.log.Append(op, RecordSize(op, ws))
 
 	// Read-write edges into this operation: every reader of page's
 	// current version that wrote some other page w must have w installed
@@ -96,7 +96,7 @@ func (d *GenLSN) Exec(op *model.Op) error {
 		d.readersSince[r] = append(d.readersSince[r], readerRef{lsn: rec.LSN, wrotePage: page})
 	}
 
-	d.cache.ApplyWrite(page, ws[page], rec.LSN)
+	d.cache.ApplyWrite(page, ws[0], rec.LSN)
 	d.noteExec()
 	return nil
 }

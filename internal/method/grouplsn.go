@@ -62,7 +62,7 @@ func (d *GroupLSN) Exec(op *model.Op) error {
 	if err != nil {
 		return err
 	}
-	rec := d.log.Append(op, recordSize(op, ws))
+	rec := d.log.Append(op, RecordSize(op, ws))
 	writes := op.Writes()
 	if len(writes) > 1 {
 		d.groupOf[rec.LSN] = writes
@@ -88,8 +88,8 @@ func (d *GroupLSN) Exec(op *model.Op) error {
 		}
 		d.readersSince[r] = append(d.readersSince[r], groupReaderRef{lsn: rec.LSN, wrotePages: writes})
 	}
-	for _, page := range writes {
-		d.cache.ApplyWrite(page, ws[page], rec.LSN)
+	for j, page := range writes {
+		d.cache.ApplyWrite(page, ws[j], rec.LSN)
 	}
 	d.noteExec()
 	return nil

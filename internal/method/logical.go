@@ -39,9 +39,9 @@ func (d *Logical) Exec(op *model.Op) error {
 	if err != nil {
 		return err
 	}
-	rec := d.log.Append(op, recordSize(op, ws))
-	for _, x := range op.Writes() {
-		d.cache.ApplyWrite(x, ws[x], rec.LSN)
+	rec := d.log.Append(op, RecordSize(op, ws))
+	for j, x := range op.Writes() {
+		d.cache.ApplyWrite(x, ws[j], rec.LSN)
 	}
 	d.noteExec()
 	return nil

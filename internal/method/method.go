@@ -365,7 +365,7 @@ func checkpointedUpTo(log *core.Log, bound core.LSN) graph.Set[model.OpID] {
 	return out
 }
 
-// recordSize models a log record's wire size: a fixed header, the
+// RecordSize models a log record's wire size: a fixed header, the
 // operation name (the "logical" payload descriptor), one page id per
 // written page, and — for operations with an empty read set — the full
 // after-image of every written value. An operation that reads nothing is
@@ -375,29 +375,26 @@ func checkpointedUpTo(log *core.Log, bound core.LSN) graph.Set[model.OpID] {
 // descriptor is logged. This is what makes the Section 6.4 log-volume
 // comparison meaningful: a physiological B-tree split must physically
 // log the moved half (a blind init of the new page), while a generalized
-// split reads the old page and ships only a short descriptor.
-func recordSize(op *model.Op, writes model.WriteSet) int {
+// split reads the old page and ships only a short descriptor. written
+// holds the values of op.Writes(), in order.
+func RecordSize(op *model.Op, written []model.Value) int {
 	const header = 16
 	size := header + len(op.Name())
-	for _, x := range op.Writes() {
+	for j, x := range op.Writes() {
 		size += len(x)
 		if len(op.Reads()) == 0 {
-			size += len(writes[x])
+			size += len(written[j])
 		}
 	}
 	return size
 }
 
 // computeThrough evaluates a system operation against the cache and
-// returns its write set without applying it.
-func (b *base) computeThrough(op *model.Op) (model.WriteSet, error) {
-	reads := make(model.ReadSet, len(op.Reads()))
-	for _, x := range op.Reads() {
-		reads[x] = b.cache.Read(x)
-	}
-	ws, err := op.Compute(reads)
+// returns the values of op.Writes(), in order, without applying them.
+func (b *base) computeThrough(op *model.Op) ([]model.Value, error) {
+	out, err := op.ApplyFrom(b.cache.Read)
 	if err != nil {
 		return nil, fmt.Errorf("method: computing %s: %w", op, err)
 	}
-	return ws, nil
+	return out, nil
 }

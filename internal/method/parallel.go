@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"redotheory/internal/core"
 	"redotheory/internal/dense"
@@ -61,9 +62,10 @@ type ParallelResult struct {
 //     components write disjoint variable ids, each worker stores its
 //     writes straight into its disjoint arena slots — the per-component
 //     overlay of the original engine degenerated into a slice of the
-//     arena, with a pooled scratch read-set map as the only per-worker
-//     buffer. The merge phase then re-marks the presence bitmap and
-//     installs the written ids into the map-backed state.
+//     arena, with one positional value buffer (core.ReplayBuf) as the
+//     only per-worker scratch. The merge phase then re-marks the
+//     presence bitmap and installs the written ids into the map-backed
+//     state.
 //
 // Like Recover via the DB surface, it does not modify the crashed DB:
 // it works on the fresh projections StableState, StableLog, and a fresh
@@ -180,16 +182,21 @@ func replayPlan(rec *obs.Recorder, state *model.State, lv *core.LogView, plan *p
 	// keeps replay open (and on top) for the whole pool run.
 	replayID := rs.SpanID()
 	ds := dense.FromState(lv.In, state)
-	work := make(chan int)
+	// Workers claim components by bumping a shared index: no handoff
+	// per component, and plan order is still the claim order.
+	var next atomic.Int64
 	errs := make(chan replayError, len(plan.Components))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			scratch := dense.GetScratch()
-			defer dense.PutScratch(scratch)
-			for ci := range work {
+			var buf core.ReplayBuf
+			for {
+				ci := int(next.Add(1)) - 1
+				if ci >= len(plan.Components) {
+					return
+				}
 				c := plan.Components[ci]
 				// One span per interference component, annotated with its
 				// size and write width so stragglers are attributable.
@@ -202,7 +209,7 @@ func replayPlan(rec *obs.Recorder, state *model.State, lv *core.LogView, plan *p
 						Writes: len(c.Writes),
 					})
 				}
-				err := replayComponent(ds, lv, c, scratch.Reads)
+				err := replayComponent(ds, lv, c, &buf)
 				cs.End()
 				if err.err != nil {
 					errs <- err
@@ -213,10 +220,6 @@ func replayPlan(rec *obs.Recorder, state *model.State, lv *core.LogView, plan *p
 			}
 		}(w + 1)
 	}
-	for ci := range plan.Components {
-		work <- ci
-	}
-	close(work)
 	wg.Wait()
 	close(errs)
 	rs.End()
@@ -254,23 +257,12 @@ func replayPlan(rec *obs.Recorder, state *model.State, lv *core.LogView, plan *p
 // workers' reads — and no variable this component reads is written by
 // any other component (the partition invariant), so every read
 // observes exactly the value sequential replay would have observed.
-// reads is the worker's pooled scratch map, cleared per record.
-func replayComponent(ds *dense.State, lv *core.LogView, c *partition.DenseComponent, reads model.ReadSet) replayError {
+// buf is the worker's value buffers, reused across its components.
+func replayComponent(ds *dense.State, lv *core.LogView, c *partition.DenseComponent, buf *core.ReplayBuf) replayError {
 	for _, vi := range c.Idx {
 		v := &lv.Views[vi]
-		op := v.Rec.Op
-		clear(reads)
-		rvars := op.Reads()
-		for k, id := range v.Reads {
-			reads[rvars[k]] = ds.Value(id)
-		}
-		ws, err := op.ComputeFrom(reads)
-		if err != nil {
-			return replayError{lsn: v.Rec.LSN, err: fmt.Errorf("core: replaying %s: %w", op, err)}
-		}
-		wvars := op.Writes()
-		for k, id := range v.Writes {
-			ds.StoreRaw(id, ws[wvars[k]])
+		if err := v.Replay(ds, buf); err != nil {
+			return replayError{lsn: v.Rec.LSN, err: fmt.Errorf("core: replaying %s: %w", v.Rec.Op, err)}
 		}
 	}
 	return replayError{}

@@ -42,11 +42,11 @@ func (d *Physical) Exec(op *model.Op) error {
 	if err != nil {
 		return err
 	}
-	for _, page := range op.Writes() {
-		img := model.AssignConst(d.nextID, page, ws[page])
+	for j, page := range op.Writes() {
+		img := model.AssignConst(d.nextID, page, ws[j])
 		d.nextID++
-		rec := d.log.Append(img, recordSize(img, model.WriteSet{page: ws[page]}))
-		d.cache.ApplyWrite(page, ws[page], rec.LSN)
+		rec := d.log.Append(img, RecordSize(img, ws[j:j+1]))
+		d.cache.ApplyWrite(page, ws[j], rec.LSN)
 	}
 	d.noteExec()
 	return nil

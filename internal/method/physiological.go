@@ -43,8 +43,8 @@ func (d *Physiological) Exec(op *model.Op) error {
 	if err != nil {
 		return err
 	}
-	rec := d.log.Append(op, recordSize(op, ws))
-	d.cache.ApplyWrite(page, ws[page], rec.LSN)
+	rec := d.log.Append(op, RecordSize(op, ws))
+	d.cache.ApplyWrite(page, ws[0], rec.LSN)
 	d.noteExec()
 	return nil
 }

@@ -63,7 +63,16 @@ type WriteSet map[Var]Value
 
 // ApplyFunc computes an operation's writes from its reads. It must be
 // deterministic and must populate exactly the operation's write set.
+// It is the map-facing form NewOp accepts; an Op stores a PosFunc.
 type ApplyFunc func(ReadSet) WriteSet
+
+// PosFunc is the one representation of an operation's function: the
+// fixed read and write sets of Section 2.1 make it positional.
+// reads[i] is the value of Reads()[i]; the function must store the
+// value of Writes()[j] into out[j] for every j, deterministically, and
+// must not retain either slice — replay loops reuse both. An error
+// reports a write set not honoured (only NewOp's map wrapper can).
+type PosFunc func(reads, out []Value) error
 
 // Op is a logged operation: a deterministic function with a fixed read set
 // and a fixed write set (Section 2.1).
@@ -73,13 +82,15 @@ type Op struct {
 	str    string // rendered label, precomputed: ops are immutable and the event stream renders every admitted record
 	reads  []Var  // sorted, deduplicated
 	writes []Var  // sorted, deduplicated
-	apply  ApplyFunc
+	fn     PosFunc
 }
 
-// NewOp constructs an operation. The read and write sets are copied,
-// deduplicated and sorted. fn must deterministically produce a value for
-// exactly the variables in writes.
-func NewOp(id OpID, name string, reads, writes []Var, fn ApplyFunc) *Op {
+// NewPosOp constructs an operation from its positional function. The
+// read and write sets are copied, deduplicated and sorted, and fn's
+// slices follow the sorted sets (Reads(), Writes()), not the argument
+// order. That fn writes exactly the write set is structural — out has
+// one slot per written variable — so nothing is validated per call.
+func NewPosOp(id OpID, name string, reads, writes []Var, fn PosFunc) *Op {
 	if len(writes) == 0 {
 		panic(fmt.Sprintf("model: operation %s (%d) has an empty write set; only state-changing operations are logged", name, id))
 	}
@@ -92,8 +103,38 @@ func NewOp(id OpID, name string, reads, writes []Var, fn ApplyFunc) *Op {
 		str:    fmt.Sprintf("%s#%d", name, id),
 		reads:  normVars(reads),
 		writes: normVars(writes),
-		apply:  fn,
+		fn:     fn,
 	}
+}
+
+// NewOp constructs an operation from a map function, which must
+// deterministically produce a value for exactly the variables in
+// writes. fn is wrapped once into the positional form; a map can omit
+// a variable or carry an extra one, so the wrapper checks every call.
+func NewOp(id OpID, name string, reads, writes []Var, fn ApplyFunc) *Op {
+	if fn == nil {
+		panic(fmt.Sprintf("model: operation %s (%d) has a nil apply function", name, id))
+	}
+	var o *Op
+	o = NewPosOp(id, name, reads, writes, func(reads, out []Value) error {
+		in := make(ReadSet, len(reads))
+		for i, v := range o.reads {
+			in[v] = reads[i]
+		}
+		ws := fn(in)
+		if len(ws) != len(o.writes) {
+			return fmt.Errorf("model: operation %s wrote %d variables, want write set of %d", o, len(ws), len(o.writes))
+		}
+		for j, v := range o.writes {
+			val, ok := ws[v]
+			if !ok {
+				return fmt.Errorf("model: operation %s did not write %q, which is in its write set", o, v)
+			}
+			out[j] = val
+		}
+		return nil
+	})
+	return o
 }
 
 func normVars(vs []Var) []Var {
@@ -137,39 +178,48 @@ func (o *Op) Accesses(x Var) bool { return o.ReadsVar(x) || o.WritesVar(x) }
 // Blind writes are what make a variable unexposed (Section 2.3).
 func (o *Op) BlindlyWrites(x Var) bool { return o.WritesVar(x) && !o.ReadsVar(x) }
 
-func containsVar(vs []Var, x Var) bool {
+func containsVar(vs []Var, x Var) bool { return indexVar(vs, x) >= 0 }
+
+// indexVar returns x's position in the sorted set vs, or -1.
+func indexVar(vs []Var, x Var) int {
 	i := sort.Search(len(vs), func(i int) bool { return vs[i] >= x })
-	return i < len(vs) && vs[i] == x
+	if i < len(vs) && vs[i] == x {
+		return i
+	}
+	return -1
 }
 
-// Compute runs the operation's function against the given read-set values
-// and validates that it wrote exactly the write set. It does not touch any
-// state; use State.Apply to both compute and install the writes.
+// Apply runs the operation's function positionally: reads holds the
+// values of Reads() in order, and the values of Writes() are stored
+// into out in order. len(reads) and len(out) must equal the set sizes.
+// It touches no state; replay loops call it with buffers they reuse.
+func (o *Op) Apply(reads, out []Value) error { return o.fn(reads, out) }
+
+// ApplyFrom is Apply for callers that hold no buffers: it gathers the
+// read set through read and returns the values of Writes(), in order.
+func (o *Op) ApplyFrom(read func(Var) Value) ([]Value, error) {
+	buf := make([]Value, len(o.reads)+len(o.writes))
+	in, out := buf[:len(o.reads)], buf[len(o.reads):]
+	for i, v := range o.reads {
+		in[i] = read(v)
+	}
+	return out, o.fn(in, out)
+}
+
+// Compute is the map-facing edge: it gathers the read set from reads
+// (absent variables read as the zero Value), runs the function, and
+// returns the writes keyed by variable. It touches no state; use
+// State.Apply to both compute and install the writes.
 func (o *Op) Compute(reads ReadSet) (WriteSet, error) {
-	in := make(ReadSet, len(o.reads))
-	for _, v := range o.reads {
-		in[v] = reads[v]
+	out, err := o.ApplyFrom(func(v Var) Value { return reads[v] })
+	if err != nil {
+		return nil, err
 	}
-	return o.ComputeFrom(in)
-}
-
-// ComputeFrom is Compute for hot replay paths: it runs the operation's
-// function directly on the caller-assembled map instead of copying it
-// into a fresh one. The caller must populate reads with exactly the
-// operation's read set (the dense replay engines rebuild a pooled map
-// per record), and the apply function must not retain or mutate the
-// map beyond the call. Output validation is identical to Compute.
-func (o *Op) ComputeFrom(reads ReadSet) (WriteSet, error) {
-	out := o.apply(reads)
-	if len(out) != len(o.writes) {
-		return nil, fmt.Errorf("model: operation %s wrote %d variables, want write set of %d", o, len(out), len(o.writes))
+	ws := make(WriteSet, len(o.writes))
+	for j, v := range o.writes {
+		ws[v] = out[j]
 	}
-	for _, v := range o.writes {
-		if _, ok := out[v]; !ok {
-			return nil, fmt.Errorf("model: operation %s did not write %q, which is in its write set", o, v)
-		}
-	}
-	return out, nil
+	return ws, nil
 }
 
 // String formats the operation as "name#id".

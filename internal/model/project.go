@@ -38,34 +38,44 @@ func Project(id OpID, op *Op, localReads, localWrites []Var, remote ReadSet) *Op
 			panic(fmt.Sprintf("model: projection of %s keeps %q, which %s does not write", op, v, op))
 		}
 	}
-	baked := make(ReadSet, len(op.reads)-len(lr))
-	for _, v := range op.reads {
+	// full is op's read vector with the remote values baked in; local[i]
+	// is the op read slot that the projection's i-th read fills, and
+	// kept[j] the op write slot its j-th write is taken from.
+	full := make([]Value, len(op.reads))
+	local := make([]int, 0, len(lr))
+	for i, v := range op.reads {
 		if containsVar(lr, v) {
+			local = append(local, i)
 			continue
 		}
 		val, ok := remote[v]
 		if !ok {
 			panic(fmt.Sprintf("model: projection of %s lacks a baked value for remote read %q", op, v))
 		}
-		baked[v] = val
+		full[i] = val
+	}
+	kept := make([]int, 0, len(lw))
+	for j, v := range op.writes {
+		if containsVar(lw, v) {
+			kept = append(kept, j)
+		}
 	}
 	name := fmt.Sprintf("%s~t%d", op.name, op.id)
-	return NewOp(id, name, lr, lw, func(r ReadSet) WriteSet {
-		full := make(ReadSet, len(op.reads))
-		for _, v := range op.reads {
-			if containsVar(lr, v) {
-				full[v] = r[v]
-			} else {
-				full[v] = baked[v]
-			}
+	return NewPosOp(id, name, lr, lw, func(r, out []Value) error {
+		// One buffer per call, not per projection: an operation may be
+		// replayed by several recoveries at once.
+		buf := make([]Value, len(full)+len(op.writes))
+		in, all := buf[:len(full)], buf[len(full):]
+		copy(in, full)
+		for i, slot := range local {
+			in[slot] = r[i]
 		}
-		out := op.apply(full)
-		proj := make(WriteSet, len(lw))
-		for _, v := range lw {
-			if val, ok := out[v]; ok {
-				proj[v] = val
-			}
+		if err := op.fn(in, all); err != nil {
+			return err
 		}
-		return proj
+		for j, slot := range kept {
+			out[j] = all[slot]
+		}
+		return nil
 	})
 }

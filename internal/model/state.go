@@ -114,20 +114,11 @@ func (s *State) Vars() []Var {
 // Len returns the number of variables with non-zero values.
 func (s *State) Len() int { return len(s.m) }
 
-// ReadSetFor gathers the values the operation would observe in this state.
-func (s *State) ReadSetFor(o *Op) ReadSet {
-	rs := make(ReadSet, len(o.Reads()))
-	for _, v := range o.Reads() {
-		rs[v] = s.m[v]
-	}
-	return rs
-}
-
 // Apply runs the operation against the state and installs its writes,
 // mutating the state in place. It returns the write set the operation
 // produced.
 func (s *State) Apply(o *Op) (WriteSet, error) {
-	ws, err := o.Compute(s.ReadSetFor(o))
+	ws, err := o.Compute(s.m)
 	if err != nil {
 		return nil, err
 	}

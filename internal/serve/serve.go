@@ -229,18 +229,20 @@ func (e *Engine) Exec(op *model.Op) error {
 	if e.wal.Log().RecordOf(op.ID()) != nil {
 		return fmt.Errorf("serve: operation id %d is already logged", op.ID())
 	}
-	ws, err := op.Compute(e.state.ReadSetFor(op))
+	out, err := op.ApplyFrom(e.state.Get)
 	if err != nil {
 		return fmt.Errorf("serve: executing %s: %w", op, err)
 	}
-	e.wal.Append(op, recordSize(op, ws))
+	// Post-crash records are sized exactly as the methods'
+	// normal-operation logging sizes them.
+	e.wal.Append(op, method.RecordSize(op, out))
 	// The WAL rule at serve time: the record is stable before any client
 	// can observe the write.
 	e.wal.Flush()
-	for x, v := range ws {
-		e.state.Set(x, v)
+	for j, x := range op.Writes() {
+		e.state.Set(x, out[j])
 		if id, ok := e.lv.In.Lookup(x); ok {
-			e.ds.Set(id, v)
+			e.ds.Set(id, out[j])
 		}
 	}
 	e.commits = append(e.commits, op.ID())
@@ -350,24 +352,11 @@ func (e *Engine) ensure(ci int, sweep bool) error {
 // writes, and the admission gate holds post-crash writes to the latter
 // until every reading component is done.
 func (e *Engine) replayComponent(c *partition.DenseComponent) error {
-	scratch := dense.GetScratch()
-	defer dense.PutScratch(scratch)
-	reads := scratch.Reads
+	var buf core.ReplayBuf
 	for _, vi := range c.Idx {
 		v := &e.lv.Views[vi]
-		op := v.Rec.Op
-		clear(reads)
-		rvars := op.Reads()
-		for k, id := range v.Reads {
-			reads[rvars[k]] = e.ds.Value(id)
-		}
-		ws, err := op.ComputeFrom(reads)
-		if err != nil {
-			return fmt.Errorf("serve: replaying %s: %w", op, err)
-		}
-		wvars := op.Writes()
-		for k, id := range v.Writes {
-			e.ds.StoreRaw(id, ws[wvars[k]])
+		if err := v.Replay(e.ds, &buf); err != nil {
+			return fmt.Errorf("serve: replaying %s: %w", v.Rec.Op, err)
 		}
 	}
 	// Install: presence bits share words across components, so marking
@@ -492,19 +481,4 @@ func (e *Engine) Stats() Stats {
 		FirstRead:      time.Duration(e.firstRead.Load()),
 		FullRecovery:   time.Duration(e.fullyAt.Load()),
 	}
-}
-
-// recordSize models a post-crash log record's wire size exactly as the
-// methods' normal-operation logging does: header, name, page ids, and —
-// for blind writes, which cannot be recomputed — the written values.
-func recordSize(op *model.Op, ws model.WriteSet) int {
-	const header = 16
-	size := header + len(op.Name())
-	for _, x := range op.Writes() {
-		size += len(x)
-		if len(op.Reads()) == 0 {
-			size += len(ws[x])
-		}
-	}
-	return size
 }

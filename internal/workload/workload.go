@@ -167,23 +167,30 @@ func HeavySinglePage(n int, pages []model.Var, rounds int, seed int64) []*model.
 	for i := range ops {
 		p := pages[rng.Intn(len(pages))]
 		id := model.OpID(i + 1)
-		ops[i] = model.NewOp(id, "heavy", []model.Var{p}, []model.Var{p},
-			func(r model.ReadSet) model.WriteSet {
-				const prime = 1099511628211
-				h := uint64(14695981039346656037) ^ uint64(id)
-				in := string(r[p])
-				for k := 0; k < rounds; k++ {
-					for j := 0; j < len(in); j++ {
-						h ^= uint64(in[j])
-						h *= prime
-					}
-					h ^= uint64(k)
-					h *= prime
-				}
-				return model.WriteSet{p: model.IntVal(int64(h % (1 << 62)))}
-			})
+		ops[i] = heavyOp(id, "heavy", p, rounds)
 	}
 	return ops
+}
+
+// heavyOp is the single-page read-modify-write both heavy shapes are
+// made of: the digest fold over the page's value, iterated rounds times.
+func heavyOp(id model.OpID, name string, p model.Var, rounds int) *model.Op {
+	return model.NewPosOp(id, name, []model.Var{p}, []model.Var{p},
+		func(r, out []model.Value) error {
+			const prime = 1099511628211
+			h := uint64(14695981039346656037) ^ uint64(id)
+			in := string(r[0])
+			for k := 0; k < rounds; k++ {
+				for j := 0; j < len(in); j++ {
+					h ^= uint64(in[j])
+					h *= prime
+				}
+				h ^= uint64(k)
+				h *= prime
+			}
+			out[0] = model.IntVal(int64(h % (1 << 62)))
+			return nil
+		})
 }
 
 // HotPage generates n single-page read-modify-write operations with a
@@ -248,22 +255,7 @@ func HeavyHotPage(n int, pages []model.Var, rounds int, seed int64) []*model.Op 
 			}
 		}
 		id := model.OpID(i + 1)
-		pg := p
-		ops[i] = model.NewOp(id, "heavyhot", []model.Var{pg}, []model.Var{pg},
-			func(r model.ReadSet) model.WriteSet {
-				const prime = 1099511628211
-				h := uint64(14695981039346656037) ^ uint64(id)
-				in := string(r[pg])
-				for k := 0; k < rounds; k++ {
-					for j := 0; j < len(in); j++ {
-						h ^= uint64(in[j])
-						h *= prime
-					}
-					h ^= uint64(k)
-					h *= prime
-				}
-				return model.WriteSet{pg: model.IntVal(int64(h % (1 << 62)))}
-			})
+		ops[i] = heavyOp(id, "heavyhot", p, rounds)
 	}
 	return ops
 }
