@@ -84,7 +84,7 @@ func crashMidSplit() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("recovery replayed %d of %d records\n", len(res.RedoSet), res.Examined)
+	fmt.Printf("recovery replayed %d of %d records\n", len(res.Replayed), res.Examined)
 	rec := btree.New(&stateExec{s: res.State}, btree.GeneralizedSplit, 4, 1)
 	if err := rec.Validate(); err != nil {
 		log.Fatal(err)

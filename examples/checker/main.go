@@ -96,8 +96,8 @@ func brokenRedoTest() {
 		log.Fatal(err)
 	}
 	// Nothing installed, but the redo test never replays O.
-	broken := func(op *model.Op, _ *model.State, _ *core.Log, _ core.Analysis) bool {
-		return op.ID() != 1
+	broken := func(r *core.Record, _ *model.State, _ *core.Log, _ core.Analysis) bool {
+		return r.Op.ID() != 1
 	}
 	rep := ck.Check(model.NewState(), lg, graph.NewSet[model.OpID](), broken, nil, true)
 	fmt.Println(rep.Summary())

@@ -60,8 +60,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	redo := func(op *model.Op, _ *model.State, _ *core.Log, _ core.Analysis) bool {
-		return !installed.Has(op.ID())
+	redo := func(r *core.Record, _ *model.State, _ *core.Log, _ core.Analysis) bool {
+		return !installed.Has(r.Op.ID())
 	}
 	rep := ck.Check(stable, lg, graph.NewSet[model.OpID](), redo, nil, true)
 	fmt.Println(rep.Summary())
@@ -71,7 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("recovery replayed %d ops -> %v\n", len(res.RedoSet), res.State)
+	fmt.Printf("recovery replayed %d ops -> %v\n", len(res.Replayed), res.State)
 	if !res.State.Equal(sg.FinalState()) {
 		log.Fatal("recovery diverged!")
 	}

@@ -243,7 +243,7 @@ func TestExperimentE13CheckpointInterval(t *testing.T) {
 			label = "never"
 		}
 		fmt.Printf("  checkpoint every %-5s ops: examined=%-3d replayed=%-3d checkpoints=%d\n",
-			label, res.Examined, len(res.RedoSet), stats.Checkpoints)
+			label, res.Examined, len(res.RedoSet()), stats.Checkpoints)
 		if prevExamined >= 0 && res.Examined < prevExamined {
 			t.Errorf("interval %s: examined %d < previous %d; scan work should grow as checkpoints thin out",
 				label, res.Examined, prevExamined)
@@ -291,7 +291,7 @@ func TestExperimentE14DPTAnalysisBenefit(t *testing.T) {
 		t.Fatal("recovery diverged")
 	}
 	fmt.Printf("  examined=%d replayed=%d dpt-skips=%d (rejections decided without a page read)\n",
-		res.Examined, len(res.RedoSet), db.DPTSkips)
+		res.Examined, len(res.RedoSet()), db.DPTSkips)
 	if db.DPTSkips == 0 {
 		t.Error("the analysis phase never fired; the workload should leave installed work above the bound")
 	}
@@ -430,8 +430,8 @@ func TestExperimentE17InvariantNecessity(t *testing.T) {
 				state.MustApply(op)
 			}
 		}
-		redo := func(op *model.Op, _ *model.State, _ *core.Log, _ core.Analysis) bool {
-			return !installed.Has(op.ID())
+		redo := func(r *core.Record, _ *model.State, _ *core.Log, _ core.Analysis) bool {
+			return !installed.Has(r.Op.ID())
 		}
 		rep := ck.CheckInstalled(state, installed)
 		res, err := core.Recover(state.Clone(), lg, graph.NewSet[model.OpID](), redo, nil)

@@ -199,8 +199,9 @@ func (c *Checker) Check(state *model.State, log *Log, checkpoint graph.Set[model
 	if err != nil {
 		return &Report{Violations: []Violation{{Kind: RecoveryDiverged, Detail: err.Error()}}}
 	}
-	rep := c.CheckInstalled(state, complementOf(c.cg, res.RedoSet))
-	rep.RedoSet = res.RedoSet
+	redoSet := res.RedoSet()
+	rep := c.CheckInstalled(state, complementOf(c.cg, redoSet))
+	rep.RedoSet = redoSet
 	if verifyEnd && !res.State.Equal(c.FinalState()) {
 		rep.Violations = append(rep.Violations, Violation{
 			Kind: RecoveryDiverged,

@@ -89,8 +89,8 @@ func TestLogValidateAgainst(t *testing.T) {
 // outside the given installed set, modelling a method that knows its
 // installed set precisely.
 func oracleRedo(installed graph.Set[model.OpID]) RedoTest {
-	return func(op *model.Op, _ *model.State, _ *Log, _ Analysis) bool {
-		return !installed.Has(op.ID())
+	return func(r *Record, _ *model.State, _ *Log, _ Analysis) bool {
+		return !installed.Has(r.Op.ID())
 	}
 }
 
@@ -110,8 +110,8 @@ func TestRecoverFigure6Shape(t *testing.T) {
 	if res.State.GetInt("x") != 3 || res.State.GetInt("y") != 3 {
 		t.Errorf("recovered %v, want x=3 y=3", res.State)
 	}
-	if len(res.RedoSet) != 2 || !res.RedoSet.Has(1) || !res.RedoSet.Has(3) {
-		t.Errorf("redo set = %v, want {1,3}", res.RedoSet)
+	if len(res.RedoSet()) != 2 || !res.RedoSet().Has(1) || !res.RedoSet().Has(3) {
+		t.Errorf("redo set = %v, want {1,3}", res.RedoSet())
 	}
 	if len(res.Replayed) != 2 || res.Replayed[0] != 1 || res.Replayed[1] != 3 {
 		t.Errorf("replay order = %v, want [1 3]", res.Replayed)
@@ -128,7 +128,7 @@ func TestRecoverHonorsCheckpoint(t *testing.T) {
 	// Checkpoint covers O: recovery must not even examine it.
 	state := model.StateOf(map[model.Var]model.Value{"x": model.IntVal(1)})
 	res, err := Recover(state, l, graph.NewSet[model.OpID](1),
-		func(*model.Op, *model.State, *Log, Analysis) bool { return true }, nil)
+		func(*Record, *model.State, *Log, Analysis) bool { return true }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestRecoverHonorsCheckpoint(t *testing.T) {
 	if res.State.GetInt("x") != 2 {
 		t.Errorf("x = %d, want 2", res.State.GetInt("x"))
 	}
-	if !res.Installed.Has(1) {
+	if !res.Installed().Has(1) {
 		t.Error("checkpointed op not in installed set")
 	}
 }
@@ -175,7 +175,7 @@ func TestAnalysisPhaseThreading(t *testing.T) {
 			return "the-analysis"
 		}
 		var seen []Analysis
-		redo := func(_ *model.Op, _ *model.State, _ *Log, a Analysis) bool {
+		redo := func(_ *Record, _ *model.State, _ *Log, a Analysis) bool {
 			if calls != 1 {
 				t.Errorf("%s: redo test ran with %d analysis calls made, want 1", name, calls)
 			}
@@ -195,7 +195,7 @@ func TestAnalysisPhaseThreading(t *testing.T) {
 			}
 		}
 
-		run(func(_ *model.Op, _ *model.State, _ *Log, a Analysis) bool {
+		run(func(_ *Record, _ *model.State, _ *Log, a Analysis) bool {
 			if a != nil {
 				t.Errorf("%s: nil analysis function, yet redo test saw %v", name, a)
 			}
@@ -323,8 +323,8 @@ func TestCheckerEndToEnd(t *testing.T) {
 	if !good.OK {
 		t.Errorf("good redo test rejected: %s", good.Summary())
 	}
-	broken := func(op *model.Op, _ *model.State, _ *Log, _ Analysis) bool {
-		return op.ID() != 1 // never redoes O, though nothing is installed
+	broken := func(r *Record, _ *model.State, _ *Log, _ Analysis) bool {
+		return r.Op.ID() != 1 // never redoes O, though nothing is installed
 	}
 	bad := ck.Check(state, l, empty, broken, nil, true)
 	if bad.OK {
@@ -350,7 +350,7 @@ func TestCheckerLogInconsistent(t *testing.T) {
 	}
 	rev := logOf(b, a)
 	rep := ck.Check(model.NewState(), rev, graph.NewSet[model.OpID](),
-		func(*model.Op, *model.State, *Log, Analysis) bool { return true }, nil, false)
+		func(*Record, *model.State, *Log, Analysis) bool { return true }, nil, false)
 	if rep.OK || rep.Violations[0].Kind != LogInconsistent {
 		t.Errorf("report = %s", rep.Summary())
 	}

@@ -13,21 +13,17 @@ import (
 // decision phase alone: the analysis ran once and the log was scanned in
 // LSN order with the redo test exactly as in Recover, but no operation
 // was applied. It is the input to the parallel replay engine, which
-// replays Replay's records partitioned into independent components.
+// replays the admitted records partitioned into independent components.
 type RedoDecision struct {
-	// RedoSet is the set the redo test admitted.
-	RedoSet graph.Set[model.OpID]
-	// Installed is operations(log) − redo_set.
-	Installed graph.Set[model.OpID]
-	// Replay lists the admitted records in LSN order — the order
-	// sequential Recover would have applied them.
-	Replay []*Record
-	// ReplayIdx lists, parallel to Replay, each admitted record's index
-	// in log.Records(); the dense replay engine uses it to address the
-	// log view's record slice without a lookup.
+	// ReplayIdx lists each admitted record's index in log.Records(), in
+	// LSN order — the order sequential Recover would have applied them;
+	// the dense replay engine uses it to address the log view's record
+	// slice without a lookup.
 	ReplayIdx []int
 	// Examined counts log records examined (loop iterations).
 	Examined int
+	// log is the log the decision scanned.
+	log *Log
 }
 
 // DecideRedo runs the decision phase of the recovery procedure of
@@ -55,14 +51,10 @@ func DecideRedo(state *model.State, log *Log, checkpoint graph.Set[model.OpID], 
 // A nil recorder makes it exactly DecideRedo.
 func DecideRedoObserved(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) *RedoDecision {
 	d := &RedoDecision{
-		// Presized: every logged operation lands in exactly one of the
-		// two sets (see RecoverDenseObserved).
-		RedoSet:   make(graph.Set[model.OpID], log.Len()),
-		Installed: make(graph.Set[model.OpID], log.Len()),
 		// Presized for the worst case (every record admitted): append
 		// growth on a long replay list is pure reallocation overhead.
-		Replay:    make([]*Record, 0, log.Len()),
 		ReplayIdx: make([]int, 0, log.Len()),
+		log:       log,
 	}
 	rec.Touch(obs.MRedoExamined, obs.MRedoAdmitted, obs.MRedoSkipped)
 	// Hot path: resolved counter handles and sink-guarded event payloads —
@@ -75,7 +67,6 @@ func DecideRedoObserved(rec *obs.Recorder, state *model.State, log *Log, checkpo
 	analysis, analysisTotal := RunAnalysis(rec, analyze, state, log, checkpoint)
 	for i, r := range log.Records() {
 		if checkpoint.Has(r.Op.ID()) {
-			d.Installed.Add(r.Op.ID())
 			cCheckpointed.Add(1)
 			if rec.Sinking() {
 				rec.Emit(obs.Event{Type: obs.EvSkip, LSN: int64(r.LSN), Op: r.Op.String(), Verdict: "checkpointed"})
@@ -84,16 +75,13 @@ func DecideRedoObserved(rec *obs.Recorder, state *model.State, log *Log, checkpo
 		}
 		d.Examined++
 		cExamined.Add(1)
-		if redo(r.Op, state, log, analysis) {
-			d.RedoSet.Add(r.Op.ID())
-			d.Replay = append(d.Replay, r)
+		if redo(r, state, log, analysis) {
 			d.ReplayIdx = append(d.ReplayIdx, i)
 			cAdmitted.Add(1)
 			if rec.Sinking() {
 				rec.Emit(obs.Event{Type: obs.EvAdmit, LSN: int64(r.LSN), Op: r.Op.String(), Verdict: "admit"})
 			}
 		} else {
-			d.Installed.Add(r.Op.ID())
 			cSkipped.Add(1)
 			if rec.Sinking() {
 				rec.Emit(obs.Event{Type: obs.EvSkip, LSN: int64(r.LSN), Op: r.Op.String(), Verdict: "redo-test-false"})
@@ -108,24 +96,20 @@ func DecideRedoObserved(rec *obs.Recorder, state *model.State, log *Log, checkpo
 }
 
 // Result materializes the decision as a recovery Result over the given
-// final state. The redo/installed sets and examined count are the
-// decision's own; Replayed lists the admitted operations in LSN order —
+// final state. The examined count is the decision's own; Replayed lists
+// the admitted operations in LSN order —
 // the order sequential Recover reports — regardless of the schedule
 // that actually applied them, which is exactly the linearization
 // DESIGN.md §8 licenses: any conflict-respecting application order is
 // indistinguishable from the sequential one. Both the partitioned
 // engine and the instant-restart serve engine report through this.
 func (d *RedoDecision) Result(state *model.State) *Result {
-	res := &Result{
-		State:     state,
-		RedoSet:   d.RedoSet,
-		Installed: d.Installed,
-		Examined:  d.Examined,
-	}
-	if len(d.Replay) > 0 {
-		res.Replayed = make([]model.OpID, len(d.Replay))
-		for i, r := range d.Replay {
-			res.Replayed[i] = r.Op.ID()
+	res := &Result{State: state, Examined: d.Examined, log: d.log}
+	if len(d.ReplayIdx) > 0 {
+		recs := d.log.Records()
+		res.Replayed = make([]model.OpID, len(d.ReplayIdx))
+		for i, idx := range d.ReplayIdx {
+			res.Replayed[i] = recs[idx].Op.ID()
 		}
 	}
 	return res
@@ -144,10 +128,11 @@ func (r *Result) SameOutcome(o *Result) error {
 	if !r.State.Equal(o.State) {
 		return fmt.Errorf("core: recovered states differ on %v", r.State.Diff(o.State))
 	}
-	if err := sameSet("redo", r.RedoSet, o.RedoSet); err != nil {
+	rRedo, oRedo := r.RedoSet(), o.RedoSet()
+	if err := sameSet("redo", rRedo, oRedo); err != nil {
 		return err
 	}
-	if err := sameSet("installed", r.Installed, o.Installed); err != nil {
+	if err := sameSet("installed", r.installedGiven(rRedo), o.installedGiven(oRedo)); err != nil {
 		return err
 	}
 	if len(r.Replayed) != len(o.Replayed) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"redotheory/internal/graph"
@@ -23,8 +24,8 @@ func decideFixture() (*model.State, *Log, graph.Set[model.OpID], RedoTest, Analy
 	checkpoint := graph.NewSet[model.OpID](1)
 	// State-blind: decides from the operation id alone (a stand-in for
 	// the LSN comparisons the real methods make).
-	redo := func(op *model.Op, _ *model.State, _ *Log, analysis Analysis) bool {
-		return op.ID() >= analysis.(model.OpID)
+	redo := func(r *Record, _ *model.State, _ *Log, analysis Analysis) bool {
+		return r.Op.ID() >= analysis.(model.OpID)
 	}
 	calls := new(int)
 	analyze := func(*model.State, *Log, graph.Set[model.OpID]) Analysis {
@@ -38,14 +39,19 @@ func TestDecideRedoMatchesRecoverDecisions(t *testing.T) {
 	s, l, cp, redo, analyze, decideCalls := decideFixture()
 	d := DecideRedo(s.Clone(), l, cp, redo, analyze)
 
-	if got := []model.OpID{3, 4}; len(d.Replay) != 2 || d.Replay[0].Op.ID() != got[0] || d.Replay[1].Op.ID() != got[1] {
-		t.Fatalf("Replay = %v", d.Replay)
+	// ops 3 and 4 sit at log positions 2 and 3.
+	if len(d.ReplayIdx) != 2 || d.ReplayIdx[0] != 2 || d.ReplayIdx[1] != 3 {
+		t.Fatalf("ReplayIdx = %v", d.ReplayIdx)
 	}
-	if !d.RedoSet.Has(3) || !d.RedoSet.Has(4) || len(d.RedoSet) != 2 {
-		t.Errorf("RedoSet = %v", d.RedoSet)
+	res := d.Result(s)
+	if got := res.Replayed; len(got) != 2 || got[0] != 3 || got[1] != 4 {
+		t.Fatalf("Replayed = %v", got)
 	}
-	if !d.Installed.Has(1) || !d.Installed.Has(2) || len(d.Installed) != 2 {
-		t.Errorf("Installed = %v", d.Installed)
+	if redo := res.RedoSet(); !redo.Has(3) || !redo.Has(4) || len(redo) != 2 {
+		t.Errorf("RedoSet = %v", redo)
+	}
+	if inst := res.Installed(); !inst.Has(1) || !inst.Has(2) || len(inst) != 2 {
+		t.Errorf("Installed = %v", inst)
 	}
 	if d.Examined != 3 { // op 1 is checkpointed, not examined
 		t.Errorf("Examined = %d, want 3", d.Examined)
@@ -60,8 +66,8 @@ func TestDecideRedoMatchesRecoverDecisions(t *testing.T) {
 	if *decideCalls-recCalls != recCalls {
 		t.Errorf("analysis called %d times by Recover, %d by DecideRedo", *decideCalls-recCalls, recCalls)
 	}
-	if len(rec.RedoSet) != len(d.RedoSet) || rec.Examined != d.Examined {
-		t.Errorf("Recover decided differently: redo %v examined %d", rec.RedoSet, rec.Examined)
+	if err := rec.SameOutcome(d.Result(rec.State)); err != nil {
+		t.Errorf("Recover decided differently: %v", err)
 	}
 }
 
@@ -105,10 +111,12 @@ func TestSameOutcomeDetectsEveryDivergence(t *testing.T) {
 		t.Error("state divergence not detected")
 	}
 
+	// Listing op 2 as replayed moves it from the installed set to the
+	// redo set and touches nothing SameOutcome compares before them.
 	redoDiff := mk()
-	redoDiff.RedoSet.Add(2)
-	if err := mk().SameOutcome(redoDiff); err == nil {
-		t.Error("redo-set divergence not detected")
+	redoDiff.Replayed = []model.OpID{2, 3, 4}
+	if err := mk().SameOutcome(redoDiff); err == nil || !strings.Contains(err.Error(), "redo sets differ") {
+		t.Errorf("redo-set divergence not detected: %v", err)
 	}
 
 	orderDiff := mk()

@@ -25,14 +25,14 @@ func ExampleRecover() {
 		"x": model.IntVal(1), "y": model.IntVal(3),
 	})
 	installed := graph.NewSet[model.OpID](p.ID())
-	redo := func(op *model.Op, _ *model.State, _ *core.Log, _ core.Analysis) bool {
-		return !installed.Has(op.ID())
+	redo := func(r *core.Record, _ *model.State, _ *core.Log, _ core.Analysis) bool {
+		return !installed.Has(r.Op.ID())
 	}
 	res, err := core.Recover(state, log, graph.NewSet[model.OpID](), redo, nil)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("replayed:", len(res.RedoSet))
+	fmt.Println("replayed:", len(res.RedoSet()))
 	fmt.Println("state:", res.State)
 	// Output:
 	// replayed: 2

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
 
 	"redotheory/internal/conflict"
 	"redotheory/internal/graph"
@@ -68,27 +69,46 @@ func (r *Record) SizeBytes() int {
 // practice a log is linear (invocation order); Lemma 1 lets the theory
 // treat it as any DAG consistent with the conflict graph, and
 // ValidateAgainst checks that consistency.
+//
+// A Log holds a sync.Once and is only ever handled by pointer.
 type Log struct {
 	records []*Record
-	byOp    map[model.OpID]*Record
 	nextLSN LSN
+	// byOp indexes records by operation id. Recovery scans records by
+	// position and never asks, so the index is built by index() on first
+	// use; the Once makes that safe on a prefix several goroutines read.
+	byOp      map[model.OpID]*Record
+	indexOnce sync.Once
 }
 
 // NewLog returns an empty log whose first record will get LSN 1.
 func NewLog() *Log {
-	return &Log{byOp: make(map[model.OpID]*Record), nextLSN: 1}
+	return &Log{nextLSN: 1}
+}
+
+// index returns the op-id index, building it from the records on first
+// use.
+func (l *Log) index() map[model.OpID]*Record {
+	l.indexOnce.Do(func() {
+		l.byOp = make(map[model.OpID]*Record, len(l.records))
+		for _, r := range l.records {
+			l.byOp[r.Op.ID()] = r
+		}
+	})
+	return l.byOp
 }
 
 // Append adds a record for the operation and returns it. Each operation
 // may be logged once.
 func (l *Log) Append(op *model.Op) *Record {
-	if _, dup := l.byOp[op.ID()]; dup {
+	byOp := l.index()
+	if _, dup := byOp[op.ID()]; dup {
 		panic(fmt.Sprintf("core: operation %s logged twice", op))
 	}
 	r := &Record{LSN: l.nextLSN, Op: op}
 	l.nextLSN++
 	l.records = append(l.records, r)
-	l.byOp[op.ID()] = r
+	byOp[op.ID()] = r
 	return r
 }
 
@@ -112,7 +132,7 @@ func (l *Log) MaxLSN() LSN {
 }
 
 // RecordOf returns the record logging the operation, or nil.
-func (l *Log) RecordOf(id model.OpID) *Record { return l.byOp[id] }
+func (l *Log) RecordOf(id model.OpID) *Record { return l.index()[id] }
 
 // RecordOfLSN returns the record at the given LSN, or nil when absent.
 func (l *Log) RecordOfLSN(lsn LSN) *Record {
@@ -126,9 +146,9 @@ func (l *Log) RecordOfLSN(lsn LSN) *Record {
 // Operations returns the paper's operations(log): the set of operations
 // labelling log records.
 func (l *Log) Operations() graph.Set[model.OpID] {
-	out := graph.NewSet[model.OpID]()
-	for id := range l.byOp {
-		out.Add(id)
+	out := make(graph.Set[model.OpID], len(l.records))
+	for _, r := range l.records {
+		out.Add(r.Op.ID())
 	}
 	return out
 }
@@ -146,23 +166,14 @@ func (l *Log) Ops() []*model.Op {
 // preserving LSNs. It models the stable portion of the log after a
 // crash; the returned log continues numbering from the cut, so LSNs are
 // never reused even when the surviving portion is empty.
+//
+// The prefix shares l's record slice up to the cut instead of copying
+// it. Its capacity is clipped to its length, so appending to the prefix
+// (wal.Crash makes one the live log) reallocates rather than overwriting
+// l's tail, and appends to l land past the prefix's end, invisible to it.
 func (l *Log) Prefix(upTo LSN) *Log {
-	// Presized for the common whole-log cut: recovery re-projects the
-	// stable log often, and incremental map/slice growth is pure
-	// overhead.
-	p := &Log{
-		records: make([]*Record, 0, len(l.records)),
-		byOp:    make(map[model.OpID]*Record, len(l.records)),
-		nextLSN: 1,
-	}
-	for _, r := range l.records {
-		if r.LSN > upTo {
-			break
-		}
-		p.records = append(p.records, r)
-		p.byOp[r.Op.ID()] = r
-	}
-	p.nextLSN = upTo + 1
+	k := sort.Search(len(l.records), func(i int) bool { return l.records[i].LSN > upTo })
+	p := &Log{records: l.records[:k:k], nextLSN: upTo + 1}
 	if l.nextLSN < p.nextLSN {
 		p.nextLSN = l.nextLSN
 	}
@@ -177,9 +188,10 @@ func (l *Log) Prefix(upTo LSN) *Log {
 // this to bound the log: the dropped operations are installed, and the
 // caller must fold their effects into its recovery base state first.
 func (l *Log) TruncateBefore(before LSN) int {
+	byOp := l.index()
 	cut := 0
 	for cut < len(l.records) && l.records[cut].LSN < before {
-		delete(l.byOp, l.records[cut].Op.ID())
+		delete(byOp, l.records[cut].Op.ID())
 		cut++
 	}
 	l.records = l.records[cut:]
@@ -203,8 +215,8 @@ func (l *Log) ConflictGraph() *conflict.Graph {
 // operations, and whenever the conflict graph orders two operations the
 // log orders them the same way.
 func (l *Log) ValidateAgainst(cg *conflict.Graph) error {
-	if len(l.byOp) != cg.NumOps() {
-		return fmt.Errorf("core: log has %d operations, conflict graph has %d", len(l.byOp), cg.NumOps())
+	if len(l.records) != cg.NumOps() {
+		return fmt.Errorf("core: log has %d operations, conflict graph has %d", len(l.records), cg.NumOps())
 	}
 	pos := make(map[model.OpID]int, len(l.records))
 	for i, r := range l.records {

@@ -22,23 +22,47 @@ type Analysis interface{}
 type AnalyzeFunc func(state *model.State, log *Log, checkpoint graph.Set[model.OpID]) Analysis
 
 // RedoTest decides whether a logged operation should be replayed
-// (Section 4.4). It is the heart of the recovery procedure.
-type RedoTest func(op *model.Op, state *model.State, log *Log, analysis Analysis) bool
+// (Section 4.4). It is the heart of the recovery procedure. The paper's
+// redo(O, S, L, A) names the operation; the test here is handed the log
+// record the scan is standing on — the operation r.Op plus the "additional
+// information about this operation and its invocation" Section 4.1 lets a
+// record carry, of which the LSN is what the page-LSN tests compare.
+type RedoTest func(r *Record, state *model.State, log *Log, analysis Analysis) bool
 
 // Result reports what an execution of the recovery procedure did.
 type Result struct {
 	// State is the rebuilt system state at termination.
 	State *model.State
-	// RedoSet is the set of operations for which the redo test returned
-	// true (the paper's redo_set).
-	RedoSet graph.Set[model.OpID]
-	// Installed is operations(log) − redo_set: the operations recovery
-	// considered installed.
-	Installed graph.Set[model.OpID]
-	// Replayed lists the redone operations in replay (log) order.
+	// Replayed lists the operations for which the redo test returned
+	// true (the paper's redo_set), in replay (log) order.
 	Replayed []model.OpID
 	// Examined counts loop iterations (log records examined).
 	Examined int
+	// log is the log the procedure scanned; Installed is relative to it.
+	log *Log
+}
+
+// RedoSet returns the paper's redo_set as a set: the operations in
+// Replayed. It is built per call.
+func (r *Result) RedoSet() graph.Set[model.OpID] {
+	return graph.NewSet(r.Replayed...)
+}
+
+// Installed returns operations(log) − redo_set over the scanned log: the
+// operations recovery considered installed. It is built per call.
+func (r *Result) Installed() graph.Set[model.OpID] {
+	return r.installedGiven(r.RedoSet())
+}
+
+// installedGiven is Installed for a caller already holding RedoSet().
+func (r *Result) installedGiven(redo graph.Set[model.OpID]) graph.Set[model.OpID] {
+	out := make(graph.Set[model.OpID], r.log.Len()-len(redo))
+	for _, rec := range r.log.Records() {
+		if !redo.Has(rec.Op.ID()) {
+			out.Add(rec.Op.ID())
+		}
+	}
+	return out
 }
 
 // RunAnalysis is the analysis phase every recovery loop starts with: it
@@ -76,11 +100,7 @@ func Recover(state *model.State, log *Log, checkpoint graph.Set[model.OpID], red
 // replay), and admit/skip events with the redo-test verdict. A nil
 // recorder makes it exactly Recover.
 func RecoverObserved(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) (*Result, error) {
-	res := &Result{
-		State:     state,
-		RedoSet:   graph.NewSet[model.OpID](),
-		Installed: graph.NewSet[model.OpID](),
-	}
+	res := &Result{State: state, log: log}
 	rec.Touch(obs.MRedoExamined, obs.MRedoAdmitted, obs.MRedoSkipped)
 	// The loop below is the recovery hot path, so instrumentation is kept
 	// to resolved counter handles (one atomic add each), raw clock reads
@@ -98,7 +118,6 @@ func RecoverObserved(rec *obs.Recorder, state *model.State, log *Log, checkpoint
 	analysis, analysisTotal := RunAnalysis(rec, analyze, state, log, checkpoint)
 	for _, r := range log.Records() {
 		if checkpoint.Has(r.Op.ID()) {
-			res.Installed.Add(r.Op.ID())
 			cCheckpointed.Add(1)
 			if rec.Sinking() {
 				rec.Emit(obs.Event{Type: obs.EvSkip, LSN: int64(r.LSN), Op: r.Op.String(), Verdict: "checkpointed"})
@@ -109,8 +128,7 @@ func RecoverObserved(rec *obs.Recorder, state *model.State, log *Log, checkpoint
 		// in LSN order, which is consistent with the conflict order.
 		res.Examined++
 		cExamined.Add(1)
-		if redo(r.Op, state, log, analysis) {
-			res.RedoSet.Add(r.Op.ID())
+		if redo(r, state, log, analysis) {
 			res.Replayed = append(res.Replayed, r.Op.ID())
 			cAdmitted.Add(1)
 			if rec.Sinking() {
@@ -133,7 +151,6 @@ func RecoverObserved(rec *obs.Recorder, state *model.State, log *Log, checkpoint
 			}
 			cReplayed.Add(1)
 		} else {
-			res.Installed.Add(r.Op.ID())
 			cSkipped.Add(1)
 			if rec.Sinking() {
 				rec.Emit(obs.Event{Type: obs.EvSkip, LSN: int64(r.LSN), Op: r.Op.String(), Verdict: "redo-test-false"})
@@ -161,5 +178,5 @@ func PredictRedoSet(state *model.State, log *Log, checkpoint graph.Set[model.OpI
 	if err != nil {
 		return nil, err
 	}
-	return res.RedoSet, nil
+	return res.RedoSet(), nil
 }

@@ -53,11 +53,7 @@ func RecoverDenseObserved(rec *obs.Recorder, state *model.State, log *Log, check
 
 	res := &Result{
 		State: state,
-		// Presized: every logged operation lands in exactly one of the
-		// two sets, so capacity hints cost nothing and save the growth
-		// reallocations of the scan.
-		RedoSet:   make(graph.Set[model.OpID], log.Len()),
-		Installed: make(graph.Set[model.OpID], log.Len()),
+		log:   log,
 		// Presized for the worst case (every record admitted): append
 		// growth on a 512-record replay costs ~9 reallocations.
 		Replayed: make([]model.OpID, 0, log.Len()),
@@ -86,7 +82,6 @@ func RecoverDenseObserved(rec *obs.Recorder, state *model.State, log *Log, check
 		sinking := rec.Sinking()
 		ev := evbuf[:0]
 		if checkpoint.Has(r.Op.ID()) {
-			res.Installed.Add(r.Op.ID())
 			cCheckpointed.Add(1)
 			if sinking {
 				rec.Emit(obs.Event{Type: obs.EvSkip, LSN: int64(r.LSN), Op: r.Op.String(), Verdict: "checkpointed"})
@@ -95,8 +90,7 @@ func RecoverDenseObserved(rec *obs.Recorder, state *model.State, log *Log, check
 		}
 		res.Examined++
 		cExamined.Add(1)
-		if redo(r.Op, state, log, analysis) {
-			res.RedoSet.Add(r.Op.ID())
+		if redo(r, state, log, analysis) {
 			res.Replayed = append(res.Replayed, r.Op.ID())
 			cAdmitted.Add(1)
 			if sinking {
@@ -129,7 +123,6 @@ func RecoverDenseObserved(rec *obs.Recorder, state *model.State, log *Log, check
 			}
 			cReplayed.Add(1)
 		} else {
-			res.Installed.Add(r.Op.ID())
 			cSkipped.Add(1)
 			if sinking {
 				ev = append(ev, obs.Event{Type: obs.EvSkip, LSN: int64(r.LSN), Op: r.Op.String(), Verdict: "redo-test-false"})

@@ -30,8 +30,8 @@ func TestRedoSetLargerThanNecessary(t *testing.T) {
 	}
 	final := ck.FinalState() // {x=3 z=7}
 	// Everything is installed; an over-eager redo test replays A and B.
-	overEager := func(op *model.Op, _ *model.State, _ *Log, _ Analysis) bool {
-		return op.ID() != 1
+	overEager := func(r *Record, _ *model.State, _ *Log, _ Analysis) bool {
+		return r.Op.ID() != 1
 	}
 	rep := ck.Check(final.Clone(), l, graph.NewSet[model.OpID](), overEager, nil, true)
 	if !rep.OK {
@@ -44,8 +44,8 @@ func TestRedoSetLargerThanNecessary(t *testing.T) {
 	if !res.State.Equal(final) {
 		t.Errorf("recovered %v, want %v", res.State, final)
 	}
-	if len(res.RedoSet) != 2 {
-		t.Errorf("redo set = %v, want {A,B}", res.RedoSet)
+	if len(res.RedoSet()) != 2 {
+		t.Errorf("redo set = %v, want {A,B}", res.RedoSet())
 	}
 
 	// The same latitude does NOT extend to replaying A alone: {X,B} is a
@@ -53,8 +53,8 @@ func TestRedoSetLargerThanNecessary(t *testing.T) {
 	// mid-replay... more precisely, replaying only A rewrites z to 4 and
 	// nothing restores it, and the checker's end-to-end verification
 	// catches the divergence.
-	onlyA := func(op *model.Op, _ *model.State, _ *Log, _ Analysis) bool {
-		return op.ID() == 2
+	onlyA := func(r *Record, _ *model.State, _ *Log, _ Analysis) bool {
+		return r.Op.ID() == 2
 	}
 	rep = ck.Check(final.Clone(), l, graph.NewSet[model.OpID](), onlyA, nil, true)
 	if rep.OK {
@@ -76,7 +76,7 @@ func TestPhysicalStyleFullReplayAlwaysSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := ck.FinalState()
-	replayAll := func(*model.Op, *model.State, *Log, Analysis) bool { return true }
+	replayAll := func(*Record, *model.State, *Log, Analysis) bool { return true }
 	// From the final state (everything installed) and from the initial
 	// state (nothing installed), full replay lands on the final state.
 	for _, start := range []*model.State{final.Clone(), model.NewState()} {

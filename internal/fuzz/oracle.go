@@ -147,7 +147,7 @@ func checkCellRun(m sim.NamedFactory, cell Cell, rec *obs.Recorder, flight *obs.
 	if !seq.State.Equal(oracle) {
 		return &disagreement{check: "sequential-oracle",
 			detail: fmt.Sprintf("recovered state diverges from oracle (replayed %d of %d stable ops)",
-				len(seq.RedoSet), stableLog.Len())}, nil, nil
+				len(seq.Replayed), stableLog.Len())}, nil, nil
 	}
 
 	// Leg 5: partitioned parallel recovery.
@@ -160,7 +160,7 @@ func checkCellRun(m sim.NamedFactory, cell Cell, rec *obs.Recorder, flight *obs.
 	}
 
 	cov := &coverage{
-		replayed:   len(seq.RedoSet),
+		replayed:   len(seq.Replayed),
 		examined:   seq.Examined,
 		components: par.Plan.Components,
 		partSig:    par.Plan.Signature(),

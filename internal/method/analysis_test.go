@@ -2,6 +2,7 @@ package method
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"redotheory/internal/core"
@@ -164,43 +165,78 @@ func TestRecoveryAllocsScaleLinearly(t *testing.T) {
 	}
 }
 
+// hotPageUninstalled executes n hot-page operations under plain
+// physiological logging with nothing installed, forces the log and
+// crashes, so recovery replays every record.
+func hotPageUninstalled(t *testing.T, n int) DB {
+	t.Helper()
+	ps := workload.Pages(32)
+	db := NewPhysiological(initialState(ps))
+	for _, op := range workload.HotPage(n, ps, 7) {
+		if err := db.Exec(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.FlushLog()
+	db.Crash()
+	return db
+}
+
+// coldRecover is one cold sequential recovery of a hotPageUninstalled DB
+// of n records: the view cache is evicted inside the call, so the
+// interner and view build are measured too.
+func coldRecover(t *testing.T, db DB, n int) {
+	core.DefaultViews = core.NewViewCache(1)
+	if res, err := Recover(db); err != nil || len(res.Replayed) != n {
+		t.Fatalf("Recover: %v (fixture must replay every record)", err)
+	}
+}
+
 // TestColdRecoverAllocsPerRecord gates the per-record allocation count
 // of cold sequential recovery on the hot-page shape with nothing
 // installed before the crash, so every record is replayed: (allocs at
 // 2n − allocs at n) / n must stay ≤ 1.5. Positional apply measures ~1.0
 // (the digest's one string per written value); replay through a
-// per-record read map and a fresh write map measured ~5.0. Cold means
-// the view cache is evicted inside the measured call, so the interner
-// and view build are counted too. Counts only, no clocks.
+// per-record read map and a fresh write map measured ~5.0. Counts only,
+// no clocks.
 func TestColdRecoverAllocsPerRecord(t *testing.T) {
 	const n = 4096
-	crashed := func(n int) DB {
-		ps := workload.Pages(32)
-		db := NewPhysiological(initialState(ps))
-		for _, op := range workload.HotPage(n, ps, 7) {
-			if err := db.Exec(op); err != nil {
-				t.Fatal(err)
-			}
-		}
-		db.FlushLog()
-		db.Crash()
-		return db
-	}
 	views := core.DefaultViews
 	defer func() { core.DefaultViews = views }()
-	cold := func(db DB) float64 {
-		return testing.AllocsPerRun(2, func() {
-			core.DefaultViews = core.NewViewCache(1)
-			if res, err := Recover(db); err != nil || len(res.Replayed) != db.StableLog().Len() {
-				t.Fatalf("Recover: %v (fixture must replay every record)", err)
-			}
-		})
+	cold := func(n int) float64 {
+		db := hotPageUninstalled(t, n)
+		return testing.AllocsPerRun(2, func() { coldRecover(t, db, n) })
 	}
-	a, b := cold(crashed(n)), cold(crashed(2*n))
+	a, b := cold(n), cold(2*n)
 	slope := (b - a) / n
 	if slope > 1.5 {
 		t.Errorf("cold Recover: %.0f allocs at n=%d, %.0f at 2n: %.2f allocs/record, want ≤ 1.5", a, n, b, slope)
 	} else {
 		t.Logf("cold Recover: %.0f allocs at n=%d, %.0f at 2n: %.2f allocs/record", a, n, b, slope)
+	}
+}
+
+// TestColdRecoverBytesPerRecord is the byte-based sibling: an
+// allocation count cannot see a few large allocations, which is what a
+// presized per-recovery op-id set or a copied and re-indexed stable log
+// is. One cold Recover of n = 8192 records may allocate at most 150
+// B/record (TotalAlloc delta); it measures ~106 with Result's sets
+// derived on demand and the stable prefix shared, ~222 with the sets
+// filled per record and the prefix copied.
+func TestColdRecoverBytesPerRecord(t *testing.T) {
+	const n = 8192
+	views := core.DefaultViews
+	defer func() { core.DefaultViews = views }()
+	db := hotPageUninstalled(t, n)
+	coldRecover(t, db, n) // first call pays one-time costs outside the measurement
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	coldRecover(t, db, n)
+	runtime.ReadMemStats(&after)
+	perRecord := float64(after.TotalAlloc-before.TotalAlloc) / n
+	if perRecord > 150 {
+		t.Errorf("cold Recover allocated %.1f B/record over %d records, want ≤ 150", perRecord, n)
+	} else {
+		t.Logf("cold Recover allocated %.1f B/record over %d records", perRecord, n)
 	}
 }

@@ -135,9 +135,8 @@ func (d *PhysiologicalDPT) CheckpointFloors() map[model.Var]core.LSN {
 // to the page-LSN comparison.
 func (d *PhysiologicalDPT) RedoTest() core.RedoTest {
 	lsns := d.store.LSNs()
-	return func(op *model.Op, _ *model.State, log *core.Log, analysis core.Analysis) bool {
-		page := op.Writes()[0]
-		lsn := log.RecordOf(op.ID()).LSN
+	return func(r *core.Record, _ *model.State, _ *core.Log, analysis core.Analysis) bool {
+		page, lsn := r.Op.Writes()[0], r.LSN
 		if dpt, ok := analysis.(map[model.Var]core.LSN); ok {
 			rec, dirty := dpt[page]
 			if !dirty || lsn < rec {

@@ -56,8 +56,8 @@ func TestDPTSkipsInstalledWork(t *testing.T) {
 	// are replayed. The DPT's job shows on histories where installed
 	// pages interleave past the bound; assert it at least recovered and
 	// that the redo set is exactly {2,3}.
-	if len(res.RedoSet) != 2 || !res.RedoSet.Has(2) || !res.RedoSet.Has(3) {
-		t.Errorf("redo set = %v, want {2,3}", res.RedoSet)
+	if len(res.RedoSet()) != 2 || !res.RedoSet().Has(2) || !res.RedoSet().Has(3) {
+		t.Errorf("redo set = %v, want {2,3}", res.RedoSet())
 	}
 }
 
@@ -99,8 +99,8 @@ func TestDPTSkipCounterFires(t *testing.T) {
 	if !res.State.Equal(oracle(db, s0)) {
 		t.Fatal("state wrong")
 	}
-	if len(res.RedoSet) != 2 || !res.RedoSet.Has(1) || !res.RedoSet.Has(4) {
-		t.Errorf("redo set = %v, want {1,4}", res.RedoSet)
+	if len(res.RedoSet()) != 2 || !res.RedoSet().Has(1) || !res.RedoSet().Has(4) {
+		t.Errorf("redo set = %v, want {1,4}", res.RedoSet())
 	}
 	if db.DPTSkips < 2 {
 		t.Errorf("DPT skips = %d, want both op 2 (clean page) and op 3 (below snapshot recLSN)", db.DPTSkips)

@@ -140,9 +140,8 @@ func (d *GenLSN) Checkpointed() graph.Set[model.OpID] {
 // observes exactly what it observed during normal execution.
 func (d *GenLSN) RedoTest() core.RedoTest {
 	lsns := d.store.LSNs()
-	return func(op *model.Op, _ *model.State, log *core.Log, _ core.Analysis) bool {
-		page := op.Writes()[0]
-		lsn := log.RecordOf(op.ID()).LSN
+	return func(r *core.Record, _ *model.State, _ *core.Log, _ core.Analysis) bool {
+		page, lsn := r.Op.Writes()[0], r.LSN
 		if lsn <= lsns[page] {
 			return false
 		}

@@ -52,8 +52,8 @@ func TestGenLSNSingleCopyStallsOnCrosswiseDeps(t *testing.T) {
 	if !res.State.Equal(oracle(db, s0)) {
 		t.Error("state wrong")
 	}
-	if len(res.RedoSet) != 3 {
-		t.Errorf("all 3 ops should need replay, got %v", res.RedoSet)
+	if len(res.RedoSet()) != 3 {
+		t.Errorf("all 3 ops should need replay, got %v", res.RedoSet())
 	}
 }
 
@@ -91,8 +91,8 @@ func TestGenLSNMVDrainsCrosswiseDeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.RedoSet) != 0 {
-		t.Errorf("redo set = %v, want empty", res.RedoSet)
+	if len(res.RedoSet()) != 0 {
+		t.Errorf("redo set = %v, want empty", res.RedoSet())
 	}
 }
 

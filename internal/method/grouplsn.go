@@ -194,8 +194,8 @@ func (d *GroupLSN) Checkpointed() graph.Set[model.OpID] {
 // as a runtime assertion of that atomicity.
 func (d *GroupLSN) RedoTest() core.RedoTest {
 	lsns := d.store.LSNs()
-	return func(op *model.Op, _ *model.State, log *core.Log, _ core.Analysis) bool {
-		lsn := log.RecordOf(op.ID()).LSN
+	return func(r *core.Record, _ *model.State, _ *core.Log, _ core.Analysis) bool {
+		op, lsn := r.Op, r.LSN
 		installedPages := 0
 		for _, page := range op.Writes() {
 			if lsns[page] >= lsn {

@@ -43,8 +43,8 @@ func TestGroupLSNMultiPageOpInstallsAtomically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.RedoSet) != 0 {
-		t.Errorf("installed transfer replayed: %v", res.RedoSet)
+	if len(res.RedoSet()) != 0 {
+		t.Errorf("installed transfer replayed: %v", res.RedoSet())
 	}
 	if !res.State.Equal(oracle(db, s0)) {
 		t.Error("state wrong")
@@ -117,8 +117,8 @@ func TestGroupLSNSection5EFGAtEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.RedoSet) != 0 {
-		t.Errorf("redo set = %v, want empty after atomic install", res.RedoSet)
+	if len(res.RedoSet()) != 0 {
+		t.Errorf("redo set = %v, want empty after atomic install", res.RedoSet())
 	}
 }
 

@@ -113,7 +113,7 @@ func (d *Logical) Checkpointed() graph.Set[model.OpID] {
 // is exactly the state the checkpoint determined, so each replayed
 // operation reads precisely what it read during normal execution.
 func (d *Logical) RedoTest() core.RedoTest {
-	return func(*model.Op, *model.State, *core.Log, core.Analysis) bool { return true }
+	return func(*core.Record, *model.State, *core.Log, core.Analysis) bool { return true }
 }
 
 // Analyze returns the analysis locating the last stable checkpoint (the

@@ -39,8 +39,8 @@ func TestLogicalCrashBetweenStageAndSwing(t *testing.T) {
 	}
 	// op2 was forced by StageCheckpoint, so it is in the stable log and
 	// must be replayed; op1 is checkpoint-covered.
-	if !res.RedoSet.Has(2) || res.RedoSet.Has(1) {
-		t.Errorf("redo set = %v, want {2}", res.RedoSet)
+	if !res.RedoSet().Has(2) || res.RedoSet().Has(1) {
+		t.Errorf("redo set = %v, want {2}", res.RedoSet())
 	}
 }
 

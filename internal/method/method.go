@@ -15,6 +15,7 @@ package method
 
 import (
 	"fmt"
+	"sort"
 
 	"redotheory/internal/cache"
 	"redotheory/internal/core"
@@ -356,11 +357,11 @@ func (b *base) flushFirstEligible() bool {
 // checkpointedUpTo returns the stable-logged operations with LSN strictly
 // below the bound: the canonical "ops the checkpoint covers" set.
 func checkpointedUpTo(log *core.Log, bound core.LSN) graph.Set[model.OpID] {
-	out := graph.NewSet[model.OpID]()
-	for _, r := range log.Records() {
-		if r.LSN < bound {
-			out.Add(r.Op.ID())
-		}
+	recs := log.Records()
+	recs = recs[:sort.Search(len(recs), func(i int) bool { return recs[i].LSN >= bound })]
+	out := make(graph.Set[model.OpID], len(recs))
+	for _, r := range recs {
+		out.Add(r.Op.ID())
 	}
 	return out
 }

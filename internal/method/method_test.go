@@ -87,8 +87,8 @@ func TestPhysiologicalRedoTestSkipsInstalled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.RedoSet) != 0 {
-		t.Errorf("installed op replayed: %v", res.RedoSet)
+	if len(res.RedoSet()) != 0 {
+		t.Errorf("installed op replayed: %v", res.RedoSet())
 	}
 	if !res.State.Equal(oracle(db, s0)) {
 		t.Error("state wrong")
@@ -178,7 +178,7 @@ func TestPhysicalCheckpointInstallsAtomically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.RedoSet) != 0 {
+	if len(res.RedoSet()) != 0 {
 		t.Error("checkpoint-covered ops replayed")
 	}
 	if !res.State.Equal(oracle(db, s0)) {
@@ -234,8 +234,8 @@ func TestLogicalWholeDatabaseOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.RedoSet) != 1 || !res.RedoSet.Has(2) {
-		t.Errorf("redo set = %v, want {2}", res.RedoSet)
+	if len(res.RedoSet()) != 1 || !res.RedoSet().Has(2) {
+		t.Errorf("redo set = %v, want {2}", res.RedoSet())
 	}
 	if !res.State.Equal(oracle(db, s0)) {
 		t.Error("state wrong")
@@ -316,10 +316,10 @@ func TestGenLSNRecoversWithNewPageInstalledOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RedoSet.Has(1) {
+	if res.RedoSet().Has(1) {
 		t.Error("installed split op replayed")
 	}
-	if !res.RedoSet.Has(2) {
+	if !res.RedoSet().Has(2) {
 		t.Error("uninstalled truncate not replayed")
 	}
 	if !res.State.Equal(oracle(db, s0)) {

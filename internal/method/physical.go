@@ -83,7 +83,7 @@ func (d *Physical) Checkpointed() graph.Set[model.OpID] {
 // after-images are blind, so replay is idempotent and order within a page
 // follows the log.
 func (d *Physical) RedoTest() core.RedoTest {
-	return func(*model.Op, *model.State, *core.Log, core.Analysis) bool { return true }
+	return func(*core.Record, *model.State, *core.Log, core.Analysis) bool { return true }
 }
 
 // Analyze returns nil; the checkpoint bound is the whole analysis.

@@ -82,9 +82,8 @@ func (d *Physiological) Checkpointed() graph.Set[model.OpID] {
 // operations on a redone page still compare correctly.
 func (d *Physiological) RedoTest() core.RedoTest {
 	lsns := d.store.LSNs()
-	return func(op *model.Op, _ *model.State, log *core.Log, _ core.Analysis) bool {
-		page := op.Writes()[0]
-		lsn := log.RecordOf(op.ID()).LSN
+	return func(r *core.Record, _ *model.State, _ *core.Log, _ core.Analysis) bool {
+		page, lsn := r.Op.Writes()[0], r.LSN
 		if lsn <= lsns[page] {
 			return false // already installed; bypass
 		}

@@ -58,7 +58,7 @@ func RecoverInstalling(db Installer, stopAfter int) (int, bool, error) {
 		if stopAfter >= 0 && redone >= stopAfter {
 			return redone, false, nil
 		}
-		if !redo(r.Op, state, log, analysis) {
+		if !redo(r, state, log, analysis) {
 			continue
 		}
 		ws, err := state.Apply(r.Op)

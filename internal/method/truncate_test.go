@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"redotheory/internal/core"
 	"redotheory/internal/model"
 )
 
@@ -151,5 +152,32 @@ func TestTruncationCrashSweepAllMethods(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCheckpointedUpToStopsAtBound: the checkpoint-covered set is every
+// stable record strictly below the bound, found by binary search on the
+// LSN-ordered log — for every bound around a log whose head was
+// truncated away, so the first LSN is not 1.
+func TestCheckpointedUpToStopsAtBound(t *testing.T) {
+	log := core.NewLog()
+	for i := 1; i <= 12; i++ {
+		log.Append(singlePageOp(model.OpID(i), "p"))
+	}
+	log.TruncateBefore(4)
+	for bound := core.LSN(0); bound <= 15; bound++ {
+		got := checkpointedUpTo(log, bound)
+		want := 0
+		for _, r := range log.Records() {
+			if r.LSN < bound {
+				want++
+				if !got.Has(r.Op.ID()) {
+					t.Errorf("bound %d: op %d (LSN %d) missing", bound, r.Op.ID(), r.LSN)
+				}
+			}
+		}
+		if len(got) != want {
+			t.Errorf("bound %d: %d ops, want %d", bound, len(got), want)
+		}
 	}
 }

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"redotheory/internal/core"
 	"redotheory/internal/method"
 	"redotheory/internal/model"
 	"redotheory/internal/sim"
@@ -72,6 +74,98 @@ func TestMatchesSequentialAcrossMethods(t *testing.T) {
 				}
 				if err := res.SameOutcome(seq); err != nil {
 					t.Fatalf("%s/%s@%d: %v", nf.Name, sh.Name, crash, err)
+				}
+			}
+		}
+	}
+}
+
+// checkDerivedSets asserts that a Result's set views are what its
+// Replayed list and scanned log say: RedoSet is the set of Replayed,
+// and RedoSet and Installed partition operations(log).
+func checkDerivedSets(t *testing.T, what string, res *core.Result, log *core.Log) {
+	t.Helper()
+	redo, inst, ops := res.RedoSet(), res.Installed(), log.Operations()
+	if len(redo) != len(res.Replayed) {
+		t.Fatalf("%s: RedoSet has %d ids, Replayed lists %d", what, len(redo), len(res.Replayed))
+	}
+	for _, id := range res.Replayed {
+		if !redo.Has(id) {
+			t.Fatalf("%s: replayed op %d missing from RedoSet", what, id)
+		}
+		if inst.Has(id) {
+			t.Fatalf("%s: op %d is in both RedoSet and Installed", what, id)
+		}
+	}
+	if len(redo)+len(inst) != len(ops) {
+		t.Fatalf("%s: |RedoSet|=%d + |Installed|=%d != |operations(log)|=%d", what, len(redo), len(inst), len(ops))
+	}
+	for id := range ops {
+		if !redo.Has(id) && !inst.Has(id) {
+			t.Fatalf("%s: logged op %d is in neither RedoSet nor Installed", what, id)
+		}
+	}
+}
+
+// TestDerivedSetsAcrossEngines runs TestDenseRecoverMatchesMapRecover's
+// grid (7 methods × ShapesFor × crash points) through all four recovery
+// engines — the map reference core.Recover, dense method.Recover,
+// RecoverParallel, and a drained serve engine. Each reports RedoSet and
+// Installed as views derived from Replayed and the scanned log; every
+// view must partition the log's operations, and all engines must agree
+// with the map reference.
+func TestDerivedSetsAcrossEngines(t *testing.T) {
+	pages := workload.Pages(5)
+	for _, nf := range sim.DefaultMethods() {
+		shapes, err := workload.ShapesFor(nf.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range shapes {
+			for seed := int64(1); seed <= 2; seed++ {
+				ops := sh.Gen(18, pages, seed)
+				for crash := 0; crash <= len(ops); crash += 2 + int(seed) {
+					sched := sim.Sched{Seed: seed*37 + int64(crash), FlushProb: 0.3, ForceProb: 0.2, CheckpointProb: 0.1}
+					db := crashed(t, nf, pages, ops, crash, sched)
+					log := db.StableLog()
+					at := fmt.Sprintf("%s/%s seed=%d crash=%d", nf.Name, sh.Name, seed, crash)
+
+					ref, err := core.Recover(db.StableState(), log, db.Checkpointed(), db.RedoTest(), db.Analyze())
+					if err != nil {
+						t.Fatalf("%s: core.Recover: %v", at, err)
+					}
+					checkDerivedSets(t, at+" core.Recover", ref, log)
+
+					engines := map[string]func() (*core.Result, error){
+						"method.Recover": func() (*core.Result, error) { return method.Recover(db) },
+						"RecoverParallel": func() (*core.Result, error) {
+							pr, err := method.RecoverParallel(db, method.ParallelOptions{Workers: 4})
+							if err != nil {
+								return nil, err
+							}
+							return pr.Result, nil
+						},
+						"serve": func() (*core.Result, error) {
+							eng, err := New(db, Options{})
+							if err != nil {
+								return nil, err
+							}
+							if err := eng.Drain(); err != nil {
+								return nil, err
+							}
+							return eng.Result()
+						},
+					}
+					for name, run := range engines {
+						res, err := run()
+						if err != nil {
+							t.Fatalf("%s: %s: %v", at, name, err)
+						}
+						checkDerivedSets(t, at+" "+name, res, log)
+						if err := res.SameOutcome(ref); err != nil {
+							t.Fatalf("%s: %s diverged from the map reference: %v", at, name, err)
+						}
+					}
 				}
 			}
 		}
@@ -196,7 +290,7 @@ func TestWALContinuationSurvivesSecondCrash(t *testing.T) {
 		t.Fatalf("second recovery diverges from served state on %v", again.State.Diff(res.State))
 	}
 	for _, op := range posts {
-		if !again.RedoSet.Has(op.ID()) && !again.Installed.Has(op.ID()) {
+		if !again.RedoSet().Has(op.ID()) && !again.Installed().Has(op.ID()) {
 			t.Fatalf("post-crash op %s neither redone nor installed by the second recovery", op)
 		}
 	}

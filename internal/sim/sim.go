@@ -213,7 +213,7 @@ func Run(mk Factory, cfg Config) (*Result, error) {
 		res.RecoverErr = err
 		return res, nil
 	}
-	res.Replayed = len(rec.RedoSet)
+	res.Replayed = len(rec.Replayed)
 	res.Examined = rec.Examined
 	res.Recovered = rec.State.Equal(oracle)
 	if cfg.SkipChecker {

@@ -616,7 +616,7 @@ func (s *session) runInstalling(crashAfter int, a *Attempt) error {
 		if err := s.checkDeadline(); err != nil {
 			return err
 		}
-		if !redo(r.Op, state, log, analysis) {
+		if !redo(r, state, log, analysis) {
 			continue
 		}
 		if crashAfter >= 0 && a.Installed >= crashAfter {

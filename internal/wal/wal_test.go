@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"slices"
 	"testing"
 
+	"redotheory/internal/core"
 	"redotheory/internal/model"
 )
 
@@ -63,6 +65,43 @@ func TestStableLogAndCrash(t *testing.T) {
 	m.Append(model.Incr(3, "y", 1), 1)
 	if m.Log().Len() != 2 {
 		t.Errorf("post-crash log len = %d", m.Log().Len())
+	}
+}
+
+// TestStableLogSurvivesCrashAndAppend: StableLog shares the live log's
+// records instead of copying them, and Crash makes such a prefix the
+// live log. A StableLog value taken before the crash — and the full
+// pre-crash log with its volatile tail — must still hold exactly the
+// old records after the post-crash log is appended to.
+func TestStableLogSurvivesCrashAndAppend(t *testing.T) {
+	m := NewManager()
+	for i := 1; i <= 3; i++ {
+		m.Append(model.Incr(model.OpID(i), "x", 1), 1)
+	}
+	m.Flush()
+	m.Append(model.Incr(4, "x", 1), 1)
+	m.Append(model.Incr(5, "x", 1), 1)
+	full, pre := m.Log(), m.StableLog()
+	fullRecs := append([]*core.Record(nil), full.Records()...)
+
+	m.Crash()
+	r := m.Append(model.Incr(6, "y", 1), 1)
+	m.Flush()
+
+	if r.LSN != 4 {
+		t.Errorf("post-crash record got LSN %d, want 4 (the lost tail's LSNs are reissued)", r.LSN)
+	}
+	if pre.Len() != 3 || pre.RecordOf(6) != nil || pre.NextLSN() != 4 {
+		t.Errorf("pre-crash stable log changed: %d records, next LSN %d", pre.Len(), pre.NextLSN())
+	}
+	if !slices.Equal(pre.Records(), fullRecs[:3]) {
+		t.Error("pre-crash stable log records replaced")
+	}
+	if !slices.Equal(full.Records(), fullRecs) {
+		t.Error("post-crash append overwrote the pre-crash log's volatile tail")
+	}
+	if post := m.StableLog(); post.Len() != 4 || post.Records()[3] != r {
+		t.Errorf("post-crash stable log has %d records", post.Len())
 	}
 }
 
