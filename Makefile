@@ -51,10 +51,12 @@ nestedcrash-smoke:
 # synchronized/staggered per-shard crash points × seeds must recover
 # per shard from the certified cut (sequentially and in parallel) to
 # exactly the merged single-log oracle's state, with every shard
-# projection passing the invariant audit. Exits 1 on any divergence;
-# repro artifacts land in shardout/.
+# projection passing the invariant audit. 2000 operations a cell is long
+# enough for truncation and long uncertified tails (certification no
+# longer scales with log length). Exits 1 on any divergence; repro
+# artifacts land in shardout/.
 shard-smoke:
-	$(GO) run -race ./cmd/redosim -shards 2,4 -seeds 2 -ops 24 -out shardout
+	$(GO) run -race ./cmd/redosim -shards 2,4 -seeds 2 -ops 2000 -out shardout
 
 # trace-smoke exercises the causal-tracing pipeline end to end: trace
 # representative recoveries (every method's parallel recovery plus one

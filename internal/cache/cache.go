@@ -17,7 +17,7 @@ package cache
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"redotheory/internal/core"
 	"redotheory/internal/graph"
@@ -59,6 +59,11 @@ type Manager struct {
 	store *storage.Store
 	log   *wal.Manager
 	pages map[model.Var]*page
+	// dirty holds the ids of the dirty pages in ascending order, kept in
+	// step with page.dirty by markDirty and markClean, so the flush
+	// choice ("smallest dirty id that can flush") and DirtyPages never
+	// scan or sort the page map.
+	dirty []model.Var
 	deps  []Dep
 	// EnforceWAL can be cleared by fault injection to demonstrate what
 	// breaks without the write-ahead rule.
@@ -122,9 +127,27 @@ func (m *Manager) ApplyWrite(id model.Var, data model.Value, lsn core.LSN) {
 	p.pageLSN = lsn
 	p.opsSince = append(p.opsSince, lsn)
 	if !p.dirty {
-		p.dirty = true
+		m.markDirty(id, p)
 		p.recLSN = lsn
 	}
+}
+
+// markDirty flips a clean page dirty and files it in the ordered set.
+func (m *Manager) markDirty(id model.Var, p *page) {
+	p.dirty = true
+	k, _ := slices.BinarySearch(m.dirty, id)
+	m.dirty = slices.Insert(m.dirty, k, id)
+}
+
+// markClean is what a full install leaves behind: the page clean, its
+// retained versions and update list dropped, its id out of the ordered
+// set.
+func (m *Manager) markClean(id model.Var, p *page) {
+	p.dirty = false
+	p.older = nil
+	p.opsSince = nil
+	k, _ := slices.BinarySearch(m.dirty, id)
+	m.dirty = slices.Delete(m.dirty, k, k+1)
 }
 
 // OpsSince returns the LSNs of the operations that updated the page
@@ -185,9 +208,7 @@ func (m *Manager) Flush(id model.Var) error {
 		_ = err
 	}
 	m.store.Write(id, p.data, p.pageLSN)
-	p.dirty = false
-	p.older = nil
-	p.opsSince = nil
+	m.markClean(id, p)
 	m.Flushes++
 	m.rec.Inc(obs.MCacheFlushes)
 	m.rec.Emit(obs.Event{Type: obs.EvCacheFlush, Page: string(id), LSN: int64(p.pageLSN)})
@@ -237,9 +258,7 @@ func (m *Manager) FlushGroup(ids []model.Var) error {
 	m.rec.Inc(obs.MCacheGroups)
 	for _, id := range ids {
 		p := m.pages[id]
-		p.dirty = false
-		p.older = nil
-		p.opsSince = nil
+		m.markClean(id, p)
 		m.Flushes++
 		m.rec.Inc(obs.MCacheFlushes)
 		m.rec.Emit(obs.Event{Type: obs.EvCacheFlush, Page: string(id), LSN: int64(p.pageLSN)})
@@ -278,25 +297,34 @@ func (m *Manager) FlushAll() error {
 				progressed = true
 			}
 		}
-		if len(m.DirtyPages()) == 0 {
+		if len(m.dirty) == 0 {
 			return nil
 		}
 		if !progressed {
-			return fmt.Errorf("cache: %d dirty pages permanently blocked: flush dependencies form a cycle", len(m.DirtyPages()))
+			return fmt.Errorf("cache: %d dirty pages permanently blocked: flush dependencies form a cycle", len(m.dirty))
 		}
 	}
 }
 
-// DirtyPages returns the dirty page ids in sorted order.
-func (m *Manager) DirtyPages() []model.Var {
-	var out []model.Var
-	for id, p := range m.pages {
-		if p.dirty {
-			out = append(out, id)
+// FlushFirst installs the first dirty page, in id order, whose
+// dependencies allow it — the background writer's choice — and reports
+// whether it installed one.
+func (m *Manager) FlushFirst() bool {
+	// A successful Flush edits m.dirty, but the loop returns right after.
+	for _, id := range m.dirty {
+		if m.CanFlush(id) {
+			if err := m.Flush(id); err == nil {
+				return true
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return false
+}
+
+// DirtyPages returns the dirty page ids in sorted order. The slice is
+// the caller's: it may range over it while flushing.
+func (m *Manager) DirtyPages() []model.Var {
+	return append([]model.Var(nil), m.dirty...)
 }
 
 // RecLSN returns the recLSN of a page if it is dirty: the LSN of the
@@ -327,5 +355,6 @@ func (m *Manager) MinRecLSN() (core.LSN, bool) {
 // Crash discards the cache and all pending dependencies.
 func (m *Manager) Crash() {
 	m.pages = make(map[model.Var]*page)
+	m.dirty = nil
 	m.deps = nil
 }

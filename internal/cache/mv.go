@@ -103,9 +103,7 @@ func (m *Manager) FlushBest(id model.Var) error {
 		m.OnInstall(id, v.lsn)
 	}
 	if v.lsn == p.pageLSN {
-		p.dirty = false
-		p.older = nil
-		p.opsSince = nil
+		m.markClean(id, p)
 	} else {
 		// Drop the flushed version and everything older; the oldest
 		// retained version's LSN becomes the new recLSN.
@@ -139,6 +137,20 @@ func (m *Manager) CanFlushBest(id model.Var) bool {
 	return ok
 }
 
+// FlushFirstBest is FlushFirst with version-at-a-time installation: it
+// may install an older version of a page whose newest version is
+// blocked.
+func (m *Manager) FlushFirstBest() bool {
+	for _, id := range m.dirty {
+		if m.CanFlushBest(id) {
+			if err := m.FlushBest(id); err == nil {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // FlushAllBest drains the cache version-at-a-time, iterating to a fixed
 // point. Unlike FlushAll it succeeds even when the newest versions form
 // a dependency cycle, as long as older versions break it.
@@ -153,11 +165,11 @@ func (m *Manager) FlushAllBest() error {
 				progressed = true
 			}
 		}
-		if len(m.DirtyPages()) == 0 {
+		if len(m.dirty) == 0 {
 			return nil
 		}
 		if !progressed {
-			return fmt.Errorf("cache: %d dirty pages blocked even version-at-a-time", len(m.DirtyPages()))
+			return fmt.Errorf("cache: %d dirty pages blocked even version-at-a-time", len(m.dirty))
 		}
 	}
 }

@@ -106,9 +106,9 @@ func (d *GenLSN) Exec(op *model.Op) error {
 // version of an otherwise blocked page.
 func (d *GenLSN) FlushOne() bool {
 	if d.cache.MultiVersion() {
-		return d.flushFirstEligibleBest()
+		return d.cache.FlushFirstBest()
 	}
-	return d.flushFirstEligible()
+	return d.cache.FlushFirst()
 }
 
 // Checkpoint takes the same fuzzy checkpoint as physiological recovery:

@@ -279,20 +279,6 @@ type Truncator interface {
 	TruncateCheckpointed() (int, error)
 }
 
-// flushFirstEligibleBest is flushFirstEligible with version-at-a-time
-// installation: it may install an older version of a page whose newest
-// version is blocked.
-func (b *base) flushFirstEligibleBest() bool {
-	for _, id := range b.cache.DirtyPages() {
-		if b.cache.CanFlushBest(id) {
-			if err := b.cache.FlushBest(id); err == nil {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Read returns the volatile value of a variable.
 func (b *base) Read(x model.Var) model.Value { return b.cache.Read(x) }
 
@@ -340,19 +326,6 @@ func (b *base) stats() Stats {
 // FlushPage installs one specific dirty page if its dependencies allow;
 // experiments use it to shape which pages pin the checkpoint bound.
 func (b *base) FlushPage(x model.Var) error { return b.cache.Flush(x) }
-
-// flushFirstEligible installs the first dirty page whose dependencies and
-// WAL gate allow it.
-func (b *base) flushFirstEligible() bool {
-	for _, id := range b.cache.DirtyPages() {
-		if b.cache.CanFlush(id) {
-			if err := b.cache.Flush(id); err == nil {
-				return true
-			}
-		}
-	}
-	return false
-}
 
 // checkpointedUpTo returns the stable-logged operations with LSN strictly
 // below the bound: the canonical "ops the checkpoint covers" set.

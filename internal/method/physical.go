@@ -54,7 +54,7 @@ func (d *Physical) Exec(op *model.Op) error {
 
 // FlushOne installs any dirty page; physical logging permits stealing at
 // any time because uninstalled after-images keep their pages unexposed.
-func (d *Physical) FlushOne() bool { return d.flushFirstEligible() }
+func (d *Physical) FlushOne() bool { return d.cache.FlushFirst() }
 
 // Checkpoint flushes every dirty page and then writes the checkpoint
 // record. Writing the record atomically installs all operations logged

@@ -51,7 +51,7 @@ func (d *Physiological) Exec(op *model.Op) error {
 
 // FlushOne installs one dirty page (no ordering constraints exist:
 // single-page operations put no edges between page nodes, Section 6.3).
-func (d *Physiological) FlushOne() bool { return d.flushFirstEligible() }
+func (d *Physiological) FlushOne() bool { return d.cache.FlushFirst() }
 
 // Checkpoint takes a fuzzy checkpoint: it records the minimum recLSN of
 // the dirty pages (or the log end when clean) without flushing anything.

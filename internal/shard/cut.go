@@ -9,9 +9,10 @@ import (
 	"redotheory/internal/partition"
 )
 
-// Txn is one cross-shard transaction as reconstructed from the stable
-// logs: the shared id plus the per-log sequence vector its records
-// carry.
+// Txn is one cross-shard transaction: the shared id plus the per-log
+// sequence vector its records carry — as Exec stamped it (the
+// coordinator's uncertified table) or as StableTxns reads it back from
+// the stable logs.
 type Txn struct {
 	// ID is the originating system operation's id, shared by every
 	// participant record.
@@ -43,8 +44,10 @@ func (t *Txn) Shards() []int {
 	return out
 }
 
-// CutInput is everything the certified-cut computation needs, all of it
-// read off the shards' stable logs.
+// CutInput is everything the certified-cut computation needs. Recover
+// reads all of it off the shards' stable logs (cutInput); a live
+// coordinator's Certify takes the transactions from its own table
+// instead (certifyInput).
 type CutInput struct {
 	// Frontiers[i] is shard i's stable log frontier (highest durable
 	// LSN) — the ceiling the cut starts from.
@@ -54,7 +57,8 @@ type CutInput struct {
 	// truncated into the recovery base, i.e. installed; a cut may not
 	// exclude them.
 	LowWater []core.LSN
-	// Txns is the cross-shard transaction table (StableTxns).
+	// Txns is the cross-shard transaction table, ascending by id:
+	// StableTxns, or the uncertified transactions with a stable record.
 	Txns []Txn
 }
 
@@ -192,6 +196,18 @@ func txnInside(t *Txn, cut []core.LSN) bool {
 		}
 	}
 	return true
+}
+
+// stableUnder reports whether some record of the transaction is at or
+// below its shard's stable frontier — whether a scan of the stable logs
+// (StableTxns) would come across the transaction at all.
+func (t *Txn) stableUnder(frontiers []core.LSN) bool {
+	for i, lsn := range t.Vec {
+		if lsn <= frontiers[i] {
+			return true
+		}
+	}
+	return false
 }
 
 // Consistent reports whether an arbitrary vector is a consistent cut

@@ -197,29 +197,35 @@ func randomCutInput(rng *rand.Rand) CutInput {
 // cut is consistent, and advancing any shard's prefix by one record
 // breaks consistency — no larger certified cut exists (consistent cuts
 // are closed under pointwise max, so failing every single-step
-// extension is failing them all).
+// extension is failing them all). It holds whichever way the input was
+// assembled: cold from every transaction, or from the uncertified ones
+// alone (bothWays) — judged, either way, against the cold input.
 func TestComputeCutMaximality(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
+	earlier := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 500; trial++ {
 		in := randomCutInput(rng)
-		cut, err := ComputeCut(in)
-		if err != nil {
-			// Random inputs never place records below low water 1.
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !Consistent(in, cut.Frontier) {
-			t.Fatalf("trial %d: computed cut %v not consistent for %+v", trial, cut.Frontier, in)
-		}
-		for i := range cut.Frontier {
-			if cut.Frontier[i] >= in.Frontiers[i] {
-				continue
+		for _, asm := range bothWays(t, in, earlier) {
+			way := asm.way
+			cut, err := ComputeCut(asm.in)
+			if err != nil {
+				// Random inputs never place records below low water 1.
+				t.Fatalf("trial %d (%s): %v", trial, way, err)
 			}
-			adv := make([]core.LSN, len(cut.Frontier))
-			copy(adv, cut.Frontier)
-			adv[i]++
-			if Consistent(in, adv) {
-				t.Fatalf("trial %d: cut %v not maximal: advancing shard %d to %d stays consistent (input %+v)",
-					trial, cut.Frontier, i, adv[i], in)
+			if !Consistent(in, cut.Frontier) {
+				t.Fatalf("trial %d (%s): computed cut %v not consistent for %+v", trial, way, cut.Frontier, in)
+			}
+			for i := range cut.Frontier {
+				if cut.Frontier[i] >= in.Frontiers[i] {
+					continue
+				}
+				adv := make([]core.LSN, len(cut.Frontier))
+				copy(adv, cut.Frontier)
+				adv[i]++
+				if Consistent(in, adv) {
+					t.Fatalf("trial %d (%s): cut %v not maximal: advancing shard %d to %d stays consistent (input %+v)",
+						trial, way, cut.Frontier, i, adv[i], in)
+				}
 			}
 		}
 	}
@@ -227,32 +233,44 @@ func TestComputeCutMaximality(t *testing.T) {
 
 // TestComputeCutDeterministic is the satellite determinism test: the
 // cut does not depend on the order the transaction table presents the
-// transactions (shard logs can be enumerated in any order).
+// transactions (shard logs can be enumerated in any order), nor on
+// which way the table was assembled — every shuffle of either assembly
+// gives the cut, dropped set and clusters of the cold input it stands
+// for.
 func TestComputeCutDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	earlier := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 200; trial++ {
 		in := randomCutInput(rng)
-		base, err := ComputeCut(in)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for shuffle := 0; shuffle < 4; shuffle++ {
-			shuffled := CutInput{Frontiers: in.Frontiers, LowWater: in.LowWater}
-			shuffled.Txns = append([]Txn(nil), in.Txns...)
-			rng.Shuffle(len(shuffled.Txns), func(a, b int) {
-				shuffled.Txns[a], shuffled.Txns[b] = shuffled.Txns[b], shuffled.Txns[a]
-			})
-			got, err := ComputeCut(shuffled)
+		for _, asm := range bothWays(t, in, earlier) {
+			way := asm.way
+			base, err := ComputeCut(asm.agrees)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			for i := range base.Frontier {
-				if got.Frontier[i] != base.Frontier[i] {
-					t.Fatalf("trial %d: cut depends on txn order: %v vs %v", trial, got.Frontier, base.Frontier)
+			for shuffle := 0; shuffle < 4; shuffle++ {
+				shuffled := CutInput{Frontiers: in.Frontiers, LowWater: in.LowWater}
+				shuffled.Txns = append([]Txn(nil), asm.in.Txns...)
+				rng.Shuffle(len(shuffled.Txns), func(a, b int) {
+					shuffled.Txns[a], shuffled.Txns[b] = shuffled.Txns[b], shuffled.Txns[a]
+				})
+				got, err := ComputeCut(shuffled)
+				if err != nil {
+					t.Fatalf("trial %d (%s): %v", trial, way, err)
 				}
-			}
-			if len(got.Dropped) != len(base.Dropped) || got.Clusters != base.Clusters {
-				t.Fatalf("trial %d: dropped/clusters depend on txn order", trial)
+				for i := range base.Frontier {
+					if got.Frontier[i] != base.Frontier[i] {
+						t.Fatalf("trial %d (%s): cut depends on txn order: %v vs %v", trial, way, got.Frontier, base.Frontier)
+					}
+				}
+				if len(got.Dropped) != len(base.Dropped) || got.Clusters != base.Clusters {
+					t.Fatalf("trial %d (%s): dropped/clusters depend on txn order", trial, way)
+				}
+				for k := range base.Dropped {
+					if got.Dropped[k].ID != base.Dropped[k].ID {
+						t.Fatalf("trial %d (%s): dropped %+v, want %+v", trial, way, got.Dropped, base.Dropped)
+					}
+				}
 			}
 		}
 	}

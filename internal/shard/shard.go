@@ -27,7 +27,7 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -91,11 +91,16 @@ func NewRouter(n int) *Router {
 // N returns the shard count.
 func (r *Router) N() int { return r.n }
 
-// Shard returns the shard owning variable x.
+// Shard returns the shard owning variable x. The hash is 32-bit FNV-1a
+// (hash/fnv's New32a), inlined over the string: Exec routes every
+// variable of every operation.
 func (r *Router) Shard(x model.Var) int {
-	h := fnv.New32a()
-	h.Write([]byte(x))
-	return int(h.Sum32() % uint32(r.n))
+	h := uint32(2166136261)
+	for i := 0; i < len(x); i++ {
+		h ^= uint32(x[i])
+		h *= 16777619
+	}
+	return int(h % uint32(r.n))
 }
 
 // Split projects a state onto the router's shards: shard i's state
@@ -125,8 +130,16 @@ type DB struct {
 	crossMax []core.LSN
 	// certified[i] is the last certified cut, monotone in Certify calls.
 	certified []core.LSN
-	nextProj  model.OpID
-	crossTxns int
+	// uncertified is the coordinator's memory of the cross-shard
+	// transactions not yet wholly inside certified, ascending by id: Exec
+	// adds one, Certify retires the ones it certifies. It is what lets
+	// Certify cost O(uncertified) instead of a rescan of every stable log
+	// (DESIGN.md §15, "Why the delta is exact"). Crash loses it (crashed
+	// is set), and from then on the cut is reconstructed from the logs.
+	uncertified []Txn
+	crashed     bool
+	nextProj    model.OpID
+	crossTxns   int
 }
 
 // New builds an n-shard database, splitting the initial state by the
@@ -182,18 +195,21 @@ func (d *DB) Read(x model.Var) model.Value {
 // Participants returns the sorted shard indexes an operation touches
 // (reads or writes).
 func (d *DB) Participants(op *model.Op) []int {
-	seen := make(map[int]bool, d.router.n)
-	for _, x := range op.Reads() {
-		seen[d.router.Shard(x)] = true
+	// An operation touches a handful of shards: a sorted slice with
+	// linear insertion beats a set plus a sort.
+	out := make([]int, 0, 2)
+	for _, vars := range [2][]model.Var{op.Reads(), op.Writes()} {
+		for _, x := range vars {
+			i := d.router.Shard(x)
+			k := 0
+			for k < len(out) && out[k] < i {
+				k++
+			}
+			if k == len(out) || out[k] != i {
+				out = slices.Insert(out, k, i)
+			}
+		}
 	}
-	for _, x := range op.Writes() {
-		seen[d.router.Shard(x)] = true
-	}
-	out := make([]int, 0, len(seen))
-	for i := range seen {
-		out = append(out, i)
-	}
-	sort.Ints(out)
 	return out
 }
 
@@ -206,6 +222,14 @@ func (d *DB) Participants(op *model.Op) []int {
 // per-log sequence vector, and causal floors for read-only
 // participants. Exec refuses (ErrShardDown) if any participant shard
 // has failed; refusal is atomic — nothing is logged anywhere.
+//
+// A projection that fails after an earlier participant's already
+// executed is not atomic: the earlier records stay in their logs without
+// transaction labels, so the cut treats them as single-shard work, and
+// the coordinator records no transaction for them (crossMax, the
+// uncertified table and CrossTxns are untouched). CrossHistory's shapes
+// never reach this — every projection is legal for the method — so it
+// marks a workload bug, and the error says which projection broke.
 func (d *DB) Exec(op *model.Op) error {
 	parts := d.Participants(op)
 	for _, i := range parts {
@@ -262,12 +286,15 @@ func (d *DB) Exec(op *model.Op) error {
 	// the volatile frontier observed at read time. If a crash loses that
 	// prefix the baked values are unexplainable, so the cut must then
 	// drop the transaction.
-	deps := make(map[int]core.LSN)
+	var deps map[int]core.LSN // nil when empty, as decodeVec reads it back
 	for _, i := range parts {
 		if _, isWriter := vec[i]; isWriter {
 			continue
 		}
 		if floor := d.shards[i].WAL().NextLSN() - 1; floor > 0 {
+			if deps == nil {
+				deps = make(map[int]core.LSN)
+			}
 			deps[i] = floor
 		}
 	}
@@ -287,21 +314,40 @@ func (d *DB) Exec(op *model.Op) error {
 			d.crossMax[i] = lsn
 		}
 	}
+	d.addUncertified(Txn{ID: op.ID(), Vec: vec, Deps: deps})
 	d.crossTxns++
 	d.rec.Inc(obs.MShardCrossTxns)
 	return nil
 }
 
-// Certify recomputes the certified cut from the shards' current stable
-// logs and advances the monotone per-shard certification bounds. The
-// certification gate then lets each shard install and checkpoint up to
-// (and only up to) cross-shard work inside this cut. A transaction
-// certified once can never fall out of a later cut: records appended
-// after certification carry larger LSNs than every frontier the cut was
-// computed from, so the certified cut stays consistent as the logs and
-// frontiers grow.
+// addUncertified files a freshly stamped transaction in the uncertified
+// table, keeping it ascending by id (histories issue ascending ids, so
+// this is an append).
+func (d *DB) addUncertified(t Txn) {
+	k := len(d.uncertified)
+	for k > 0 && d.uncertified[k-1].ID > t.ID {
+		k--
+	}
+	d.uncertified = slices.Insert(d.uncertified, k, t)
+}
+
+// Certify recomputes the certified cut against the shards' current
+// stable frontiers and advances the monotone per-shard certification
+// bounds. The certification gate then lets each shard install and
+// checkpoint up to (and only up to) cross-shard work inside this cut. A
+// transaction certified once can never fall out of a later cut: records
+// appended after certification carry larger LSNs than every frontier the
+// cut was computed from, so the certified cut stays consistent as the
+// logs and frontiers grow.
+//
+// That is also why Certify need not reread the logs: the maximal cut
+// over the uncertified transactions alone is the maximal cut over all of
+// them (DESIGN.md §15), so the coordinator's table is the whole input
+// and every transaction the new cut certifies leaves it. After Crash the
+// table is gone and Certify assembles its input the way Recover does,
+// from the stable logs.
 func (d *DB) Certify() (*Cut, error) {
-	in, err := d.cutInput()
+	in, err := d.certifyInput()
 	if err != nil {
 		return nil, err
 	}
@@ -314,8 +360,29 @@ func (d *DB) Certify() (*Cut, error) {
 			d.certified[i] = lsn
 		}
 	}
+	d.uncertified = slices.DeleteFunc(d.uncertified, func(t Txn) bool {
+		return txnInside(&t, d.certified)
+	})
 	d.rec.Inc(obs.MShardCertify)
 	return cut, nil
+}
+
+// certifyInput assembles Certify's cut input from coordinator memory:
+// the live bounds plus the uncertified transactions the stable logs can
+// see — those with a record at or below its shard's stable frontier
+// (uncertified records are never truncated, so that is exactly
+// StableTxns' visibility). Without coordinator memory it is cutInput.
+func (d *DB) certifyInput() (CutInput, error) {
+	if d.crashed {
+		return d.cutInput()
+	}
+	in := d.stableBounds()
+	for ti := range d.uncertified {
+		if t := &d.uncertified[ti]; t.stableUnder(in.Frontiers) {
+			in.Txns = append(in.Txns, *t)
+		}
+	}
+	return in, nil
 }
 
 // gateOpen reports whether shard i may install or checkpoint: every
@@ -379,12 +446,15 @@ func (d *DB) Freeze(i int) { d.frozen[i] = true }
 // Frozen reports whether shard i has failed.
 func (d *DB) Frozen(i int) bool { return d.frozen[i] }
 
-// Crash fails every shard: caches and unflushed log tails are lost,
-// only stable states and stable log prefixes survive.
+// Crash fails every shard and the coordinator: caches, unflushed log
+// tails and the uncertified-transaction table are lost, only stable
+// states and stable log prefixes survive.
 func (d *DB) Crash() {
 	for _, db := range d.shards {
 		db.Crash()
 	}
+	d.uncertified = nil
+	d.crashed = true
 }
 
 // Stats sums the per-shard method stats.
@@ -408,6 +478,18 @@ func (d *DB) Stats() method.Stats {
 // recovery base by truncation, i.e. installed), and the cross-shard
 // transaction table.
 func (d *DB) cutInput() (CutInput, error) {
+	in := d.stableBounds()
+	txns, err := d.StableTxns()
+	if err != nil {
+		return CutInput{}, err
+	}
+	in.Txns = txns
+	return in, nil
+}
+
+// stableBounds reads each shard's stable frontier and low-water mark: a
+// cut input without its transaction table.
+func (d *DB) stableBounds() CutInput {
 	n := d.router.n
 	in := CutInput{
 		Frontiers: make([]core.LSN, n),
@@ -422,12 +504,7 @@ func (d *DB) cutInput() (CutInput, error) {
 			in.LowWater[i] = slog.NextLSN()
 		}
 	}
-	txns, err := d.StableTxns()
-	if err != nil {
-		return CutInput{}, err
-	}
-	in.Txns = txns
-	return in, nil
+	return in
 }
 
 // StableTxns reconstructs the cross-shard transaction table from the

@@ -2,6 +2,9 @@ package shard
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
+	"sort"
 	"strings"
 	"testing"
 
@@ -59,6 +62,55 @@ func TestRouterSplitPartitionsState(t *testing.T) {
 	}
 	if len(seen) != len(pages) {
 		t.Errorf("split covers %d of %d pages", len(seen), len(pages))
+	}
+}
+
+// TestRouterAssignmentsGolden pins the routing function itself: the
+// shard of each of workload.Pages(64) under hash/fnv's 32-bit FNV-1a
+// mod N, recorded before Router.Shard inlined the hash. A changed
+// assignment would silently re-home every fixture's variables.
+func TestRouterAssignmentsGolden(t *testing.T) {
+	for n, want := range map[int]string{
+		4: "0321032103123012301221032103213012301230032103210312301230122103",
+		7: "5316420505024661352464310542166124501346420553162035024613132064",
+	} {
+		r := NewRouter(n)
+		for k, p := range workload.Pages(64) {
+			if got := r.Shard(p); got != int(want[k]-'0') {
+				t.Errorf("router ×%d: %q on shard %d, golden says %c", n, p, got, want[k])
+			}
+			h := fnv.New32a()
+			h.Write([]byte(p))
+			if ref := int(h.Sum32() % uint32(n)); r.Shard(p) != ref {
+				t.Errorf("router ×%d: %q on shard %d, hash/fnv says %d", n, p, r.Shard(p), ref)
+			}
+		}
+	}
+}
+
+// TestParticipantsSortedAndDistinct holds Participants to the set-and-
+// sort it replaced, over operations touching one to three shards.
+func TestParticipantsSortedAndDistinct(t *testing.T) {
+	pages := workload.Pages(24)
+	d := New(func(s *model.State) method.DB { return method.NewLogical(s) }, 7, workload.InitialState(pages))
+	ops, err := CrossHistory("logical", 200, pages, d.Router(), 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops = append(ops, model.ReadWrite(201, "wide", pages[:9], pages[4:12]))
+	for _, op := range ops {
+		seen := make(map[int]bool)
+		for _, x := range append(append([]model.Var(nil), op.Reads()...), op.Writes()...) {
+			seen[d.Router().Shard(x)] = true
+		}
+		var want []int
+		for i := range seen {
+			want = append(want, i)
+		}
+		sort.Ints(want)
+		if got := d.Participants(op); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("Participants(%s) = %v, want %v", op, got, want)
+		}
 	}
 }
 
