@@ -2,12 +2,19 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race soak fuzz fuzz-smoke nestedcrash-smoke shard-smoke trace-smoke serve-smoke bench-smoke bench bench-compare bench-full experiments examples tools campaign metrics cover clean
+.PHONY: all build loc vet test test-short race soak fuzz fuzz-smoke nestedcrash-smoke shard-smoke trace-smoke serve-smoke bench-smoke bench bench-compare bench-full experiments examples tools campaign metrics cover clean
 
 all: build vet test
 
 build:
 	$(GO) build ./...
+
+# loc prints non-test Go lines per internal/* and cmd/* package: the
+# figure ROADMAP's line-count acceptance criteria are stated in.
+loc:
+	@for d in internal/* cmd/*; do \
+		printf '%6d %s\n' "$$(find $$d -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" $$d; \
+	done
 
 vet:
 	$(GO) vet ./...

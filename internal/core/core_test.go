@@ -157,7 +157,7 @@ func TestAnalysisPhaseThreading(t *testing.T) {
 			}
 		},
 		"RecoverDense": func(redo RedoTest, analyze AnalyzeFunc) {
-			if _, err := RecoverDense(model.NewState(), l, checkpoint, redo, analyze); err != nil {
+			if _, err := RecoverDense(nil, model.NewState(), l, checkpoint, redo, analyze); err != nil {
 				t.Fatal(err)
 			}
 		},

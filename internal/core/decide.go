@@ -45,10 +45,8 @@ func DecideRedo(state *model.State, log *Log, checkpoint graph.Set[model.OpID], 
 }
 
 // DecideRedoObserved is DecideRedo with telemetry: a "decide" span over
-// the whole phase, the analysis span nested inside it, per-record
-// admit/skip events carrying the redo-test verdict, and per-phase
-// durations for analysis and the derived "scan" (decide minus analysis).
-// A nil recorder makes it exactly DecideRedo.
+// Scan's account (nothing is timed as replay: the step only notes the
+// index). A nil recorder makes it exactly DecideRedo.
 func DecideRedoObserved(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) *RedoDecision {
 	d := &RedoDecision{
 		// Presized for the worst case (every record admitted): append
@@ -56,42 +54,12 @@ func DecideRedoObserved(rec *obs.Recorder, state *model.State, log *Log, checkpo
 		ReplayIdx: make([]int, 0, log.Len()),
 		log:       log,
 	}
-	rec.Touch(obs.MRedoExamined, obs.MRedoAdmitted, obs.MRedoSkipped)
-	// Hot path: resolved counter handles and sink-guarded event payloads —
-	// see RecoverObserved for the rationale.
-	cExamined := rec.CounterHandle(obs.MRedoExamined)
-	cAdmitted := rec.CounterHandle(obs.MRedoAdmitted)
-	cSkipped := rec.CounterHandle(obs.MRedoSkipped)
-	cCheckpointed := rec.CounterHandle(obs.MRedoCheckpointed)
 	span := rec.StartSpan(obs.PhaseDecide)
-	analysis, analysisTotal := RunAnalysis(rec, analyze, state, log, checkpoint)
-	for i, r := range log.Records() {
-		if checkpoint.Has(r.Op.ID()) {
-			cCheckpointed.Add(1)
-			if rec.Sinking() {
-				rec.Emit(obs.Event{Type: obs.EvSkip, LSN: int64(r.LSN), Op: r.Op.String(), Verdict: "checkpointed"})
-			}
-			continue
-		}
-		d.Examined++
-		cExamined.Add(1)
-		if redo(r, state, log, analysis) {
-			d.ReplayIdx = append(d.ReplayIdx, i)
-			cAdmitted.Add(1)
-			if rec.Sinking() {
-				rec.Emit(obs.Event{Type: obs.EvAdmit, LSN: int64(r.LSN), Op: r.Op.String(), Verdict: "admit"})
-			}
-		} else {
-			cSkipped.Add(1)
-			if rec.Sinking() {
-				rec.Emit(obs.Event{Type: obs.EvSkip, LSN: int64(r.LSN), Op: r.Op.String(), Verdict: "redo-test-false"})
-			}
-		}
-	}
-	if rec != nil {
-		total := span.End()
-		rec.ObserveDuration("phase."+string(obs.PhaseScan), total-analysisTotal)
-	}
+	d.Examined, _, _ = Scan(rec, state, log, checkpoint, redo, analyze, false, func(i int, _ *Record) (bool, error) {
+		d.ReplayIdx = append(d.ReplayIdx, i)
+		return false, nil
+	})
+	span.End()
 	return d
 }
 

@@ -65,11 +65,11 @@ func (r *Result) installedGiven(redo graph.Set[model.OpID]) graph.Set[model.OpID
 	return out
 }
 
-// RunAnalysis is the analysis phase every recovery loop starts with: it
-// runs analyze once inside a PhaseAnalysis span and returns its value and
-// the time it took. A nil analyze yields a nil analysis, no span, and a
-// zero phase observation, so rollups carry a uniform schema.
-func RunAnalysis(rec *obs.Recorder, analyze AnalyzeFunc, state *model.State, log *Log, checkpoint graph.Set[model.OpID]) (Analysis, time.Duration) {
+// runAnalysis is the analysis phase Scan starts with: it runs analyze
+// once inside a PhaseAnalysis span and returns its value and the time it
+// took. A nil analyze yields a nil analysis, no span, and a zero phase
+// observation, so rollups carry a uniform schema.
+func runAnalysis(rec *obs.Recorder, analyze AnalyzeFunc, state *model.State, log *Log, checkpoint graph.Set[model.OpID]) (Analysis, time.Duration) {
 	if analyze == nil {
 		rec.ObserveDuration("phase."+string(obs.PhaseAnalysis), 0)
 		return nil, 0
@@ -79,90 +79,134 @@ func RunAnalysis(rec *obs.Recorder, analyze AnalyzeFunc, state *model.State, log
 	return analysis, span.End()
 }
 
-// Recover is the redo recovery procedure of Figure 6. It runs the
-// analysis phase, then scans the unrecovered operations — the logged
-// operations outside the checkpoint — in log order; for each it applies
-// the redo test and replays the operation if the test says yes. The
-// state is mutated in place and also returned in the Result.
+// Step is the one thing the recovery engines differ in: what to do with
+// a record the redo test admitted. i is the record's index in
+// log.Records(). Returning stop ends the scan cleanly before r is redone
+// (a simulated crash point); an error ends it as a failure to replay r.
+type Step func(i int, r *Record) (stop bool, err error)
+
+// Scan is the loop of Figure 6, written once; every recovery engine is
+// an instantiation of it (DESIGN.md §1.1.1). It runs the analysis phase,
+// visits the unrecovered records — the logged operations outside the
+// checkpoint — in log order, which is consistent with the conflict
+// order, applies the redo test to each, and hands every admitted record
+// to step. It returns how many records the redo test examined and
+// whether the scan reached the end of the log.
+//
+// Scan owns the telemetry every engine reports: the redo.* counters, the
+// admit/skip verdict events, and a phase.scan observation (the loop
+// minus analysis and replay). replays says that step redoes the record
+// (a decide-only step passes false): Scan then also times it, counts it
+// in replay.records, observes phase.replay, and emits the per-record
+// replay span pair — batched with the verdict into one EmitBatch, so the
+// emission lock and clock are paid once per record, which keeps full
+// tracing inside the redobench overhead tolerance. A nil recorder costs
+// a nil check per counter and nothing else.
+func Scan(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc, replays bool, step Step) (examined int, done bool, err error) {
+	rec.Touch(obs.MRedoExamined, obs.MRedoAdmitted, obs.MRedoSkipped)
+	// Hot path: resolved counter handles (one atomic add each), raw
+	// clock reads accumulated locally, and event payloads built only
+	// when a sink is attached; histograms are observed once, at the end.
+	timed, sinking := rec != nil && replays, rec.Sinking()
+	cExamined := rec.CounterHandle(obs.MRedoExamined)
+	cAdmitted := rec.CounterHandle(obs.MRedoAdmitted)
+	cSkipped := rec.CounterHandle(obs.MRedoSkipped)
+	cCheckpointed := rec.CounterHandle(obs.MRedoCheckpointed)
+	cReplayed := rec.CounterHandle(obs.MReplayRecords)
+	var start, t0 time.Time
+	if rec != nil {
+		start = time.Now()
+	}
+	var replayTotal time.Duration
+	analysis, analysisTotal := runAnalysis(rec, analyze, state, log, checkpoint)
+	var evbuf [3]obs.Event
+	done = true
+	for i, r := range log.Records() {
+		if checkpoint.Has(r.Op.ID()) {
+			cCheckpointed.Add(1)
+			if sinking {
+				rec.Emit(verdict(obs.EvSkip, r, "checkpointed"))
+			}
+			continue
+		}
+		examined++
+		cExamined.Add(1)
+		if !redo(r, state, log, analysis) {
+			cSkipped.Add(1)
+			if sinking {
+				rec.Emit(verdict(obs.EvSkip, r, "redo-test-false"))
+			}
+			continue
+		}
+		cAdmitted.Add(1)
+		ev := evbuf[:0]
+		if sinking {
+			ev = append(ev, verdict(obs.EvAdmit, r, "admit"))
+		}
+		if timed {
+			t0 = time.Now()
+		}
+		stop, serr := step(i, r)
+		if stop || serr != nil {
+			done = false
+			if serr != nil {
+				err = fmt.Errorf("core: replaying %s: %w", r.Op, serr)
+			}
+			rec.EmitBatch(ev)
+			break
+		}
+		if replays {
+			cReplayed.Add(1)
+		}
+		if timed {
+			d := time.Since(t0)
+			replayTotal += d
+			if sinking {
+				ev = append(ev,
+					obs.Event{Type: obs.EvSpanBegin, Phase: obs.PhaseReplay},
+					obs.Event{Type: obs.EvSpanEnd, Phase: obs.PhaseReplay, Dur: d})
+			}
+		}
+		if sinking {
+			rec.EmitBatch(ev)
+		}
+	}
+	if rec != nil {
+		// One observation per recovery for each nested phase (zero when
+		// the phase did no work), so rollups carry a uniform schema.
+		if replays {
+			rec.ObserveDuration("phase."+string(obs.PhaseReplay), replayTotal)
+		}
+		rec.ObserveDuration("phase."+string(obs.PhaseScan), time.Since(start)-analysisTotal-replayTotal)
+	}
+	return examined, done, err
+}
+
+// verdict builds the event reporting the scan's decision on r.
+func verdict(t obs.EventType, r *Record, v string) obs.Event {
+	return obs.Event{Type: t, LSN: int64(r.LSN), Op: r.Op.String(), Verdict: v}
+}
+
+// Recover is the redo recovery procedure of Figure 6 on the map-backed
+// state: the reference instantiation of Scan, whose step applies the
+// operation in place. The state is mutated and also returned in the
+// Result. The checker and the differential tests run it; the shipped
+// path is RecoverDense.
 //
 // Correctness is the Recovery Corollary (Corollary 4): if the installed
 // set operations(log) − redo_set induces a prefix of the installation
 // graph that explains the pre-recovery state, Recover terminates with the
 // state determined by the conflict graph.
 func Recover(state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) (*Result, error) {
-	return RecoverObserved(nil, state, log, checkpoint, redo, analyze)
-}
-
-// RecoverObserved is Recover with telemetry: an umbrella "recover" span
-// over the whole procedure, one analysis span, per-record replay span
-// events (when a sink is attached), per-recovery phase durations for
-// analysis, replay, and scan (the loop minus the time inside analysis and
-// replay), and admit/skip events with the redo-test verdict. A nil
-// recorder makes it exactly Recover.
-func RecoverObserved(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) (*Result, error) {
 	res := &Result{State: state, log: log}
-	rec.Touch(obs.MRedoExamined, obs.MRedoAdmitted, obs.MRedoSkipped)
-	// The loop below is the recovery hot path, so instrumentation is kept
-	// to resolved counter handles (one atomic add each), raw clock reads
-	// accumulated locally, and Emit calls that are a single atomic load
-	// when no sink is attached; histogram observations happen once per
-	// recovery, after the loop.
-	obsOn := rec != nil
-	cExamined := rec.CounterHandle(obs.MRedoExamined)
-	cAdmitted := rec.CounterHandle(obs.MRedoAdmitted)
-	cSkipped := rec.CounterHandle(obs.MRedoSkipped)
-	cCheckpointed := rec.CounterHandle(obs.MRedoCheckpointed)
-	cReplayed := rec.CounterHandle(obs.MReplayRecords)
-	span := rec.StartRootSpan(obs.PhaseRecover, "sequential recovery")
-	var replayTotal time.Duration
-	analysis, analysisTotal := RunAnalysis(rec, analyze, state, log, checkpoint)
-	for _, r := range log.Records() {
-		if checkpoint.Has(r.Op.ID()) {
-			cCheckpointed.Add(1)
-			if rec.Sinking() {
-				rec.Emit(obs.Event{Type: obs.EvSkip, LSN: int64(r.LSN), Op: r.Op.String(), Verdict: "checkpointed"})
-			}
-			continue
-		}
-		// O is the minimal operation in unrecovered: records are visited
-		// in LSN order, which is consistent with the conflict order.
-		res.Examined++
-		cExamined.Add(1)
-		if redo(r, state, log, analysis) {
-			res.Replayed = append(res.Replayed, r.Op.ID())
-			cAdmitted.Add(1)
-			if rec.Sinking() {
-				rec.Emit(obs.Event{Type: obs.EvAdmit, LSN: int64(r.LSN), Op: r.Op.String(), Verdict: "admit"})
-			}
-			var t0 time.Time
-			if obsOn {
-				rec.Emit(obs.Event{Type: obs.EvSpanBegin, Phase: obs.PhaseReplay})
-				t0 = time.Now()
-			}
-			_, err := state.Apply(r.Op)
-			if obsOn {
-				d := time.Since(t0)
-				replayTotal += d
-				rec.Emit(obs.Event{Type: obs.EvSpanEnd, Phase: obs.PhaseReplay, Dur: d})
-			}
-			if err != nil {
-				span.End()
-				return nil, fmt.Errorf("core: replaying %s: %w", r.Op, err)
-			}
-			cReplayed.Add(1)
-		} else {
-			cSkipped.Add(1)
-			if rec.Sinking() {
-				rec.Emit(obs.Event{Type: obs.EvSkip, LSN: int64(r.LSN), Op: r.Op.String(), Verdict: "redo-test-false"})
-			}
-		}
-	}
-	if rec != nil {
-		total := span.End()
-		// One observation per recovery for each nested phase (zero when the
-		// phase did no work), so rollups carry a uniform schema.
-		rec.ObserveDuration("phase."+string(obs.PhaseReplay), replayTotal)
-		rec.ObserveDuration("phase."+string(obs.PhaseScan), total-analysisTotal-replayTotal)
+	var err error
+	res.Examined, _, err = Scan(nil, state, log, checkpoint, redo, analyze, true, func(_ int, r *Record) (bool, error) {
+		res.Replayed = append(res.Replayed, r.Op.ID())
+		_, err := state.Apply(r.Op)
+		return false, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"redotheory/internal/dense"
@@ -66,6 +67,36 @@ type LogView struct {
 	Views []RecordView
 }
 
+// Replay is the component-replay routine every partitioned engine
+// shares: it redoes the records at view indexes idx in the order given —
+// LSN order, a component's topological schedule — storing writes raw
+// into ds. Runs over disjoint components may share ds concurrently: no
+// component reads a variable another writes (the partition invariant),
+// so every read observes what sequential replay would have. buf is the
+// caller's, reused across runs. On failure it returns the failing record
+// beside the error, so concurrent failures can resolve to the
+// smallest-LSN one.
+func (lv *LogView) Replay(ds *dense.State, idx []int, buf *ReplayBuf) (*Record, error) {
+	for _, vi := range idx {
+		v := &lv.Views[vi]
+		if err := v.Replay(ds, buf); err != nil {
+			return v.Rec, fmt.Errorf("core: replaying %s: %w", v.Rec.Op, err)
+		}
+	}
+	return nil, nil
+}
+
+// InstallWrites publishes what replay stored raw: Mark restores the
+// presence bits of the written ids, and WriteBack is where the dense
+// representation rejoins the map/string API. Presence words are shared
+// across ids, so calls on one ds must be serialized.
+func InstallWrites(ds *dense.State, state *model.State, ids []uint32) {
+	for _, id := range ids {
+		ds.Mark(id)
+	}
+	ds.WriteBack(state, ids)
+}
+
 // NewLogView builds the dense projection of the log: a single pass
 // over the records interns every read/write variable (this is where
 // strings stop) and lays the id slices out in one shared arena.
@@ -127,18 +158,12 @@ func NewViewCache(capacity int) *ViewCache {
 var DefaultViews = NewViewCache(128)
 
 // ViewOf returns the (possibly cached) dense view of the log's record
-// sequence, building and caching it on first sight. Callers must
-// treat the view as immutable.
-func (c *ViewCache) ViewOf(log *Log) *LogView {
-	lv, _ := c.viewOf(log)
-	return lv
-}
-
-// ViewOfObserved is ViewOf plus cache-effectiveness telemetry: it
-// counts the lookup as a hit or miss on the recorder (MViewHits /
-// MViewMisses), so campaign reports can show how often the dense
-// projection was reused versus rebuilt.
-func (c *ViewCache) ViewOfObserved(log *Log, rec *obs.Recorder) *LogView {
+// sequence, building and caching it on first sight, and counts the
+// lookup as a hit or miss on the recorder (MViewHits / MViewMisses; nil
+// disables), so campaign reports can show how often the dense
+// projection was reused versus rebuilt. Callers must treat the view as
+// immutable.
+func (c *ViewCache) ViewOf(log *Log, rec *obs.Recorder) *LogView {
 	lv, hit := c.viewOf(log)
 	if hit {
 		rec.Inc(obs.MViewHits)

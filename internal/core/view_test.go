@@ -67,15 +67,15 @@ func TestLogViewAlignment(t *testing.T) {
 func TestViewCacheReuse(t *testing.T) {
 	c := NewViewCache(4)
 	l := viewFixtureLog()
-	v1 := c.ViewOf(l)
-	v2 := c.ViewOf(l)
+	v1 := c.ViewOf(l, nil)
+	v2 := c.ViewOf(l, nil)
 	if v1 != v2 {
 		t.Fatal("cache rebuilt the view for an unchanged log")
 	}
 	// A prefix shares record pointers but differs in length — it must
 	// get its own view.
 	p := l.Prefix(3)
-	vp := c.ViewOf(p)
+	vp := c.ViewOf(p, nil)
 	if vp == v1 {
 		t.Fatal("cache returned the full log's view for a prefix")
 	}
@@ -84,7 +84,7 @@ func TestViewCacheReuse(t *testing.T) {
 	}
 	// Appending changes the sequence; the view must be rebuilt.
 	l.Append(model.ReadWrite(6, "op6", nil, []model.Var{"q"}))
-	v3 := c.ViewOf(l)
+	v3 := c.ViewOf(l, nil)
 	if v3 == v1 {
 		t.Fatal("cache returned the stale view after an append")
 	}
@@ -136,12 +136,12 @@ func TestViewCacheCountersOnRecorder(t *testing.T) {
 	l := viewFixtureLog()
 	c := NewViewCache(4)
 	rec := obs.New()
-	first := c.ViewOfObserved(l, rec)
+	first := c.ViewOf(l, rec)
 	if got := rec.CounterValue(obs.MViewMisses); got != 1 {
 		t.Fatalf("view misses = %d after first lookup, want 1", got)
 	}
 	for i := 0; i < 3; i++ {
-		if c.ViewOfObserved(l, rec) != first {
+		if c.ViewOf(l, rec) != first {
 			t.Fatal("cache returned a different view for the same prefix")
 		}
 	}
@@ -149,7 +149,7 @@ func TestViewCacheCountersOnRecorder(t *testing.T) {
 		t.Fatalf("view hits = %d after three reuses, want 3", got)
 	}
 	// A nil recorder is the disabled path: no panic, same view.
-	if c.ViewOfObserved(l, nil) != first {
+	if c.ViewOf(l, nil) != first {
 		t.Fatal("nil-recorder lookup returned a different view")
 	}
 }

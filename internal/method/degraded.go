@@ -281,24 +281,24 @@ func RecoverDegraded(db DB, opts DegradedOptions) (*DegradedResult, error) {
 	}
 
 	// Conservative path: replay the whole surviving log from the
-	// recovery base. No redo test, no checkpoint shortcut — both may be
-	// poisoned by exactly the faults just detected.
+	// recovery base — the scan kernel under a different decide policy: an
+	// empty checkpoint and an always-true redo test, because the method's
+	// own may be poisoned by exactly the faults just detected.
 	res.Degraded = true
 	rec.Inc(obs.MDegradedRuns)
-	span := rec.StartSpan(obs.PhaseReplay)
 	state := db.RecoveryBase()
 	lsns := db.RecoveryBaseLSNs()
-	for _, r := range log.Records() {
-		if _, err := state.Apply(r.Op); err != nil {
-			span.End()
-			return nil, fmt.Errorf("method: degraded replay of %s: %w", r.Op, err)
-		}
-		rec.Inc(obs.MReplayRecords)
+	redoAll := func(*core.Record, *model.State, *core.Log, core.Analysis) bool { return true }
+	_, _, err := core.Scan(rec, state, log, nil, redoAll, nil, true, func(_ int, r *core.Record) (bool, error) {
+		_, err := state.Apply(r.Op)
 		for _, x := range r.Op.Writes() {
 			lsns[x] = r.LSN
 		}
+		return false, err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("method: degraded replay: %w", err)
 	}
-	span.End()
 
 	// Repair: rewrite every page from the replayed state with its true
 	// LSN tag, resealing checksums. Log order is irrelevant here — the

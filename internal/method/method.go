@@ -130,20 +130,20 @@ type Stats struct {
 // clone of the stable state, exactly as the Recovery Invariant's
 // hypothetical does.
 //
-// Replay runs on the dense representation (core.RecoverDense): interned
-// record views, a columnar state, and pooled scratch make the hot path
-// allocation-light, while the map-based core.Recover remains the
-// reference procedure the checker and the differential tests audit
-// against.
+// This is the shipped path: core.RecoverDense, the instantiation of the
+// scan kernel (core.Scan) whose step replays interned record views
+// against a columnar state. The map-based core.Recover instantiates the
+// same kernel and is the reference the checker runs and the
+// differential tests compare against.
 func Recover(db DB) (*core.Result, error) {
-	return core.RecoverDense(db.StableState(), db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze())
+	return RecoverObserved(db, nil)
 }
 
 // RecoverObserved is Recover with telemetry: phase spans, redo-test
 // verdict events, and replay timing flow to the recorder. A nil recorder
 // makes it exactly Recover.
 func RecoverObserved(db DB, rec *obs.Recorder) (*core.Result, error) {
-	return core.RecoverDenseObserved(rec, db.StableState(), db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze())
+	return core.RecoverDense(rec, db.StableState(), db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze())
 }
 
 // base carries the substrate wiring shared by all methods.

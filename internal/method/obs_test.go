@@ -1,9 +1,12 @@
 package method
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"redotheory/internal/core"
 	"redotheory/internal/model"
 	"redotheory/internal/obs"
 	"redotheory/internal/workload"
@@ -204,6 +207,82 @@ func TestRecoverObservedSequential(t *testing.T) {
 	}
 }
 
+// checkScanAccount asserts the counter schema core.Scan gives every
+// engine: each examined record is admitted or skipped, and nothing is
+// replayed that was not admitted.
+func checkScanAccount(t *testing.T, engine string, rec *obs.Recorder) {
+	t.Helper()
+	examined, admitted, skipped := rec.CounterValue(obs.MRedoExamined), rec.CounterValue(obs.MRedoAdmitted), rec.CounterValue(obs.MRedoSkipped)
+	if examined != admitted+skipped {
+		t.Errorf("%s: examined=%d != admitted=%d + skipped=%d", engine, examined, admitted, skipped)
+	}
+	if replayed := rec.CounterValue(obs.MReplayRecords); replayed > admitted {
+		t.Errorf("%s: replay.records=%d exceeds admitted=%d", engine, replayed, admitted)
+	}
+}
+
+// TestScanUniformSchema: the engines are instantiations of one scan, so
+// over the same survivors the sequential, decide-only and installing
+// recoveries must tell the same story — the identical admit/skip verdict
+// sequence, and counters that obey the same account.
+func TestScanUniformSchema(t *testing.T) {
+	pages := workload.Pages(5)
+	for _, f := range parallelFactories {
+		f := f
+		t.Run(f.name, func(t *testing.T) {
+			ops, err := workload.ForMethod(f.name, 24, pages, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db := crashedDB(t, f.mk, ops, workload.InitialState(pages), len(ops), 1100)
+
+			type engine struct {
+				name string
+				run  func(*obs.Recorder) error
+			}
+			engines := []engine{
+				{"sequential", func(rec *obs.Recorder) error { _, err := RecoverObserved(db, rec); return err }},
+				{"decide-only", func(rec *obs.Recorder) error {
+					core.DecideRedoObserved(rec, db.StableState(), db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze())
+					return nil
+				}},
+			}
+			if db.(ProgressCheckpointer).InstallsDuringRecovery() {
+				// Last: it installs into the crashed DB's stable state.
+				engines = append(engines, engine{"installing", func(rec *obs.Recorder) error {
+					db.SetRecorder(rec)
+					_, _, err := RecoverInstalling(db.(Installer), -1)
+					return err
+				}})
+			}
+			var want []string
+			for _, e := range engines {
+				rec := obs.New()
+				sink := &obs.MemorySink{}
+				rec.SetSink(sink)
+				if err := e.run(rec); err != nil {
+					t.Fatalf("%s: %v", e.name, err)
+				}
+				checkScanAccount(t, e.name, rec)
+				var verdicts []string
+				for _, ev := range sink.Events() {
+					if ev.Type == obs.EvAdmit || ev.Type == obs.EvSkip {
+						verdicts = append(verdicts, fmt.Sprintf("%d:%s", ev.LSN, ev.Verdict))
+					}
+				}
+				if want == nil {
+					want = verdicts
+				} else if !reflect.DeepEqual(verdicts, want) {
+					t.Errorf("%s verdicts %v, sequential gave %v", e.name, verdicts, want)
+				}
+			}
+			if len(want) == 0 {
+				t.Fatal("fixture produced no verdicts")
+			}
+		})
+	}
+}
+
 // TestRecoverDegradedObserved: detections must surface as counted
 // events, and the conservative path must account for its full replay.
 func TestRecoverDegradedObserved(t *testing.T) {
@@ -235,6 +314,13 @@ func TestRecoverDegradedObserved(t *testing.T) {
 	}
 	if got := rec.CounterValue(obs.MDegradedRuns); got != 1 {
 		t.Errorf("degraded.replays = %d, want 1", got)
+	}
+	// The conservative replay is the scan kernel with an always-true redo
+	// test: every surviving record examined, admitted, and replayed.
+	checkScanAccount(t, "degraded", rec)
+	if n := int64(db.StableLog().Len()); rec.CounterValue(obs.MRedoAdmitted) != n || rec.CounterValue(obs.MReplayRecords) != n {
+		t.Errorf("degraded replay admitted %d and replayed %d of %d records",
+			rec.CounterValue(obs.MRedoAdmitted), rec.CounterValue(obs.MReplayRecords), n)
 	}
 	detEvents := 0
 	for _, e := range sink.Events() {

@@ -8,7 +8,6 @@ import (
 
 	"redotheory/internal/core"
 	"redotheory/internal/dense"
-	"redotheory/internal/graph"
 	"redotheory/internal/model"
 	"redotheory/internal/obs"
 	"redotheory/internal/partition"
@@ -20,10 +19,6 @@ type ParallelOptions struct {
 	// runtime.GOMAXPROCS(0); 1 degenerates to sequential replay through
 	// the same code path.
 	Workers int
-	// Verify additionally runs sequential Recover on an independent
-	// clone and errors if the two outcomes differ — the equivalence
-	// oracle, for tests and paranoid callers.
-	Verify bool
 	// Recorder, when non-nil, receives phase spans (decide, partition,
 	// replay, merge), per-record redo verdicts, the partition width
 	// histogram, and worker-side replay counters. Falls back to the DB's
@@ -81,41 +76,20 @@ func RecoverParallel(db DB, opts ParallelOptions) (*ParallelResult, error) {
 // test and checkpoint set remain sound on a prefix because both are
 // bounded by installed work, and the certification gate keeps installed
 // work inside the cut. The log must be a prefix of (or equal to)
-// db.StableLog(); the Verify oracle runs sequential recovery over the
-// same prefix.
+// db.StableLog().
 func RecoverParallelLog(db DB, log *core.Log, opts ParallelOptions) (*ParallelResult, error) {
 	rec := opts.Recorder
 	if rec == nil {
 		rec = db.Recorder()
 	}
 	state := db.StableState()
-	res, stats, err := recoverPartitioned(rec, state, log, db.Checkpointed(), db.RedoTest(), db.Analyze(), opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	out := &ParallelResult{Result: res, Plan: stats, Workers: poolSize(opts.Workers, stats.Components)}
-	if opts.Verify {
-		seq, err := core.Recover(db.StableState(), log, db.Checkpointed(), db.RedoTest(), db.Analyze())
-		if err != nil {
-			return nil, fmt.Errorf("method: sequential verification recovery: %w", err)
-		}
-		if err := res.SameOutcome(seq); err != nil {
-			return nil, fmt.Errorf("method: parallel recovery diverged from sequential: %w", err)
-		}
-	}
-	return out, nil
-}
-
-// recoverPartitioned is the engine: decide, partition, replay — all on
-// the dense representation past the decision phase.
-func recoverPartitioned(rec *obs.Recorder, state *model.State, log *core.Log, checkpoint graph.Set[model.OpID], redo core.RedoTest, analyze core.AnalyzeFunc, workers int) (*core.Result, partition.Stats, error) {
 	// Root span: a top-level parallel recovery begins its own trace; the
 	// decide/partition/replay/merge spans nest under it, and each replay
 	// worker's component spans nest under replay.
 	root := rec.StartRootSpan(obs.PhaseRecover, "parallel recovery")
 	defer root.End()
-	decision := core.DecideRedoObserved(rec, state, log, checkpoint, redo, analyze)
-	lv := core.DefaultViews.ViewOfObserved(log, rec)
+	decision := core.DecideRedoObserved(rec, state, log, db.Checkpointed(), db.RedoTest(), db.Analyze())
+	lv := core.DefaultViews.ViewOf(log, rec)
 
 	ps := rec.StartSpan(obs.PhasePartition)
 	plan := partition.FromViews(lv.Views, decision.ReplayIdx, lv.In.Len())
@@ -126,11 +100,10 @@ func recoverPartitioned(rec *obs.Recorder, state *model.State, log *core.Log, ch
 	}
 	rec.SetGauge(obs.GPartitionLargest, int64(plan.MaxComponentLen()))
 
-	if err := replayPlan(rec, state, lv, plan, workers); err != nil {
-		return nil, partition.Stats{}, err
+	if err := replayPlan(rec, state, lv, plan, opts.Workers); err != nil {
+		return nil, err
 	}
-
-	return decision.Result(state), plan.Stats(), nil
+	return &ParallelResult{Result: decision.Result(state), Plan: plan.Stats(), Workers: poolSize(opts.Workers, len(plan.Components))}, nil
 }
 
 // poolSize bounds the worker count by the available parallelism and the
@@ -185,7 +158,8 @@ func replayPlan(rec *obs.Recorder, state *model.State, lv *core.LogView, plan *p
 	// Workers claim components by bumping a shared index: no handoff
 	// per component, and plan order is still the claim order.
 	var next atomic.Int64
-	errs := make(chan replayError, len(plan.Components))
+	// One failure slot per component: workers need no channel.
+	failures := make([]replayError, len(plan.Components))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -209,10 +183,10 @@ func replayPlan(rec *obs.Recorder, state *model.State, lv *core.LogView, plan *p
 						Writes: len(c.Writes),
 					})
 				}
-				err := replayComponent(ds, lv, c, &buf)
+				failed, err := lv.Replay(ds, c.Idx, &buf)
 				cs.End()
-				if err.err != nil {
-					errs <- err
+				if err != nil {
+					failures[ci] = replayError{lsn: failed.LSN, err: err}
 					continue
 				}
 				rec.Inc(obs.MReplayComponents)
@@ -221,49 +195,24 @@ func replayPlan(rec *obs.Recorder, state *model.State, lv *core.LogView, plan *p
 		}(w + 1)
 	}
 	wg.Wait()
-	close(errs)
 	rs.End()
 
-	var first *replayError
-	for e := range errs {
-		e := e
-		if first == nil || e.lsn < first.lsn {
-			first = &e
+	var first replayError
+	for _, f := range failures {
+		if f.err != nil && (first.err == nil || f.lsn < first.lsn) {
+			first = f
 		}
 	}
-	if first != nil {
+	if first.err != nil {
 		return first.err
 	}
 
 	// Merge: components write disjoint ids, so any order works; use
-	// component order for determinism anyway. Mark restores the
-	// presence bitmap the raw worker stores skipped, and WriteBack is
-	// where the dense representation rejoins the map/string API.
+	// component order for determinism anyway.
 	ms := rec.StartSpan(obs.PhaseMerge)
 	for _, c := range plan.Components {
-		for _, id := range c.Writes {
-			ds.Mark(id)
-		}
-		ds.WriteBack(state, c.Writes)
+		core.InstallWrites(ds, state, c.Writes)
 	}
 	ms.End()
 	return nil
-}
-
-// replayComponent recomputes a component's operations in LSN order
-// against the shared dense base state plus the component's own
-// accumulated writes, which live directly in the component's disjoint
-// arena slots. The base ids are only read — concurrent with other
-// workers' reads — and no variable this component reads is written by
-// any other component (the partition invariant), so every read
-// observes exactly the value sequential replay would have observed.
-// buf is the worker's value buffers, reused across its components.
-func replayComponent(ds *dense.State, lv *core.LogView, c *partition.DenseComponent, buf *core.ReplayBuf) replayError {
-	for _, vi := range c.Idx {
-		v := &lv.Views[vi]
-		if err := v.Replay(ds, buf); err != nil {
-			return replayError{lsn: v.Rec.LSN, err: fmt.Errorf("core: replaying %s: %w", v.Rec.Op, err)}
-		}
-	}
-	return replayError{}
 }

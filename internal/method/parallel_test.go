@@ -108,22 +108,6 @@ func TestRecoverParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRecoverParallelVerifyOption: the built-in oracle mode must accept
-// every in-contract recovery.
-func TestRecoverParallelVerifyOption(t *testing.T) {
-	pages := workload.Pages(4)
-	ops := workload.SinglePage(16, pages, 5, false)
-	db := crashedDB(t, func(s *model.State) DB { return NewPhysiological(s) },
-		ops, workload.InitialState(pages), 12, 5)
-	par, err := RecoverParallel(db, ParallelOptions{Workers: 4, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Workers < 1 {
-		t.Errorf("Workers = %d", par.Workers)
-	}
-}
-
 // TestRecoverParallelDefaultWorkers: Workers <= 0 picks a sensible pool
 // and still recovers correctly.
 func TestRecoverParallelDefaultWorkers(t *testing.T) {

@@ -1,8 +1,6 @@
 package method
 
 import (
-	"fmt"
-
 	"redotheory/internal/core"
 	"redotheory/internal/model"
 )
@@ -35,10 +33,13 @@ func (b *base) InstallPage(x model.Var, v model.Value, lsn core.LSN) {
 
 // RecoverInstalling runs the recovery procedure over the DB's survivors,
 // persisting every redone operation's writes (tagged with the
-// operation's LSN) into stable storage, and stops early after stopAfter
-// redone operations to simulate a crash mid-recovery (stopAfter < 0
-// means run to completion). It returns how many operations it redid and
-// whether it reached the end of the log.
+// operation's LSN) into stable storage: the instantiation of core.Scan
+// whose step is apply + InstallPage. To simulate a crash mid-recovery it
+// stops before the next redo once stopAfter operations are redone
+// (stopAfter < 0 means run to completion) — the same stop rule as the
+// supervisor's crash points, so records the redo test skips never count
+// as remaining work. It returns how many operations it redid and whether
+// it reached the end of the log. Telemetry flows to the DB's recorder.
 //
 // Redone pages are installed in log order, which satisfies every careful
 // write-order dependency (a read-write edge's prerequisite operation
@@ -46,29 +47,27 @@ func (b *base) InstallPage(x model.Var, v model.Value, lsn core.LSN) {
 // log being replayed is already stable).
 func RecoverInstalling(db Installer, stopAfter int) (int, bool, error) {
 	state := db.StableState()
-	log := db.StableLog()
-	checkpoint := db.Checkpointed()
-	redo := db.RedoTest()
-	analysis, _ := core.RunAnalysis(nil, db.Analyze(), state, log, checkpoint)
 	redone := 0
-	for _, r := range log.Records() {
-		if checkpoint.Has(r.Op.ID()) {
-			continue
-		}
-		if stopAfter >= 0 && redone >= stopAfter {
-			return redone, false, nil
-		}
-		if !redo(r, state, log, analysis) {
-			continue
-		}
-		ws, err := state.Apply(r.Op)
-		if err != nil {
-			return redone, false, fmt.Errorf("method: restart recovery replaying %s: %w", r.Op, err)
-		}
-		for x, v := range ws {
-			db.InstallPage(x, v, r.LSN)
-		}
-		redone++
+	_, done, err := core.Scan(db.Recorder(), state, db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze(), true,
+		func(_ int, r *core.Record) (bool, error) {
+			if stopAfter >= 0 && redone >= stopAfter {
+				return true, nil
+			}
+			if err := InstallRedo(db, state, r); err != nil {
+				return false, err
+			}
+			redone++
+			return false, nil
+		})
+	return redone, done, err
+}
+
+// InstallRedo is the step of restart-installing recovery: redo r against
+// the recovering state and persist its writes tagged with r's LSN.
+func InstallRedo(db Installer, state *model.State, r *core.Record) error {
+	ws, err := state.Apply(r.Op)
+	for x, v := range ws {
+		db.InstallPage(x, v, r.LSN)
 	}
-	return redone, true, nil
+	return err
 }

@@ -264,6 +264,34 @@ func TestRecoverInstallingEveryIndex(t *testing.T) {
 			}
 		})
 	}
+	// The stop rule is "before the next redo": records the redo test
+	// skips are not remaining work, so an attempt whose allowance runs
+	// out with only installed records left on the log has finished.
+	t.Run("trailing-skipped", func(t *testing.T) {
+		ps := pages(3)
+		s0 := initialState(ps)
+		db := NewPhysiological(s0)
+		for i, p := range ps {
+			if err := db.Exec(singlePageOp(model.OpID(i+1), p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Only the last record's page is installed before the crash.
+		if err := db.FlushPage(ps[2]); err != nil {
+			t.Fatal(err)
+		}
+		db.FlushLog()
+		db.Crash()
+		for attempt, wantDone := range []bool{false, true} {
+			redone, done, err := RecoverInstalling(db, 1)
+			if err != nil || redone != 1 || done != wantDone {
+				t.Fatalf("attempt %d: redone=%d done=%v err=%v, want 1 redo and done=%v", attempt, redone, done, err, wantDone)
+			}
+		}
+		if !db.StableState().Equal(oracle(db, s0)) {
+			t.Error("fixed point diverges from oracle")
+		}
+	})
 }
 
 // flakyInstaller wraps an Installer with a transiently failing

@@ -138,7 +138,7 @@ func New(db method.DB, opts Options) (*Engine, error) {
 	state := db.StableState()
 	log := db.StableLog()
 	decision := core.DecideRedoObserved(rec, state, log, db.Checkpointed(), db.RedoTest(), db.Analyze())
-	lv := core.DefaultViews.ViewOfObserved(log, rec)
+	lv := core.DefaultViews.ViewOf(log, rec)
 	ps := rec.StartSpan(obs.PhasePartition)
 	plan := partition.FromViews(lv.Views, decision.ReplayIdx, lv.In.Len())
 	ps.End()
@@ -314,7 +314,19 @@ func (e *Engine) ensure(ci int, sweep bool) error {
 			Writes: len(c.Writes),
 		})
 	}
-	cs.err = e.replayComponent(c)
+	// One worker of the parallel engine, run on demand. The closure
+	// invariant makes the reads safe: the component reads only variables
+	// it writes itself or variables no component writes, and the
+	// admission gate holds post-crash writes to the latter until every
+	// reading component is done.
+	var buf core.ReplayBuf
+	if _, cs.err = e.lv.Replay(e.ds, c.Idx, &buf); cs.err == nil {
+		// Presence bits share words across components, so the install
+		// needs the state lock.
+		e.mu.Lock()
+		core.InstallWrites(e.ds, e.state, c.Writes)
+		e.mu.Unlock()
+	}
 	span.End()
 	cs.redone.Add(1)
 	e.rec.ObserveDuration(obs.MServeGateWait, time.Since(t0))
@@ -342,33 +354,6 @@ func (e *Engine) ensure(ci int, sweep bool) error {
 	// reports it as still unrecovered.
 	cs.done.Store(true)
 	return cs.err
-}
-
-// replayComponent recomputes the component's records in LSN order
-// against the dense arena, storing writes straight into the
-// component's disjoint slots — one worker of the parallel engine, run
-// on demand. The closure invariant makes the reads safe: the component
-// reads only variables it writes itself or variables no component
-// writes, and the admission gate holds post-crash writes to the latter
-// until every reading component is done.
-func (e *Engine) replayComponent(c *partition.DenseComponent) error {
-	var buf core.ReplayBuf
-	for _, vi := range c.Idx {
-		v := &e.lv.Views[vi]
-		if err := v.Replay(e.ds, &buf); err != nil {
-			return fmt.Errorf("serve: replaying %s: %w", v.Rec.Op, err)
-		}
-	}
-	// Install: presence bits share words across components, so marking
-	// needs the state lock, and WriteBack rejoins the map-backed state
-	// the serving surface reads fallback values from.
-	e.mu.Lock()
-	for _, id := range c.Writes {
-		e.ds.Mark(id)
-	}
-	e.ds.WriteBack(e.state, c.Writes)
-	e.mu.Unlock()
-	return nil
 }
 
 // Drain recovers every remaining component inline (plan order) and

@@ -144,7 +144,7 @@ func (d *DB) Recover(opts RecoverOptions) (*Outcome, error) {
 				}
 				so.Result = res.Result
 			} else {
-				res, err := core.RecoverDense(db.StableState(), prefix, db.Checkpointed(), db.RedoTest(), db.Analyze())
+				res, err := core.RecoverDense(nil, db.StableState(), prefix, db.Checkpointed(), db.RedoTest(), db.Analyze())
 				if err != nil {
 					errs[i] = fmt.Errorf("shard %d: %w", i, err)
 					return

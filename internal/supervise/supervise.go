@@ -580,10 +580,12 @@ func (s *session) runDegraded(crashAfter int, a *Attempt) (*model.State, error) 
 	return deg.State, nil
 }
 
-// runInstalling is the supervised installing pass: RecoverInstalling's
-// in-order replay-and-persist loop with the supervisor's crash point,
-// transient-fault stream, per-record deadline checks, and periodic
-// progress checkpoints layered in. Installs happen at whole-record
+// runInstalling is the supervised installing pass: the instantiation of
+// core.Scan whose step layers the supervisor's deadline, crash point and
+// transient-fault stream in front of method.InstallRedo, and periodic
+// progress checkpoints behind it. Like method.RecoverInstalling it stops
+// before the next redo, so the deadline is checked per admitted record
+// and once more when the scan ends. Installs happen at whole-record
 // granularity — a faulted install aborts before any of the record's
 // pages are written, so multi-page atomic groups are never torn by the
 // supervisor itself.
@@ -593,12 +595,7 @@ func (s *session) runInstalling(crashAfter int, a *Attempt) error {
 		return fmt.Errorf("supervise: %s does not support installing recovery", s.db.Name())
 	}
 	pc, _ := s.db.(method.ProgressCheckpointer)
-
 	state := s.db.StableState()
-	log := s.db.StableLog()
-	checkpoint := s.db.Checkpointed()
-	redo := s.db.RedoTest()
-	analysis, _ := core.RunAnalysis(s.rec, s.db.Analyze(), state, log, checkpoint)
 
 	// One span per fuzzy-checkpointed install batch: opened lazily at
 	// the batch's first install, closed when its progress checkpoint is
@@ -609,43 +606,45 @@ func (s *session) runInstalling(crashAfter int, a *Attempt) error {
 	batch := 0
 	defer func() { bs.End() }()
 
-	for _, r := range log.Records() {
-		if checkpoint.Has(r.Op.ID()) {
-			continue
-		}
-		if err := s.checkDeadline(); err != nil {
-			return err
-		}
-		if !redo(r, state, log, analysis) {
-			continue
-		}
-		if crashAfter >= 0 && a.Installed >= crashAfter {
-			a.Crashed = true
-			return errNestedCrash
-		}
-		if s.o.TransientFaultRate > 0 && s.faults.Float64() < s.o.TransientFaultRate {
-			return errTransient
-		}
-		if bs == nil && s.rec.Sinking() {
-			bs = s.rec.StartSpanInfo(obs.PhaseInstall, obs.SpanInfo{
-				Comp: fmt.Sprintf("batch%d", batch), Size: s.o.ProgressEvery})
-		}
-		ws, err := state.Apply(r.Op)
-		if err != nil {
-			return fmt.Errorf("supervise: replaying %s: %w", r.Op, err)
-		}
-		for x, v := range ws {
-			inst.InstallPage(x, v, r.LSN)
-		}
-		a.Installed++
-		if pc != nil && s.o.ProgressEvery > 0 && a.Installed%s.o.ProgressEvery == 0 {
-			pc.AppendProgressCheckpoint(r.LSN + 1)
-			a.Checkpoints++
-			bs.End()
-			bs, batch = nil, batch+1
-		}
+	// interrupted is why the step stopped the scan, when it did.
+	var interrupted error
+	_, _, err := core.Scan(s.rec, state, s.db.StableLog(), s.db.Checkpointed(), s.db.RedoTest(), s.db.Analyze(), true,
+		func(_ int, r *core.Record) (bool, error) {
+			switch {
+			case s.checkDeadline() != nil:
+				interrupted = errDeadline
+			case crashAfter >= 0 && a.Installed >= crashAfter:
+				a.Crashed = true
+				interrupted = errNestedCrash
+			case s.o.TransientFaultRate > 0 && s.faults.Float64() < s.o.TransientFaultRate:
+				interrupted = errTransient
+			}
+			if interrupted != nil {
+				return true, nil
+			}
+			if bs == nil && s.rec.Sinking() {
+				bs = s.rec.StartSpanInfo(obs.PhaseInstall, obs.SpanInfo{
+					Comp: fmt.Sprintf("batch%d", batch), Size: s.o.ProgressEvery})
+			}
+			if err := method.InstallRedo(inst, state, r); err != nil {
+				return false, err
+			}
+			a.Installed++
+			if pc != nil && s.o.ProgressEvery > 0 && a.Installed%s.o.ProgressEvery == 0 {
+				pc.AppendProgressCheckpoint(r.LSN + 1)
+				a.Checkpoints++
+				bs.End()
+				bs, batch = nil, batch+1
+			}
+			return false, nil
+		})
+	switch {
+	case err != nil:
+		return err
+	case interrupted != nil:
+		return interrupted
 	}
-	return nil
+	return s.checkDeadline()
 }
 
 func (s *session) checkDeadline() error {
