@@ -63,6 +63,20 @@ func DecideRedoObserved(rec *obs.Recorder, state *model.State, log *Log, checkpo
 	return d
 }
 
+// DecideAndView is the front half of every engine that replays from a
+// plan: DecideRedoObserved, and the log's dense view from DefaultViews,
+// built concurrently. The two passes are independent — the decision
+// reads records and the redo test, the view build reads records and
+// interns their variables — so they overlap, and the caller gets both
+// once the slower finishes. The view build records only its cache hit
+// or miss on rec, never a span, so the decide span tree is unchanged.
+func DecideAndView(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) (*RedoDecision, *LogView) {
+	view := make(chan *LogView, 1)
+	go func() { view <- DefaultViews.ViewOf(log, rec) }()
+	d := DecideRedoObserved(rec, state, log, checkpoint, redo, analyze)
+	return d, <-view
+}
+
 // Result materializes the decision as a recovery Result over the given
 // final state. The examined count is the decision's own; Replayed lists
 // the admitted operations in LSN order —

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"redotheory/internal/core"
 	"redotheory/internal/dense"
@@ -43,7 +42,8 @@ type ParallelResult struct {
 //     running the method's analysis function and redo test, but applying
 //     nothing. Sound because every method's redo test is state-blind —
 //     it decides from LSNs and the log, never from the state replay is
-//     rebuilding (core.DecideRedo documents the contract).
+//     rebuilding (core.DecideRedo documents the contract). The log's
+//     dense view is built beside it (core.DecideAndView).
 //  2. Partition: fuse the admitted records into interference components
 //     (internal/partition). Components write disjoint variables and read
 //     no variable another component writes, so they commute; inside a
@@ -51,16 +51,17 @@ type ParallelResult struct {
 //     conflict graph. This is the installation-graph concurrency argument
 //     of Theorem 3 extended with the write-read edges recomputation
 //     needs (see partition's package comment and DESIGN.md §8).
-//  3. Replay (parallel): a worker pool replays components concurrently
-//     on the dense representation (internal/dense): records are
-//     interned views, the state is a flat value arena, and because
-//     components write disjoint variable ids, each worker stores its
-//     writes straight into its disjoint arena slots — the per-component
-//     overlay of the original engine degenerated into a slice of the
-//     arena, with one positional value buffer (core.ReplayBuf) as the
-//     only per-worker scratch. The merge phase then re-marks the
-//     presence bitmap and installs the written ids into the map-backed
-//     state.
+//  3. Replay (parallel): each component goes whole to one worker of a
+//     pool, and every worker sweeps the admitted records once in log
+//     order, replaying the ones it owns, on the dense representation
+//     (internal/dense): records are interned views, the state is a flat
+//     value arena, and because components write disjoint variable ids,
+//     each worker stores its writes straight into its disjoint arena
+//     slots — the per-component overlay of the original engine
+//     degenerated into a slice of the arena, with one positional value
+//     buffer (core.ReplayBuf) as the only per-worker scratch. The merge
+//     phase then re-marks the presence bitmap and installs the written
+//     ids into the map-backed state.
 //
 // Like Recover via the DB surface, it does not modify the crashed DB:
 // it works on the fresh projections StableState, StableLog, and a fresh
@@ -85,11 +86,10 @@ func RecoverParallelLog(db DB, log *core.Log, opts ParallelOptions) (*ParallelRe
 	state := db.StableState()
 	// Root span: a top-level parallel recovery begins its own trace; the
 	// decide/partition/replay/merge spans nest under it, and each replay
-	// worker's component spans nest under replay.
+	// worker's span nests under replay.
 	root := rec.StartRootSpan(obs.PhaseRecover, "parallel recovery")
 	defer root.End()
-	decision := core.DecideRedoObserved(rec, state, log, db.Checkpointed(), db.RedoTest(), db.Analyze())
-	lv := core.DefaultViews.ViewOf(log, rec)
+	decision, lv := core.DecideAndView(rec, state, log, db.Checkpointed(), db.RedoTest(), db.Analyze())
 
 	ps := rec.StartSpan(obs.PhasePartition)
 	plan := partition.FromViews(lv.Views, decision.ReplayIdx, lv.In.Len())
@@ -128,17 +128,21 @@ type replayError struct {
 	err error
 }
 
-// replayPlan applies the plan's components to the state, components
-// concurrently across a pool of workers, records inside a component in
-// LSN order, on the dense representation. Workers replay against a
-// shared dense projection of the base state: reads of stable variables
-// are concurrent-safe (never written during this phase), and because
-// components write disjoint variable ids, each worker stores its
-// writes directly into its own disjoint arena slots — the overlay of
-// the map-based engine, collapsed into the arena itself. The presence
-// bitmap shares words across ids, so workers skip it (StoreRaw); the
-// sequential merge phase re-marks the written ids and installs them
-// into the map-backed state.
+// replayPlan applies the plan's components to the state on the dense
+// representation. The component is the unit of ownership, not of
+// iteration: each component goes whole to one worker (assign), and
+// every worker then walks the admitted records once, in log order,
+// replaying the ones it owns — so records inside a component still
+// replay in LSN order, and the pool makes one pass over the log's
+// memory instead of one jump per component (DESIGN.md §8, "schedule").
+// Workers replay against a shared dense projection of the base state:
+// reads of stable variables are concurrent-safe (never written during
+// this phase), and because components write disjoint variable ids,
+// each worker stores its writes directly into its own disjoint arena
+// slots — the overlay of the map-based engine, collapsed into the arena
+// itself. The presence bitmap shares words across ids, so workers skip
+// it (StoreRaw); the sequential merge phase re-marks the written ids
+// and installs them into the map-backed state.
 func replayPlan(rec *obs.Recorder, state *model.State, lv *core.LogView, plan *partition.DensePlan, workers int) error {
 	if plan.Ops == 0 {
 		// Record zero-duration replay/merge phases so every observed
@@ -148,51 +152,49 @@ func replayPlan(rec *obs.Recorder, state *model.State, lv *core.LogView, plan *p
 		return nil
 	}
 	workers = poolSize(workers, len(plan.Components))
+	owner, shares := assign(plan, workers)
 
 	rs := rec.StartSpan(obs.PhaseReplay)
-	// Workers parent their component spans under the replay span by
-	// explicit id — the ambient stack belongs to the coordinator, which
-	// keeps replay open (and on top) for the whole pool run.
+	// Workers parent their spans under the replay span by explicit id —
+	// the ambient stack belongs to the coordinator, which keeps replay
+	// open (and on top) for the whole pool run.
 	replayID := rs.SpanID()
 	ds := dense.FromState(lv.In, state)
-	// Workers claim components by bumping a shared index: no handoff
-	// per component, and plan order is still the claim order.
-	var next atomic.Int64
-	// One failure slot per component: workers need no channel.
-	failures := make([]replayError, len(plan.Components))
+	// One failure slot per worker: workers need no channel.
+	failures := make([]replayError, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range shares {
 		wg.Add(1)
-		go func(worker int) {
+		go func(w int32) {
 			defer wg.Done()
+			sh := shares[w]
+			// One span per worker, annotated with the records and write
+			// width it owns so stragglers are attributable.
+			var ws *obs.Span
+			if rec.Sinking() {
+				ws = rec.StartSpanWith(obs.PhaseComponent, replayID, obs.SpanInfo{
+					Comp:   fmt.Sprintf("w%d", w+1),
+					Worker: int(w) + 1,
+					Size:   sh.records,
+					Writes: sh.writes,
+				})
+			}
+			defer ws.End()
 			var buf core.ReplayBuf
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= len(plan.Components) {
-					return
-				}
-				c := plan.Components[ci]
-				// One span per interference component, annotated with its
-				// size and write width so stragglers are attributable.
-				var cs *obs.Span
-				if rec.Sinking() {
-					cs = rec.StartSpanWith(obs.PhaseComponent, replayID, obs.SpanInfo{
-						Comp:   fmt.Sprintf("c%d", ci),
-						Worker: worker,
-						Size:   len(c.Idx),
-						Writes: len(c.Writes),
-					})
-				}
-				failed, err := lv.Replay(ds, c.Idx, &buf)
-				cs.End()
-				if err != nil {
-					failures[ci] = replayError{lsn: failed.LSN, err: err}
+			for i, ci := range plan.Of {
+				if owner[ci] != w {
 					continue
 				}
-				rec.Inc(obs.MReplayComponents)
-				rec.Add(obs.MReplayRecords, int64(len(c.Idx)))
+				// A worker stops at its first failure: its records
+				// replay in LSN order, so that is its smallest-LSN one.
+				if failed, err := lv.Replay(ds, plan.Idx[i:i+1], &buf); err != nil {
+					failures[w] = replayError{lsn: failed.LSN, err: err}
+					return
+				}
 			}
-		}(w + 1)
+			rec.Add(obs.MReplayComponents, int64(sh.components))
+			rec.Add(obs.MReplayRecords, int64(sh.records))
+		}(int32(w))
 	}
 	wg.Wait()
 	rs.End()
@@ -215,4 +217,31 @@ func replayPlan(rec *obs.Recorder, state *model.State, lv *core.LogView, plan *p
 	}
 	ms.End()
 	return nil
+}
+
+// share is what one pool worker owns: whole components, and the records
+// and written ids in them.
+type share struct{ components, records, writes int }
+
+// assign gives each component, in plan order, to the worker owning the
+// fewest records so far (the lowest-numbered on a tie). It returns the
+// owner of every component and each worker's share; the linear scan for
+// the least-loaded worker costs components × workers, and poolSize
+// bounds workers by the parallelism asked for and by components.
+func assign(plan *partition.DensePlan, workers int) ([]int32, []share) {
+	owner := make([]int32, len(plan.Components))
+	shares := make([]share, workers)
+	for ci, c := range plan.Components {
+		w := 0
+		for k := 1; k < workers; k++ {
+			if shares[k].records < shares[w].records {
+				w = k
+			}
+		}
+		owner[ci] = int32(w)
+		shares[w].components++
+		shares[w].records += len(c.Idx)
+		shares[w].writes += len(c.Writes)
+	}
+	return owner, shares
 }

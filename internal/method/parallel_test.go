@@ -50,7 +50,7 @@ func crashedDB(t *testing.T, mk func(*model.State) DB, ops []*model.Op, initial 
 
 // TestRecoverParallelMatchesSequential is the property test behind the
 // parallel engine: over every method, randomized workloads, randomized
-// crash points and schedules, RecoverParallel with 1, 2, and 8 workers
+// crash points and schedules, RecoverParallel with 1 to 300 workers
 // must be indistinguishable from sequential Recover — same state, same
 // redo set, same replay order, same records examined — and the outcome
 // must match the surviving log's oracle while the crash state passes the
@@ -89,10 +89,16 @@ func TestRecoverParallelMatchesSequential(t *testing.T) {
 						t.Fatalf("crash=%d seed=%d: sequential recovery missed the oracle: %v", crash, seed, seq.State.Diff(want))
 					}
 
-					for _, workers := range []int{1, 2, 8} {
+					// 64 and 300 exceed every fixture's component count, so
+					// the pool is clamped and every worker owns something.
+					for _, workers := range []int{1, 2, 3, 8, 64, 300} {
 						par, err := RecoverParallel(db, ParallelOptions{Workers: workers})
 						if err != nil {
 							t.Fatalf("crash=%d seed=%d workers=%d: %v", crash, seed, workers, err)
+						}
+						if want := min(workers, max(par.Plan.Components, 1)); par.Workers != want {
+							t.Fatalf("crash=%d seed=%d workers=%d: pool of %d over %d components, want %d",
+								crash, seed, workers, par.Workers, par.Plan.Components, want)
 						}
 						if err := par.SameOutcome(seq); err != nil {
 							t.Fatalf("crash=%d seed=%d workers=%d: diverged: %v", crash, seed, workers, err)
@@ -106,6 +112,30 @@ func TestRecoverParallelMatchesSequential(t *testing.T) {
 			}
 		})
 	}
+
+	// The wide row: more than 255 components and as many workers, so a
+	// worker number that only fit a byte would alias two owners.
+	t.Run("wide", func(t *testing.T) {
+		pages := workload.Pages(1000)
+		ops := workload.SinglePage(2000, pages, 5, false)
+		db := crashedDB(t, func(s *model.State) DB { return NewPhysiological(s) }, ops, workload.InitialState(pages), len(ops), 5)
+		seq, err := Recover(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{3, 300} {
+			par, err := RecoverParallel(db, ParallelOptions{Workers: workers})
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if par.Plan.Components <= 256 || par.Workers != workers {
+				t.Fatalf("workers=%d: pool of %d over %d components, want %d over more than 256", workers, par.Workers, par.Plan.Components, workers)
+			}
+			if err := par.SameOutcome(seq); err != nil {
+				t.Fatalf("workers=%d: diverged: %v", workers, err)
+			}
+		}
+	})
 }
 
 // TestRecoverParallelDefaultWorkers: Workers <= 0 picks a sensible pool

@@ -63,9 +63,10 @@ const (
 	// PhaseRecover is the umbrella span around a whole sequential
 	// recovery (its scan/analysis/replay children nest inside it).
 	PhaseRecover Phase = "recover"
-	// PhaseComponent is one interference component replayed by a worker
-	// of the parallel engine — the unit straggler analysis attributes
-	// replay time to. Its begin event carries Comp/Worker/Size/WriteN.
+	// PhaseComponent is one worker's share of the parallel engine's
+	// replay: the whole interference components it owns, replayed in one
+	// log-order sweep — the unit straggler analysis attributes replay
+	// time to. Its begin event carries Comp ("w<k>")/Worker/Size/WriteN.
 	PhaseComponent Phase = "component"
 	// PhaseSupervise is the umbrella span around a whole supervised
 	// recovery (attempts and their nested engine spans inside it).
@@ -78,8 +79,9 @@ const (
 	PhaseInstall Phase = "install"
 	// PhaseLazyRedo is one interference component recovered on demand by
 	// the serve engine — the unit of instant-restart work a client touch
-	// (or the background sweeper) triggers. Its begin event carries
-	// Comp/Size/WriteN like PhaseComponent.
+	// triggers (the background sweep replays record by record, under no
+	// span). Its begin event carries Comp/Size/WriteN like
+	// PhaseComponent; Size counts the records the touch replayed.
 	PhaseLazyRedo Phase = "lazyredo"
 	// PhaseShardRecover is one whole sharded recovery (internal/shard):
 	// cut computation plus every shard's per-shard recovery.
@@ -133,8 +135,8 @@ const (
 	// Instant-restart serve counters (internal/serve).
 	MServeReads    = "serve.reads"        // client reads served
 	MServeWrites   = "serve.writes"       // post-crash client writes committed
-	MServeLazy     = "serve.lazy_redo"    // components recovered on demand by a touch
-	MServeSwept    = "serve.swept"        // components recovered by the background sweeper
+	MServeLazy     = "serve.lazy_redo"    // components finished on demand by a touch
+	MServeSwept    = "serve.swept"        // components finished by the background sweeper or Drain
 	MServeGateWait = "serve.gate_wait"    // duration histogram: time a touch spent blocked on the admission gate
 	MServeTTFR     = "serve.ttfr"         // duration histogram: time from engine start to the first served read
 	GServePages    = "serve.pages_recovered" // gauge: pages (written variables) recovered so far
@@ -386,10 +388,10 @@ func (s *Span) SpanID() uint64 {
 // which component/attempt/batch it is, which worker ran it, and how big
 // it was. The zero value attaches nothing.
 type SpanInfo struct {
-	Comp   string // component/attempt/batch label ("c3", "attempt0/parallel", …)
+	Comp   string // worker/component/attempt/batch label ("w2", "c3", "attempt0/parallel", …)
 	Worker int    // 1-based replay worker, 0 for coordinator spans
-	Size   int    // records in the component / installs in the batch
-	Writes int    // distinct variables the component writes
+	Size   int    // records the worker or component replayed / installs in the batch
+	Writes int    // distinct variables those records write
 }
 
 // StartSpan begins a phase span: it emits the span-begin event and

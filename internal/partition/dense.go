@@ -24,6 +24,14 @@ type DensePlan struct {
 	Components []*DenseComponent
 	// Ops is the total number of records scheduled.
 	Ops int
+	// Idx lists every scheduled record's view index in LSN order: the
+	// replayIdx the plan was built from. Each component's Idx is a
+	// subsequence of it.
+	Idx []int
+	// Of is the component table of the schedule: Of[i] is the index
+	// into Components of the component that replays Idx[i]. Schedules
+	// that walk the log once (DESIGN.md §8) read ownership from it.
+	Of []int32
 }
 
 // MaxComponentLen returns the longest component's length — the
@@ -160,32 +168,34 @@ func FromViews(views []core.RecordView, replayIdx []int, numIDs int) *DensePlan 
 	backing := make([]DenseComponent, comps)
 	idxArena := make([]int, n)
 	writeArena := make([]uint32, totalWrites)
-	compAt := make([]*DenseComponent, n)
-	plan := &DensePlan{Ops: n, Components: make([]*DenseComponent, 0, comps)}
+	// compAt[root] is the root's component index plus one (0: unseen).
+	compAt := make([]int32, n)
+	plan := &DensePlan{Ops: n, Components: make([]*DenseComponent, 0, comps), Idx: replayIdx, Of: make([]int32, n)}
 	idxOff, wOff := 0, 0
 	for i, vi := range replayIdx {
 		root := uf.Find(i)
-		c := compAt[root]
-		if c == nil {
-			c = &backing[len(plan.Components)]
+		if compAt[root] == 0 {
+			c := &backing[len(plan.Components)]
 			// Three-index sub-slices: appends fill the reserved region
 			// and can never spill into a neighbour's.
 			c.Idx = idxArena[idxOff:idxOff : idxOff+int(counts[root])]
 			idxOff += int(counts[root])
 			c.Writes = writeArena[wOff:wOff : wOff+int(wcounts[root])]
 			wOff += int(wcounts[root])
-			compAt[root] = c
 			// i ascends, so components order by first record LSN.
 			plan.Components = append(plan.Components, c)
+			compAt[root] = int32(len(plan.Components))
 		}
-		c.Idx = append(c.Idx, vi)
+		ci := compAt[root] - 1
+		plan.Of[i] = ci
+		backing[ci].Idx = append(backing[ci].Idx, vi)
 	}
 	// Each written id belongs to the component of its first writer;
 	// iterating writerOf ascending yields each component's Writes
 	// sorted and each id exactly once.
 	for x, w := range writerOf {
 		if w >= 0 {
-			c := compAt[uf.Find(int(w))]
+			c := &backing[compAt[uf.Find(int(w))]-1]
 			c.Writes = append(c.Writes, uint32(x))
 		}
 	}

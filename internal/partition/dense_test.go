@@ -99,6 +99,25 @@ func TestFromViewsMatchesFromRecords(t *testing.T) {
 				}
 			}
 		}
+		// The component table interleaves the components' schedules back
+		// into the replay list: walking it in log order visits every
+		// component's records in its own order, each exactly once.
+		next := make([]int, len(got.Components))
+		for i, vi := range got.Idx {
+			if vi != replayIdx[i] {
+				t.Fatalf("seed %d: plan Idx[%d] = %d, replay list has %d", seed, i, vi, replayIdx[i])
+			}
+			ci := got.Of[i]
+			if c := got.Components[ci]; next[ci] >= len(c.Idx) || c.Idx[next[ci]] != vi {
+				t.Fatalf("seed %d: Of[%d] = %d, but record %d is not that component's next", seed, i, ci, vi)
+			}
+			next[ci]++
+		}
+		for ci, c := range got.Components {
+			if next[ci] != len(c.Idx) {
+				t.Fatalf("seed %d component %d: table names %d of its %d records", seed, ci, next[ci], len(c.Idx))
+			}
+		}
 	}
 }
 

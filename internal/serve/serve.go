@@ -24,11 +24,13 @@
 // and proceeds; a write additionally drains p's reader components, then
 // appends to the WAL and installs. Touch-order independence is the
 // linearization argument of DESIGN.md §8 one more time: components are
-// conflict-closed, so any order of component replays — demand order,
-// sweep order, or LSN order — reaches the same state as sequential
-// Recover (DESIGN.md §14 gives the soundness argument). An optional
-// background sweeper drains cold components so full recovery still
-// completes while the hot set is being served.
+// conflict-closed, so any interleaving of component replays that keeps
+// each component in LSN order — demand order, sweep order, or both at
+// once — reaches the same state as sequential Recover (DESIGN.md §14
+// gives the soundness argument). An optional background sweeper walks
+// the admitted records once, in log order, so full recovery still
+// completes while the hot set is being served; each component keeps a
+// cursor, so the sweep may start a component and a touch finish it.
 //
 // Availability is the point: time-to-first-successful-read is the
 // latency of recovering one component, not the whole log, and the
@@ -62,9 +64,9 @@ type Options struct {
 	// nil for a fresh private manager (a new log epoch), which leaves
 	// the crashed DB untouched; the fuzzer's oracle leg relies on that.
 	WAL *wal.Manager
-	// Sweeper starts the background sweeper, which drains components in
-	// plan order so full recovery completes even if clients never touch
-	// the cold tail.
+	// Sweeper starts the background sweeper, which walks the admitted
+	// records in log order so full recovery completes even if clients
+	// never touch the cold tail.
 	Sweeper bool
 	// SweepDelay holds the sweeper back after startup, leaving the first
 	// burst of client touches the whole machine — availability over
@@ -74,17 +76,24 @@ type Options struct {
 
 // compState tracks one component's lazy-recovery lifecycle.
 type compState struct {
-	// mu serializes the component's replay: the winner replays while
-	// every concurrent touch of the same component blocks here — that
-	// blocking is the admission gate.
+	// mu guards cursor: whoever replays the component's records — the
+	// sweep, one record at a time, or a touch, the whole remainder —
+	// holds it, and every concurrent touch of the component blocks here.
+	// That blocking is the admission gate.
 	mu sync.Mutex
-	// done flips true exactly once, after replay (or its failure) is
-	// installed. The atomic read is the gate's lock-free fast path.
+	// cursor is the position in the component's Idx of its next record
+	// to replay: the records before it have replayed, in LSN order,
+	// exactly once. n is the component's record count, kept beside the
+	// cursor so a sweep step touches one line of memory per component.
+	cursor, n int
+	// done flips true exactly once, after the last record's replay (or a
+	// failure) is installed. The atomic read is the gate's lock-free fast
+	// path.
 	done atomic.Bool
 	// err is the sticky replay failure, set before done flips.
 	err error
-	// redone counts actual replays — the exactly-once audit the race
-	// tests assert on.
+	// redone counts completions — the exactly-once audit the race tests
+	// assert on.
 	redone atomic.Int64
 }
 
@@ -137,8 +146,7 @@ func New(db method.DB, opts Options) (*Engine, error) {
 	rec := opts.Recorder
 	state := db.StableState()
 	log := db.StableLog()
-	decision := core.DecideRedoObserved(rec, state, log, db.Checkpointed(), db.RedoTest(), db.Analyze())
-	lv := core.DefaultViews.ViewOf(log, rec)
+	decision, lv := core.DecideAndView(rec, state, log, db.Checkpointed(), db.RedoTest(), db.Analyze())
 	ps := rec.StartSpan(obs.PhasePartition)
 	plan := partition.FromViews(lv.Views, decision.ReplayIdx, lv.In.Len())
 	ps.End()
@@ -166,6 +174,9 @@ func New(db method.DB, opts Options) (*Engine, error) {
 	}
 	rec.SetGauge(obs.GServeComps, 0)
 	rec.SetGauge(obs.GServePages, 0)
+	for ci, c := range plan.Components {
+		e.comps[ci].n = len(c.Idx)
+	}
 	if len(plan.Components) == 0 {
 		e.doneOnce.Do(func() { close(e.done) })
 	}
@@ -259,7 +270,7 @@ func (e *Engine) gateRead(x model.Var) error {
 		return nil // never logged: stable by construction
 	}
 	if ci := e.writer[id]; ci >= 0 {
-		return e.ensure(int(ci), false)
+		return e.ensure(int(ci))
 	}
 	return nil
 }
@@ -272,26 +283,28 @@ func (e *Engine) gateWrite(x model.Var) error {
 		return nil
 	}
 	if ci := e.writer[id]; ci >= 0 {
-		if err := e.ensure(int(ci), false); err != nil {
+		if err := e.ensure(int(ci)); err != nil {
 			return err
 		}
 	}
 	for _, ci := range e.readers[id] {
-		if err := e.ensure(int(ci), false); err != nil {
+		if err := e.ensure(int(ci)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ensure recovers component ci exactly once and returns its sticky
-// outcome. Concurrent callers for the same component block on the
-// component mutex while the winner replays — that blocking, measured
-// from the fast-path miss to completion, is the gate wait the
-// MServeGateWait histogram reports. Callers never hold one component's
-// mutex while acquiring another's, so touches and the sweeper cannot
-// deadlock however they interleave.
-func (e *Engine) ensure(ci int, sweep bool) error {
+// ensure is a touch's gate: it replays what is left of component ci
+// (its records from the cursor on — the sweep may already have replayed
+// a prefix) and returns the component's sticky outcome. Concurrent
+// callers for the same component block on the component mutex while the
+// winner replays, and the sweep holds it for at most one record; that
+// blocking, measured from the fast-path miss to completion, is the gate
+// wait the MServeGateWait histogram reports. Callers never hold one
+// component's mutex while acquiring another's, so touches and the
+// sweeper cannot deadlock however they interleave.
+func (e *Engine) ensure(ci int) error {
 	cs := &e.comps[ci]
 	if cs.done.Load() {
 		return cs.err
@@ -300,7 +313,7 @@ func (e *Engine) ensure(ci int, sweep bool) error {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if cs.done.Load() {
-		// Lost the race: a concurrent touch (or the sweeper) replayed the
+		// Lost the race: a concurrent touch (or the sweep) finished the
 		// component while this caller waited.
 		e.rec.ObserveDuration(obs.MServeGateWait, time.Since(t0))
 		return cs.err
@@ -310,7 +323,7 @@ func (e *Engine) ensure(ci int, sweep bool) error {
 	if e.rec.Sinking() {
 		span = e.rec.StartSpanWith(obs.PhaseLazyRedo, 0, obs.SpanInfo{
 			Comp:   fmt.Sprintf("c%d", ci),
-			Size:   len(c.Idx),
+			Size:   len(c.Idx) - cs.cursor,
 			Writes: len(c.Writes),
 		})
 	}
@@ -320,17 +333,60 @@ func (e *Engine) ensure(ci int, sweep bool) error {
 	// admission gate holds post-crash writes to the latter until every
 	// reading component is done.
 	var buf core.ReplayBuf
-	if _, cs.err = e.lv.Replay(e.ds, c.Idx, &buf); cs.err == nil {
+	_, err := e.lv.Replay(e.ds, c.Idx[cs.cursor:], &buf)
+	cs.cursor = len(c.Idx)
+	span.End()
+	e.finish(ci, err, false)
+	e.rec.ObserveDuration(obs.MServeGateWait, time.Since(t0))
+	return cs.err
+}
+
+// step is the sweep's unit of work: under component Of[i]'s lock it
+// replays admitted record i if that is the component's next record, and
+// finishes the component after its last one. A touch therefore waits at
+// most one record for the sweep. seen is the calling walk's count of
+// records passed per component: every walk of the admitted records
+// reaches a component's records in order, so the record at hand is the
+// component's seen-th, and the cursor is at it or past it. Past means
+// another walk (the sweeper beside Drain) or a touch already replayed
+// it. Counting in the walk keeps the check off the component's schedule,
+// which the log-order walk would otherwise visit at random.
+func (e *Engine) step(i int, seen []int32, buf *core.ReplayBuf) {
+	ci := e.plan.Of[i]
+	k := int(seen[ci])
+	seen[ci]++
+	cs := &e.comps[ci]
+	if cs.done.Load() {
+		return
+	}
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if cs.done.Load() || cs.cursor != k {
+		return
+	}
+	_, err := e.lv.Replay(e.ds, e.plan.Idx[i:i+1], buf)
+	cs.cursor++
+	if err != nil || cs.cursor == cs.n {
+		e.finish(int(ci), err, true)
+	}
+}
+
+// finish completes component ci with its replay outcome: it installs the
+// component's writes (on success), counts the completion by trigger,
+// advances the progress gauges, and publishes done. The caller holds the
+// component's mutex.
+func (e *Engine) finish(ci int, err error, swept bool) {
+	cs, c := &e.comps[ci], e.plan.Components[ci]
+	cs.err = err
+	if err == nil {
 		// Presence bits share words across components, so the install
 		// needs the state lock.
 		e.mu.Lock()
 		core.InstallWrites(e.ds, e.state, c.Writes)
 		e.mu.Unlock()
 	}
-	span.End()
 	cs.redone.Add(1)
-	e.rec.ObserveDuration(obs.MServeGateWait, time.Since(t0))
-	if sweep {
+	if swept {
 		e.swept.Add(1)
 		e.rec.Inc(obs.MServeSwept)
 	} else {
@@ -353,25 +409,33 @@ func (e *Engine) ensure(ci int, sweep bool) error {
 	// racing the sweeper) must also see the component counted, or Result
 	// reports it as still unrecovered.
 	cs.done.Store(true)
-	return cs.err
 }
 
-// Drain recovers every remaining component inline (plan order) and
-// returns the first replay error, if any. Serving continues during and
+// Drain recovers every remaining component inline — the sweep's walk of
+// the admitted records in log order — then returns the first sticky
+// replay error in component order, if any. Serving continues during and
 // after the drain; Drain alongside a running sweeper is safe and just
 // splits the remaining work.
 func (e *Engine) Drain() error {
-	var first error
+	var buf core.ReplayBuf
+	seen := make([]int32, len(e.comps))
+	for i := range e.plan.Of {
+		e.step(i, seen, &buf)
+	}
+	// The walk reached every component's last record, so every
+	// component is done and its sticky error published.
 	for ci := range e.comps {
-		if err := e.ensure(ci, true); err != nil && first == nil {
-			first = err
+		if err := e.comps[ci].err; err != nil {
+			return err
 		}
 	}
-	return first
+	return nil
 }
 
-// sweep is the background sweeper: after the optional delay it drains
-// components in plan order, stopping early when Close is called.
+// sweep is the background sweeper: after the optional delay it walks the
+// admitted records in log order, one step each, stopping early when
+// Close is called. Replay errors are sticky on the component; the touch
+// that needs it will surface them.
 func (e *Engine) sweep(delay time.Duration) {
 	defer close(e.sweeperDone)
 	if delay > 0 {
@@ -381,15 +445,15 @@ func (e *Engine) sweep(delay time.Duration) {
 			return
 		}
 	}
-	for ci := range e.comps {
+	var buf core.ReplayBuf
+	seen := make([]int32, len(e.comps))
+	for i := range e.plan.Of {
 		select {
 		case <-e.stop:
 			return
 		default:
 		}
-		// Replay errors are sticky on the component; the touch that needs
-		// it will surface them.
-		_ = e.ensure(ci, true)
+		e.step(i, seen, &buf)
 	}
 }
 

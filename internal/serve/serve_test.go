@@ -10,6 +10,7 @@ import (
 	"redotheory/internal/core"
 	"redotheory/internal/method"
 	"redotheory/internal/model"
+	"redotheory/internal/obs"
 	"redotheory/internal/sim"
 	"redotheory/internal/workload"
 )
@@ -467,5 +468,119 @@ func TestBenchSmoke(t *testing.T) {
 	}
 	if res.Reads == 0 || res.Writes == 0 {
 		t.Fatalf("clients served nothing: %+v", res)
+	}
+}
+
+// TestSweepGateWaitCountsOnlyTouches: serve.gate_wait is the time a
+// touch spent blocked on the admission gate, so a restart no client
+// touches — the sweeper alone runs it to full recovery — observes it
+// never.
+func TestSweepGateWaitCountsOnlyTouches(t *testing.T) {
+	pages := workload.Pages(12)
+	nf := sim.DefaultMethods()[2] // physiological
+	ops := workload.HotPage(64, pages, 3)
+	rec := obs.New()
+	eng, err := New(crashed(t, nf, pages, ops, len(ops), sim.Sched{Seed: 3, ForceOnCrash: true}), Options{Recorder: rec, Sweeper: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	select {
+	case <-eng.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatal("sweeper never finished")
+	}
+	st := eng.Stats()
+	if st.Components == 0 || st.Swept != int64(st.Components) || st.Lazy != 0 {
+		t.Fatalf("stats %+v: want every component swept and none lazy", st)
+	}
+	if n := rec.Snapshot().Duration(obs.MServeGateWait).Count; n != 0 {
+		t.Fatalf("%s observed %d times with no touch, want 0", obs.MServeGateWait, n)
+	}
+}
+
+// TestSweepTouchHandoff: a component may be started by the sweep and
+// finished by a touch. For every k, sweep exactly the first k admitted
+// records, then touch every page (or none) in a seeded random order and
+// drain:
+// every read must already serve the recovered value, the outcome must
+// be sequential Recover's, and every component must have completed
+// exactly once with its cursor at its end — each record replayed once,
+// in LSN order.
+func TestSweepTouchHandoff(t *testing.T) {
+	pages := workload.Pages(8)
+	for _, nf := range sim.DefaultMethods() {
+		switch nf.Name {
+		case "physiological", "physiological+dpt", "genlsn":
+		default:
+			continue
+		}
+		multi, err := workload.ForMethod(nf.Name, 32, pages, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []struct {
+			name string
+			ops  []*model.Op
+		}{{"hot-page", workload.HotPage(32, pages, 8)}, {"multi-page", multi}} {
+			at := nf.Name + "/" + w.name
+			sched := sim.Sched{Seed: 6, FlushProb: 0.2, ForceProb: 0.5, CheckpointProb: 0.05, ForceOnCrash: true}
+			db := crashed(t, nf, pages, w.ops, len(w.ops), sched)
+			seq, err := method.Recover(db)
+			if err != nil {
+				t.Fatalf("%s: sequential: %v", at, err)
+			}
+			handoffs := 0
+			for k := 0; k <= len(seq.Replayed); k++ {
+				// Touching no page leaves the rest to Drain, whose walk
+				// passes the records the sweep already replayed.
+				for _, touches := range []int{len(pages), 0} {
+					eng, err := New(db, Options{})
+					if err != nil {
+						t.Fatalf("%s k=%d touches=%d: %v", at, k, touches, err)
+					}
+					var buf core.ReplayBuf
+					seen := make([]int32, len(eng.comps))
+					for i := 0; i < k; i++ {
+						eng.step(i, seen, &buf)
+					}
+					for ci := range eng.comps {
+						if cur := eng.comps[ci].cursor; cur > 0 && cur < len(eng.plan.Components[ci].Idx) {
+							handoffs++
+						}
+					}
+					rng := rand.New(rand.NewSource(int64(k)))
+					for _, pi := range rng.Perm(len(pages))[:touches] {
+						v, err := eng.Read(pages[pi])
+						if err != nil {
+							t.Fatalf("%s k=%d touches=%d: read %s: %v", at, k, touches, pages[pi], err)
+						}
+						if want := seq.State.Get(pages[pi]); v != want {
+							t.Fatalf("%s k=%d touches=%d: read %s = %q, sequential recovery has %q", at, k, touches, pages[pi], v, want)
+						}
+					}
+					if err := eng.Drain(); err != nil {
+						t.Fatalf("%s k=%d touches=%d: drain: %v", at, k, touches, err)
+					}
+					res, err := eng.Result()
+					if err != nil {
+						t.Fatalf("%s k=%d touches=%d: result: %v", at, k, touches, err)
+					}
+					if err := res.SameOutcome(seq); err != nil {
+						t.Fatalf("%s k=%d touches=%d: %v", at, k, touches, err)
+					}
+					for ci := range eng.comps {
+						cs := &eng.comps[ci]
+						if n := cs.redone.Load(); n != 1 || cs.cursor != len(eng.plan.Components[ci].Idx) {
+							t.Fatalf("%s k=%d touches=%d: component %d completed %d times with cursor %d of %d, want once at its end",
+								at, k, touches, ci, n, cs.cursor, len(eng.plan.Components[ci].Idx))
+						}
+					}
+				}
+			}
+			if handoffs == 0 {
+				t.Fatalf("%s: no k left a component half swept; the fixture does not exercise the handoff", at)
+			}
+		}
 	}
 }
