@@ -209,8 +209,9 @@ func main() {
 	rep.Fixture.Pages = *nPages
 	rep.Fixture.Rounds = *rounds
 	rep.Fixture.Method = db.Name()
-	rep.Fixture.Components = probe.Plan.Components
-	rep.Fixture.Largest = probe.Plan.Largest
+	plan := probe.Plan()
+	rep.Fixture.Components = plan.Components
+	rep.Fixture.Largest = plan.Largest
 
 	rep.Sequential = measure("sequential", 0, *reps, func() error {
 		_, err := method.Recover(db)

@@ -60,7 +60,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("recovered %d ops across %d components; the trace saw:\n",
-		len(res.Replayed), res.Plan.Components)
+		len(res.Replayed), res.Plan().Components)
 
 	recs, err := rtrace.Split(sink.Events())
 	if err != nil {

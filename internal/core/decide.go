@@ -48,14 +48,28 @@ func DecideRedo(state *model.State, log *Log, checkpoint graph.Set[model.OpID], 
 // Scan's account (nothing is timed as replay: the step only notes the
 // index). A nil recorder makes it exactly DecideRedo.
 func DecideRedoObserved(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) *RedoDecision {
+	return DecideRedoEach(rec, state, log, checkpoint, redo, analyze, nil)
+}
+
+// DecideRedoEach is DecideRedoObserved with a hook for an engine that
+// consumes the decision while it is being made (pipelined recovery,
+// DESIGN.md §8): each, when non-nil, runs on the scanning goroutine for
+// every admitted record i just before i joins ReplayIdx, so ReplayIdx
+// then holds exactly the admitted records before i. Returning true ends
+// the scan there, leaving i out; the decision is then a prefix.
+func DecideRedoEach(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc, each func(d *RedoDecision, i int) (stop bool)) *RedoDecision {
 	d := &RedoDecision{
 		// Presized for the worst case (every record admitted): append
-		// growth on a long replay list is pure reallocation overhead.
+		// growth on a long replay list is pure reallocation overhead,
+		// and a consumer may hold sub-slices of it while it grows.
 		ReplayIdx: make([]int, 0, log.Len()),
 		log:       log,
 	}
 	span := rec.StartSpan(obs.PhaseDecide)
 	d.Examined, _, _ = Scan(rec, state, log, checkpoint, redo, analyze, false, func(i int, _ *Record) (bool, error) {
+		if each != nil && each(d, i) {
+			return true, nil
+		}
 		d.ReplayIdx = append(d.ReplayIdx, i)
 		return false, nil
 	})
@@ -63,9 +77,10 @@ func DecideRedoObserved(rec *obs.Recorder, state *model.State, log *Log, checkpo
 	return d
 }
 
-// DecideAndView is the front half of every engine that replays from a
-// plan: DecideRedoObserved, and the log's dense view from DefaultViews,
-// built concurrently. The two passes are independent — the decision
+// DecideAndView is the front half of the instant-restart engine
+// (serve.New), which plans every admitted record before it replays any:
+// DecideRedoObserved, and the log's dense view from DefaultViews, built
+// concurrently. The two passes are independent — the decision
 // reads records and the redo test, the view build reads records and
 // interns their variables — so they overlap, and the caller gets both
 // once the slower finishes. The view build records only its cache hit

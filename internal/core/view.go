@@ -101,30 +101,97 @@ func InstallWrites(ds *dense.State, state *model.State, ids []uint32) {
 // over the records interns every read/write variable (this is where
 // strings stop) and lays the id slices out in one shared arena.
 func NewLogView(log *Log) *LogView {
+	b := newViewBuilder(log)
+	b.Extend(len(b.recs))
+	return b.lv
+}
+
+// ViewBuilder builds a log's dense view a chunk of records at a time,
+// so one goroutine can keep interning later records while another
+// replays earlier ones (pipelined recovery, DESIGN.md §8). The record
+// views and the id arena are sized for the whole log up front and never
+// reallocated, so a view, once built, never moves or changes; only the
+// goroutine that owns the builder may call its methods.
+type ViewBuilder struct {
+	lv    *LogView
+	recs  []*Record
+	arena []uint32
+	built int // records [0, built) have views
+	// cache receives the finished view on a miss (nil on a hit).
+	cache *ViewCache
+	key   graphKey
+}
+
+func newViewBuilder(log *Log) *ViewBuilder {
 	recs := log.Records()
 	total := 0
 	for _, r := range recs {
 		total += len(r.Op.Reads()) + len(r.Op.Writes())
 	}
-	arena := make([]uint32, 0, total)
-	in := dense.NewInterner()
-	lv := &LogView{In: in, Views: make([]RecordView, len(recs))}
-	for i, r := range recs {
-		v := &lv.Views[i]
+	return &ViewBuilder{
+		lv:    &LogView{In: dense.NewInterner(), Views: make([]RecordView, len(recs))},
+		recs:  recs,
+		arena: make([]uint32, 0, total),
+	}
+}
+
+// View returns the view under construction: Views[i] is valid for the
+// records Extend has reached, and In holds exactly the ids they use. A
+// builder that came complete from the cache has reached every record.
+func (b *ViewBuilder) View() *LogView { return b.lv }
+
+// Extend builds the views of the records before end (clamped to the
+// log's length), interning their variables.
+func (b *ViewBuilder) Extend(end int) {
+	in := b.lv.In
+	for ; b.built < min(end, len(b.recs)); b.built++ {
+		r, v := b.recs[b.built], &b.lv.Views[b.built]
 		v.Rec = r
 		v.Size = r.SizeBytes()
-		start := len(arena)
-		for _, x := range r.Op.Reads() {
-			arena = append(arena, in.Intern(x))
+		reads := r.Op.Reads()
+		start := len(b.arena)
+		for _, x := range reads {
+			b.arena = append(b.arena, in.Intern(x))
 		}
-		v.Reads = arena[start:len(arena):len(arena)]
-		start = len(arena)
+		v.Reads = b.arena[start:len(b.arena):len(b.arena)]
+		start = len(b.arena)
+	writes:
 		for _, x := range r.Op.Writes() {
-			arena = append(arena, in.Intern(x))
+			// A read-modify-write names its page twice; reuse the id
+			// the read interned rather than hash the name again.
+			for k, y := range reads {
+				if x == y {
+					b.arena = append(b.arena, v.Reads[k])
+					continue writes
+				}
+			}
+			b.arena = append(b.arena, in.Intern(x))
 		}
-		v.Writes = arena[start:len(arena):len(arena)]
+		v.Writes = b.arena[start:len(b.arena):len(b.arena)]
 	}
-	return lv
+}
+
+// Finish builds the remaining views and, if the view was not already
+// cached, caches it — unless a concurrent build of the same log got
+// there first. It returns the builder's own view either way: ids are
+// only meaningful relative to the interner that minted them.
+func (b *ViewBuilder) Finish() *LogView {
+	b.Extend(len(b.recs))
+	if c := b.cache; c != nil {
+		b.cache = nil
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if _, ok := c.entries[b.key]; !ok {
+			for len(c.fifo) >= c.cap {
+				evict := c.fifo[0]
+				c.fifo = c.fifo[1:]
+				delete(c.entries, evict)
+			}
+			c.entries[b.key] = b.lv
+			c.fifo = append(c.fifo, b.key)
+		}
+	}
+	return b.lv
 }
 
 // ViewCache memoizes LogView construction the way GraphCache memoizes
@@ -164,44 +231,33 @@ var DefaultViews = NewViewCache(128)
 // projection was reused versus rebuilt. Callers must treat the view as
 // immutable.
 func (c *ViewCache) ViewOf(log *Log, rec *obs.Recorder) *LogView {
-	lv, hit := c.viewOf(log)
-	if hit {
-		rec.Inc(obs.MViewHits)
-	} else {
-		rec.Inc(obs.MViewMisses)
-	}
-	return lv
+	return c.Builder(log, rec).Finish()
 }
 
-// viewOf reports whether the lookup hit alongside the view.
-func (c *ViewCache) viewOf(log *Log) (*LogView, bool) {
+// Builder is ViewOf for a caller that consumes the view while it is
+// being built: on a hit the builder comes complete, on a miss it starts
+// empty and Finish caches what it built. The lookup is counted as
+// ViewOf counts it. Building happens outside the cache lock, as
+// GraphCache does: a rare duplicate build beats serializing every
+// recovery on construction.
+func (c *ViewCache) Builder(log *Log, rec *obs.Recorder) *ViewBuilder {
 	key := keyOf(log)
 	c.mu.Lock()
-	if lv, ok := c.entries[key]; ok {
+	lv, hit := c.entries[key]
+	if hit {
 		c.Hits++
-		c.mu.Unlock()
-		return lv, true
+	} else {
+		c.Misses++
 	}
-	c.Misses++
 	c.mu.Unlock()
-
-	// Build outside the lock, as GraphCache does: a rare duplicate
-	// build beats serializing every worker on construction.
-	lv := NewLogView(log)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		return e, false
+	if hit {
+		rec.Inc(obs.MViewHits)
+		return &ViewBuilder{lv: lv}
 	}
-	for len(c.fifo) >= c.cap {
-		evict := c.fifo[0]
-		c.fifo = c.fifo[1:]
-		delete(c.entries, evict)
-	}
-	c.entries[key] = lv
-	c.fifo = append(c.fifo, key)
-	return lv, false
+	rec.Inc(obs.MViewMisses)
+	b := newViewBuilder(log)
+	b.cache, b.key = c, key
+	return b
 }
 
 // Len returns the number of cached prefixes.

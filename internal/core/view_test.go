@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"redotheory/internal/dense"
 	"redotheory/internal/model"
 	"redotheory/internal/obs"
 )
@@ -151,5 +152,71 @@ func TestViewCacheCountersOnRecorder(t *testing.T) {
 	// A nil recorder is the disabled path: no panic, same view.
 	if c.ViewOf(l, nil) != first {
 		t.Fatal("nil-recorder lookup returned a different view")
+	}
+}
+
+// TestPipelineViewBuilder: a view built a few records at a time while
+// another goroutine consumes each finished range — the views, and the
+// variables interned for them via Interner.Since, growing a dense state
+// — sees exactly what NewLogView builds, and Finish caches the view so
+// the next Builder comes complete. Under -race this is the proof that
+// the consumer may read what Extend published while Extend keeps going.
+func TestPipelineViewBuilder(t *testing.T) {
+	l := NewLog()
+	for i := 0; i < 200; i++ {
+		x, y := model.Var(fmt.Sprintf("v%d", i%37)), model.Var(fmt.Sprintf("v%d", (i*7)%53))
+		l.Append(model.ReadWrite(model.OpID(i+1), "op", []model.Var{x}, []model.Var{y}))
+	}
+	stable := model.NewState()
+	stable.Set("v3", "3")
+	c := NewViewCache(4)
+	b := c.Builder(l, nil)
+	lv := b.View()
+
+	type chunk struct {
+		from, to int
+		vars     []model.Var
+	}
+	out := make(chan chunk, l.Len())
+	got := make(chan *dense.State)
+	go func() {
+		ds := dense.Empty(lv.In)
+		for ch := range out {
+			ds.Grow(stable, ch.vars)
+			for i := ch.from; i < ch.to; i++ {
+				for _, id := range append(lv.Views[i].Reads, lv.Views[i].Writes...) {
+					if int(id) >= ds.Len() {
+						t.Errorf("record %d uses id %d beyond the %d ids handed over", i, id, ds.Len())
+					}
+				}
+			}
+		}
+		got <- ds
+	}()
+	ids := 0
+	for from := 0; from < l.Len(); from += 7 {
+		to := min(from+7, l.Len())
+		b.Extend(to)
+		out <- chunk{from, to, lv.In.Since(ids)}
+		ids = lv.In.Len()
+	}
+	close(out)
+	ds := <-got
+	if fin := b.Finish(); fin != lv {
+		t.Fatal("Finish returned a view other than the one built")
+	}
+
+	want := NewLogView(l)
+	for i := range want.Views {
+		w, g := &want.Views[i], &lv.Views[i]
+		if g.Rec != w.Rec || fmt.Sprint(g.Reads, g.Writes) != fmt.Sprint(w.Reads, w.Writes) {
+			t.Fatalf("record %d: built %v/%v, NewLogView %v/%v", i, g.Reads, g.Writes, w.Reads, w.Writes)
+		}
+	}
+	if !ds.Equal(dense.FromState(lv.In, stable)) {
+		t.Error("state grown range by range differs from FromState")
+	}
+	if hit := c.Builder(l, nil); hit.View() != lv || c.Hits != 1 || c.Misses != 1 {
+		t.Errorf("second Builder: view reused %v, hits %d, misses %d; want the cached view, 1 and 1", hit.View() == lv, c.Hits, c.Misses)
 	}
 }

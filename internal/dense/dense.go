@@ -78,3 +78,9 @@ func (in *Interner) Var(id uint32) model.Var {
 // Len returns the number of interned variables; valid ids are
 // exactly [0, Len).
 func (in *Interner) Len() int { return len(in.vars) }
+
+// Since returns the variables with ids [id, Len()), in id order. The
+// slice aliases the interner's storage, which interning only ever
+// appends past, so another goroutine may read it while this one keeps
+// interning; the caller must not modify it.
+func (in *Interner) Since(id int) []model.Var { return in.vars[id:len(in.vars):len(in.vars)] }

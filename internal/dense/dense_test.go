@@ -93,7 +93,7 @@ func TestStatePresenceBitmap(t *testing.T) {
 	for i := 0; i < 70; i++ { // spans two bitmap words
 		in.Intern(model.Var(fmt.Sprintf("v%02d", i)))
 	}
-	d := NewState(in)
+	d := FromState(in, model.NewState())
 	if d.Present(3) || d.Present(69) {
 		t.Fatal("empty state reports variables present")
 	}
@@ -126,7 +126,7 @@ func TestStatePresenceBitmap(t *testing.T) {
 func TestStateWriteBack(t *testing.T) {
 	in := NewInterner()
 	x, y, z := in.Intern("x"), in.Intern("y"), in.Intern("z")
-	d := NewState(in)
+	d := FromState(in, model.NewState())
 	d.Set(x, model.IntVal(1))
 	d.Set(y, "")
 	d.Set(z, model.IntVal(3))

@@ -1,6 +1,10 @@
 package dense
 
-import "redotheory/internal/model"
+import (
+	"slices"
+
+	"redotheory/internal/model"
+)
 
 // State is the columnar form of a model.State restricted to an
 // interner's variables: a flat value arena indexed by variable id plus
@@ -14,23 +18,37 @@ type State struct {
 	dirty  []uint64
 }
 
-// NewState returns the empty dense state over the interner's id space.
-func NewState(in *Interner) *State {
-	n := in.Len()
-	return &State{in: in, values: make([]model.Value, n), dirty: make([]uint64, (n+63)/64)}
-}
-
 // FromState projects s onto the interner's variables. Variables s does
 // not assign get the zero Value, exactly as model.State.Get would
 // report them.
 func FromState(in *Interner, s *model.State) *State {
-	d := NewState(in)
-	for id, v := range in.vars {
-		if val := s.Get(v); val != "" {
-			d.Set(uint32(id), val)
-		}
-	}
+	d := Empty(in)
+	d.Grow(s, in.vars)
 	return d
+}
+
+// Empty returns a state over none of the interner's ids, for Grow to
+// extend. It does not read the interner, so the interner may still be
+// growing on another goroutine.
+func Empty(in *Interner) *State { return &State{in: in} }
+
+// Len returns the number of ids the state covers: [0, Len).
+func (d *State) Len() int { return len(d.values) }
+
+// Grow extends the state by the id range [Len, Len+len(vars)): vars are
+// the interner's variables for those ids, in id order (Interner.Since
+// hands them out), and each takes its value in s, as FromState would
+// project it. The state reads only vars, never the interner, so it can
+// grow while another goroutine keeps interning past the range.
+func (d *State) Grow(s *model.State, vars []model.Var) {
+	base, n := len(d.values), len(d.values)+len(vars)
+	d.values = slices.Grow(d.values, len(vars))[:n]
+	if words := (n + 63) / 64; words > len(d.dirty) {
+		d.dirty = append(d.dirty, make([]uint64, words-len(d.dirty))...)
+	}
+	for k, v := range vars {
+		d.Set(uint32(base+k), s.Get(v))
+	}
 }
 
 // Interner returns the interner the state's ids are relative to.

@@ -159,11 +159,12 @@ func checkCellRun(m sim.NamedFactory, cell Cell, rec *obs.Recorder, flight *obs.
 		return &disagreement{check: "parallel-divergence", detail: err.Error()}, nil, nil
 	}
 
+	plan := par.Plan()
 	cov := &coverage{
 		replayed:   len(seq.Replayed),
 		examined:   seq.Examined,
-		components: par.Plan.Components,
-		partSig:    par.Plan.Signature(),
+		components: plan.Components,
+		partSig:    plan.Signature(),
 	}
 
 	// Leg 6: degraded recovery on clean substrates.

@@ -132,7 +132,8 @@ func (d *PhysiologicalDPT) CheckpointFloors() map[model.Var]core.LSN {
 }
 
 // RedoTest filters through the reconstructed table before falling back
-// to the page-LSN comparison.
+// to the stable page-LSN comparison, which it never updates (see
+// Physiological.RedoTest).
 func (d *PhysiologicalDPT) RedoTest() core.RedoTest {
 	lsns := d.store.LSNs()
 	return func(r *core.Record, _ *model.State, _ *core.Log, analysis core.Analysis) bool {
@@ -144,11 +145,7 @@ func (d *PhysiologicalDPT) RedoTest() core.RedoTest {
 				return false
 			}
 		}
-		if lsn <= lsns[page] {
-			return false
-		}
-		lsns[page] = lsn
-		return true
+		return lsn > lsns[page]
 	}
 }
 

@@ -15,3 +15,15 @@ func EachFactory(f func(name string, mk func(*model.State) DB)) {
 		f(pf.name, pf.mk)
 	}
 }
+
+// ChunkLen is chunkLen: how many records the pipelined decision runs
+// ahead of replay, for a log of the given length.
+var ChunkLen = chunkLen
+
+// ForceHandoff makes RecoverParallel hand off to the pool after exactly
+// chunks published chunks, each replayed in full, so a test can place
+// the handoff at every chunk boundary; it returns the restore func.
+func ForceHandoff(chunks int) (restore func()) {
+	forcedHandoff = chunks
+	return func() { forcedHandoff = -1 }
+}

@@ -135,18 +135,14 @@ func (d *GenLSN) Checkpointed() graph.Set[model.OpID] {
 }
 
 // RedoTest is the generalized page-LSN test: redo iff the written page's
-// LSN is below the operation's. A replayed operation re-reads its read
-// pages from the recovering state; the careful write order guarantees it
+// stable LSN is below the operation's (the table is never updated; see
+// Physiological.RedoTest). A replayed operation re-reads its read pages
+// from the recovering state; the careful write order guarantees it
 // observes exactly what it observed during normal execution.
 func (d *GenLSN) RedoTest() core.RedoTest {
 	lsns := d.store.LSNs()
 	return func(r *core.Record, _ *model.State, _ *core.Log, _ core.Analysis) bool {
-		page, lsn := r.Op.Writes()[0], r.LSN
-		if lsn <= lsns[page] {
-			return false
-		}
-		lsns[page] = lsn
-		return true
+		return r.LSN > lsns[r.Op.Writes()[0]]
 	}
 }
 

@@ -191,7 +191,8 @@ func (d *GroupLSN) Checkpointed() graph.Set[model.OpID] {
 // RedoTest: an operation is installed iff every page it wrote carries at
 // least its LSN — group-atomic installation guarantees all-or-nothing,
 // so testing any one page would suffice, but checking them all doubles
-// as a runtime assertion of that atomicity.
+// as a runtime assertion of that atomicity. The stable page-LSN table is
+// never updated (see Physiological.RedoTest).
 func (d *GroupLSN) RedoTest() core.RedoTest {
 	lsns := d.store.LSNs()
 	return func(r *core.Record, _ *model.State, _ *core.Log, _ core.Analysis) bool {
@@ -208,11 +209,6 @@ func (d *GroupLSN) RedoTest() core.RedoTest {
 		if installedPages != 0 {
 			panic(fmt.Sprintf("grouplsn: operation %s partially installed (%d of %d pages): atomic group invariant broken",
 				op, installedPages, len(op.Writes())))
-		}
-		for _, page := range op.Writes() {
-			if lsn > lsns[page] {
-				lsns[page] = lsn
-			}
 		}
 		return true
 	}

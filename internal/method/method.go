@@ -57,9 +57,11 @@ type DB interface {
 	// Checkpointed returns the operations the checkpoint lets recovery
 	// ignore (Section 4.2): they are installed by construction.
 	Checkpointed() graph.Set[model.OpID]
-	// RedoTest returns a fresh redo test bound to the current stable
-	// state; stateful tests (page-LSN tracking) start from the stable
-	// page LSN table.
+	// RedoTest returns a redo test bound to the current stable state.
+	// Every shipped test is a pure function of the record and the
+	// analysis: the page-LSN tests compare against the stable page LSN
+	// table captured here and never update it, so one test gives the
+	// same verdicts on a second call and in any record order.
 	RedoTest() core.RedoTest
 	// Analyze returns the method's analysis function (may be nil).
 	Analyze() core.AnalyzeFunc

@@ -15,10 +15,13 @@ import (
 // TestRecoverParallelObservedCounters: the instrumented parallel engine
 // must account for every record exactly once — examined splits into
 // admitted plus skipped, replay counts what was admitted, the partition
-// width histogram sums to the replayed records — and every phase of the
-// pipeline must have a recorded duration. Workers increment shared
-// counters concurrently, so running this under -race is the telemetry
-// thread-safety proof.
+// width histogram sums to the records the pool was planned for — and
+// every phase of the pipeline must have a recorded duration. With the
+// handoff forced before the first chunk the pool plans and replays every
+// admitted record; unforced, the pipeline may replay any prefix first,
+// and the pool's components are those of the plan it still had work in.
+// Workers increment shared counters concurrently, so running this under
+// -race is the telemetry thread-safety proof.
 func TestRecoverParallelObservedCounters(t *testing.T) {
 	pages := workload.Pages(6)
 	for _, f := range parallelFactories {
@@ -30,39 +33,46 @@ func TestRecoverParallelObservedCounters(t *testing.T) {
 			}
 			db := crashedDB(t, f.mk, ops, workload.InitialState(pages), len(ops), 700)
 
-			rec := obs.New()
-			if _, err := RecoverParallel(db, ParallelOptions{Workers: 8, Recorder: rec}); err != nil {
-				t.Fatal(err)
-			}
+			for _, handoff := range []int{0, -1} {
+				rec := obs.New()
+				restore := ForceHandoff(handoff)
+				_, err := RecoverParallel(db, ParallelOptions{Workers: 8, Recorder: rec})
+				restore()
+				if err != nil {
+					t.Fatal(err)
+				}
 
-			examined := rec.CounterValue(obs.MRedoExamined)
-			admitted := rec.CounterValue(obs.MRedoAdmitted)
-			skipped := rec.CounterValue(obs.MRedoSkipped)
-			if examined != admitted+skipped {
-				t.Errorf("examined=%d != admitted=%d + skipped=%d", examined, admitted, skipped)
-			}
-			if got := rec.CounterValue(obs.MReplayRecords); got != admitted {
-				t.Errorf("replay.records=%d, want admitted=%d", got, admitted)
-			}
-			if got := rec.CounterValue(obs.MPartitionPlans); got != 1 {
-				t.Errorf("partition.plans=%d, want 1", got)
-			}
+				examined := rec.CounterValue(obs.MRedoExamined)
+				admitted := rec.CounterValue(obs.MRedoAdmitted)
+				skipped := rec.CounterValue(obs.MRedoSkipped)
+				if examined != admitted+skipped {
+					t.Errorf("handoff=%d: examined=%d != admitted=%d + skipped=%d", handoff, examined, admitted, skipped)
+				}
+				if got := rec.CounterValue(obs.MReplayRecords); got != admitted {
+					t.Errorf("handoff=%d: replay.records=%d, want admitted=%d", handoff, got, admitted)
+				}
+				if got := rec.CounterValue(obs.MPartitionPlans); got != 1 {
+					t.Errorf("handoff=%d: partition.plans=%d, want 1", handoff, got)
+				}
 
-			snap := rec.Snapshot()
-			wh := snap.Sample(obs.MPartitionWidth)
-			if wh.Sum != admitted {
-				t.Errorf("width histogram sums to %d records, want %d", wh.Sum, admitted)
-			}
-			if int64(wh.Count) != rec.CounterValue(obs.MReplayComponents) {
-				t.Errorf("width histogram has %d components, replay.components=%d",
-					wh.Count, rec.CounterValue(obs.MReplayComponents))
-			}
-			for _, phase := range []obs.Phase{
-				obs.PhaseScan, obs.PhaseAnalysis, obs.PhaseDecide,
-				obs.PhasePartition, obs.PhaseReplay, obs.PhaseMerge,
-			} {
-				if h := snap.Duration("phase." + string(phase)); h.Count == 0 {
-					t.Errorf("phase %q has no recorded duration", phase)
+				snap := rec.Snapshot()
+				wh := snap.Sample(obs.MPartitionWidth)
+				comps := rec.CounterValue(obs.MReplayComponents)
+				if handoff == 0 && (wh.Sum != admitted || int64(wh.Count) != comps) {
+					t.Errorf("handoff=0: width histogram of %d components summing to %d records, want replay.components=%d and admitted=%d",
+						wh.Count, wh.Sum, comps, admitted)
+				}
+				if wh.Sum > admitted || int64(wh.Count) < comps {
+					t.Errorf("handoff=%d: width histogram of %d components summing to %d records, want at most admitted=%d and at least replay.components=%d",
+						handoff, wh.Count, wh.Sum, admitted, comps)
+				}
+				for _, phase := range []obs.Phase{
+					obs.PhaseScan, obs.PhaseAnalysis, obs.PhaseDecide,
+					obs.PhasePartition, obs.PhaseReplay, obs.PhaseMerge,
+				} {
+					if h := snap.Duration("phase." + string(phase)); h.Count == 0 {
+						t.Errorf("handoff=%d: phase %q has no recorded duration", handoff, phase)
+					}
 				}
 			}
 		})
@@ -74,72 +84,97 @@ func TestRecoverParallelObservedCounters(t *testing.T) {
 // trace, decide (with its per-record analysis spans) closing before
 // partition opens, partition before replay, replay before merge, and
 // every component span parented under the replay span with worker and
-// size attribution.
+// size attribution. The pipeline's replay span runs beside decide and
+// partition, so only its parent and count are checked: none when the
+// handoff is forced before the first chunk, one when it is forced after
+// the first chunk of a longer log, and at most one unforced.
 func TestRecoverParallelSpanNesting(t *testing.T) {
 	pages := workload.Pages(4)
-	ops := workload.SinglePage(20, pages, 3, false)
-	db := crashedDB(t, func(s *model.State) DB { return NewPhysiological(s) }, ops, workload.InitialState(pages), len(ops), 42)
+	for _, tc := range []struct {
+		ops, handoff, pipelines int // pipelines -1: at most one
+	}{{20, 0, 0}, {20, -1, -1}, {3 * chunkLen(100), 1, 1}, {3 * chunkLen(100), -1, -1}} {
+		ops := workload.SinglePage(tc.ops, pages, 3, false)
+		db := crashedDB(t, func(s *model.State) DB { return NewPhysiological(s) }, ops, workload.InitialState(pages), len(ops), 42)
 
-	rec := obs.New()
-	sink := &obs.MemorySink{}
-	rec.SetSink(sink)
-	if _, err := RecoverParallel(db, ParallelOptions{Workers: 4, Recorder: rec}); err != nil {
-		t.Fatal(err)
-	}
-
-	events := sink.Events()
-	if err := obs.CheckSpanNesting(events); err != nil {
-		t.Fatalf("span nesting: %v", err)
-	}
-	if len(events) == 0 || events[0].Type != obs.EvTraceBegin {
-		t.Fatalf("stream does not open with a trace-begin event")
-	}
-	// Coordinator phases in pipeline order; component spans are emitted
-	// by concurrent workers, so only their parentage is deterministic.
-	order := make([]obs.Phase, 0, 5)
-	var rootID, replayID uint64
-	components := 0
-	for _, e := range events {
-		if e.Type != obs.EvSpanBegin {
-			continue
+		rec := obs.New()
+		sink := &obs.MemorySink{}
+		rec.SetSink(sink)
+		restore := ForceHandoff(tc.handoff)
+		_, err := RecoverParallel(db, ParallelOptions{Workers: 4, Recorder: rec})
+		restore()
+		if err != nil {
+			t.Fatal(err)
 		}
-		switch e.Phase {
-		case obs.PhaseAnalysis:
-		case obs.PhaseComponent:
-			components++
-			if e.Parent == 0 || e.Parent != replayID {
-				t.Errorf("component span %d parented under %d, want replay span %d", e.Span, e.Parent, replayID)
+
+		events := sink.Events()
+		if err := obs.CheckSpanNesting(events); err != nil {
+			t.Fatalf("ops=%d: span nesting: %v", tc.ops, err)
+		}
+		if len(events) == 0 || events[0].Type != obs.EvTraceBegin {
+			t.Fatalf("ops=%d: stream does not open with a trace-begin event", tc.ops)
+		}
+		// Coordinator phases in pipeline order; component spans are
+		// emitted by concurrent workers, so only their parentage is
+		// deterministic.
+		order := make([]obs.Phase, 0, 5)
+		var rootID, replayID uint64
+		components, pipelines := 0, 0
+		for _, e := range events {
+			if e.Type != obs.EvSpanBegin {
+				continue
 			}
-			if e.Worker < 1 || e.Size < 1 || e.Comp == "" {
-				t.Errorf("component span missing attribution: %s", e)
-			}
-		default:
-			order = append(order, e.Phase)
-			switch e.Phase {
-			case obs.PhaseRecover:
-				rootID = e.Span
-			case obs.PhaseReplay:
-				replayID = e.Span
-				if e.Parent != rootID {
-					t.Errorf("replay span parented under %d, want root %d", e.Parent, rootID)
+			switch {
+			case e.Phase == obs.PhaseAnalysis:
+			case e.Phase == obs.PhaseComponent:
+				components++
+				if e.Parent == 0 || e.Parent != replayID {
+					t.Errorf("ops=%d: component span %d parented under %d, want replay span %d", tc.ops, e.Span, e.Parent, replayID)
+				}
+				if e.Worker < 1 || e.Size < 1 || e.Comp == "" {
+					t.Errorf("ops=%d: component span missing attribution: %s", tc.ops, e)
+				}
+			case e.Phase == obs.PhaseReplay && e.Comp == "pipeline":
+				pipelines++
+				if e.Parent == 0 || e.Parent != rootID {
+					t.Errorf("ops=%d: pipeline span parented under %d, want root %d", tc.ops, e.Parent, rootID)
 				}
 			default:
-				if e.Parent != rootID {
-					t.Errorf("%s span parented under %d, want root %d", e.Phase, e.Parent, rootID)
+				order = append(order, e.Phase)
+				switch e.Phase {
+				case obs.PhaseRecover:
+					rootID = e.Span
+				case obs.PhaseReplay:
+					replayID = e.Span
+					if e.Parent != rootID {
+						t.Errorf("ops=%d: replay span parented under %d, want root %d", tc.ops, e.Parent, rootID)
+					}
+				default:
+					if e.Parent != rootID {
+						t.Errorf("ops=%d: %s span parented under %d, want root %d", tc.ops, e.Phase, e.Parent, rootID)
+					}
 				}
 			}
 		}
-	}
-	if components == 0 {
-		t.Errorf("no component spans emitted")
-	}
-	want := []obs.Phase{obs.PhaseRecover, obs.PhaseDecide, obs.PhasePartition, obs.PhaseReplay, obs.PhaseMerge}
-	if len(order) != len(want) {
-		t.Fatalf("coordinator span order %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("coordinator span order %v, want %v", order, want)
+		if tc.pipelines < 0 {
+			if pipelines > 1 {
+				t.Errorf("ops=%d: %d pipeline spans, want at most one", tc.ops, pipelines)
+			}
+			continue // the pool may have found nothing left
+		}
+		if components == 0 {
+			t.Errorf("ops=%d: no component spans emitted", tc.ops)
+		}
+		if pipelines != tc.pipelines {
+			t.Errorf("ops=%d: %d pipeline spans, want %d", tc.ops, pipelines, tc.pipelines)
+		}
+		want := []obs.Phase{obs.PhaseRecover, obs.PhaseDecide, obs.PhasePartition, obs.PhaseReplay, obs.PhaseMerge}
+		if len(order) != len(want) {
+			t.Fatalf("ops=%d: coordinator span order %v, want %v", tc.ops, order, want)
+		}
+		for i := range want {
+			if order[i] != want[i] {
+				t.Fatalf("ops=%d: coordinator span order %v, want %v", tc.ops, order, want)
+			}
 		}
 	}
 }

@@ -77,18 +77,14 @@ func (d *Physiological) Checkpointed() graph.Set[model.OpID] {
 }
 
 // RedoTest returns the page-LSN test of Section 6.3: redo an operation
-// iff its LSN exceeds the LSN tagging its page. The test tracks page
-// LSNs as it admits operations, starting from the stable tags, so later
-// operations on a redone page still compare correctly.
+// iff its LSN exceeds the stable LSN tagging its page. The test never
+// updates the table: LSNs rise along the log, so once a record beats
+// its page's stable tag every later record on that page does too, and
+// the verdict depends on the record alone (reusable, order-free).
 func (d *Physiological) RedoTest() core.RedoTest {
 	lsns := d.store.LSNs()
 	return func(r *core.Record, _ *model.State, _ *core.Log, _ core.Analysis) bool {
-		page, lsn := r.Op.Writes()[0], r.LSN
-		if lsn <= lsns[page] {
-			return false // already installed; bypass
-		}
-		lsns[page] = lsn
-		return true
+		return r.LSN > lsns[r.Op.Writes()[0]] // else already installed; bypass
 	}
 }
 

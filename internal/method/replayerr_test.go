@@ -2,6 +2,7 @@ package method_test
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -28,6 +29,14 @@ import (
 // failing LSN — the one sequential replay hits.
 func replayFailureFixture(t *testing.T) method.DB {
 	t.Helper()
+	return replayFailureLog(t, 0, 0)
+}
+
+// replayFailureLog is replayFailureFixture between lead and trail
+// healthy operations on page a (ids 101 on), which place the failing
+// records among the pipeline's chunks.
+func replayFailureLog(t *testing.T, lead, trail int) method.DB {
+	t.Helper()
 	var failing atomic.Bool
 	op := func(id model.OpID, name string, p model.Var) *model.Op {
 		return model.NewPosOp(id, name, []model.Var{p}, []model.Var{p}, func(reads, out []model.Value) error {
@@ -43,7 +52,17 @@ func replayFailureFixture(t *testing.T) method.DB {
 		initial.Set(p, "0")
 	}
 	db := method.NewPhysiological(initial)
-	for _, o := range []*model.Op{op(1, "ok", "b"), op(2, "ok", "c"), op(3, "flaky", "c"), op(4, "ok", "a"), op(5, "flaky", "b")} {
+	next := model.OpID(101)
+	healthy := func(n int) (out []*model.Op) {
+		for ; n > 0; n-- {
+			out = append(out, op(next, "ok", "a"))
+			next++
+		}
+		return out
+	}
+	ops := append(healthy(lead), op(1, "ok", "b"), op(2, "ok", "c"), op(3, "flaky", "c"), op(4, "ok", "a"), op(5, "flaky", "b"))
+	ops = append(ops, healthy(trail)...)
+	for _, o := range ops {
 		if err := db.Exec(o); err != nil {
 			t.Fatal(err)
 		}
@@ -138,6 +157,49 @@ func TestReplayFailure(t *testing.T) {
 		}
 	})
 
+	// The pipelined schedule. Behind three chunks of healthy records,
+	// the handoff is forced on either side of the failing chunk: they
+	// fail in the pipeline's replay, or in the pooled tail after a
+	// replayed prefix. Ahead of three chunks, unforced, they most likely
+	// fail while the decision is still running, which must stop it.
+	// Every case reports the smallest-LSN failure and leaves nothing
+	// running.
+	const chunks = 3 * 32
+	for _, tc := range []struct {
+		name                 string
+		lead, trail, handoff int
+	}{
+		{"Pipeline/before-handoff", chunks, 0, 4},
+		{"Pipeline/pooled-tail", chunks, 0, 3},
+		{"Pipeline/stops-decision", 0, chunks, -1},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			db := replayFailureLog(t, tc.lead, tc.trail)
+			if chunk := method.ChunkLen(db.StableLog().Len()); chunks != 3*chunk {
+				t.Fatalf("chunks of %d records, want %d", chunk, chunks/3)
+			}
+			defer method.ForceHandoff(tc.handoff)()
+			before := runtime.NumGoroutine()
+			for run := 0; run < 20; run++ {
+				rec, sink := obs.New(), &obs.MemorySink{}
+				rec.SetSink(sink)
+				res, err := method.RecoverParallel(db, method.ParallelOptions{Workers: 4, Recorder: rec})
+				if res != nil || err == nil || !strings.Contains(err.Error(), first) {
+					t.Fatalf("run %d: result %v, error %v, want nil and the smallest-LSN failure %q", run, res, err, first)
+				}
+				if err := obs.CheckSpanNesting(sink.Events()); err != nil {
+					t.Fatalf("run %d: span nesting after the failure: %v", run, err)
+				}
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines running after the failed recoveries, %d before", runtime.NumGoroutine(), before)
+				}
+			}
+		})
+	}
+
 	t.Run("serve", func(t *testing.T) {
 		rec, sink := obs.New(), &obs.MemorySink{}
 		rec.SetSink(sink)
@@ -166,4 +228,45 @@ func TestReplayFailure(t *testing.T) {
 			t.Errorf("span nesting after the failures: %v", err)
 		}
 	})
+}
+
+// panickyRedo is a DB whose redo test panics at one LSN, the way
+// grouplsn's does on a partially installed group.
+type panickyRedo struct {
+	method.DB
+	at core.LSN
+}
+
+func (d panickyRedo) RedoTest() core.RedoTest {
+	inner := d.DB.RedoTest()
+	return func(r *core.Record, s *model.State, l *core.Log, a core.Analysis) bool {
+		if r.LSN == d.at {
+			panic("redo test: invariant broken")
+		}
+		return inner(r, s, l, a)
+	}
+}
+
+// TestPipelineDecisionPanic: a redo test that panics in the middle of
+// the decision, after the replayer has been handed chunks, reaches
+// RecoverParallel's caller as it did before the pipeline (the supervisor
+// turns it into a media fault), and leaves no goroutine behind.
+func TestPipelineDecisionPanic(t *testing.T) {
+	db := panickyRedo{DB: replayFailureLog(t, 3*32, 0), at: 80}
+	before := runtime.NumGoroutine()
+	for run := 0; run < 20; run++ {
+		func() {
+			defer func() {
+				if p := recover(); p == nil {
+					t.Fatalf("run %d: RecoverParallel returned instead of panicking", run)
+				}
+			}()
+			method.RecoverParallel(db, method.ParallelOptions{Workers: 2})
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines running after the panicking recoveries, %d before", runtime.NumGoroutine(), before)
+		}
+	}
 }

@@ -41,8 +41,9 @@ import (
 
 // Phase names a stage of the recovery procedure. The six stages cover
 // both engines: sequential recovery (Figure 6) runs scan/analysis/replay
-// interleaved; the partitioned engine runs decide (containing scan and
-// analysis), partition, replay, merge.
+// interleaved; the parallel engine runs decide (containing scan and
+// analysis) beside a pipelined replay, then partition, a pooled replay
+// of the tail, and merge.
 type Phase string
 
 const (

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -17,7 +18,8 @@ type RecoverOptions struct {
 	// (method.RecoverParallelLog) instead of sequential dense replay.
 	Parallel bool
 	// Workers is the per-shard worker-pool size when Parallel is set
-	// (0 = GOMAXPROCS).
+	// (0 = GOMAXPROCS shared among the shards, which recover
+	// concurrently: at least one each).
 	Workers int
 	// Recorder receives the recovery trace: a root span for the whole
 	// procedure, a cut span, and one replay span per shard. Falls back
@@ -112,6 +114,10 @@ func (d *DB) Recover(opts RecoverOptions) (*Outcome, error) {
 
 	// Phase 2: per-shard recovery from the cut prefixes, concurrently.
 	rootID := root.SpanID()
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = max(1, runtime.GOMAXPROCS(0)/n)
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
@@ -137,7 +143,7 @@ func (d *DB) Recover(opts RecoverOptions) (*Outcome, error) {
 			defer span.End()
 
 			if opts.Parallel {
-				res, err := method.RecoverParallelLog(db, prefix, method.ParallelOptions{Workers: opts.Workers})
+				res, err := method.RecoverParallelLog(db, prefix, method.ParallelOptions{Workers: workers})
 				if err != nil {
 					errs[i] = fmt.Errorf("shard %d: %w", i, err)
 					return

@@ -123,6 +123,47 @@ func TestShardedRecoveryMatchesMergedOracle(t *testing.T) {
 	}
 }
 
+// TestParallelPipelineMatchesSequential runs the shards' pipelined
+// parallel recoveries concurrently over cut prefixes long enough for
+// several pipeline chunks each: every shard's outcome must equal its
+// sequential recovery's, and the union the merged-log oracle. Under
+// -race it checks that concurrent pipelines share the view cache safely.
+func TestParallelPipelineMatchesSequential(t *testing.T) {
+	for _, m := range eligibleMethods {
+		for seed := int64(1); seed <= 2; seed++ {
+			name := fmt.Sprintf("%s×4/seed%d", m.name, seed)
+			d, _ := buildCrashed(t, m.name, m.mk, 4, 600, seed)
+			seq, err := d.Recover(RecoverOptions{})
+			if err != nil {
+				t.Fatalf("%s: recover: %v", name, err)
+			}
+			par, err := d.Recover(RecoverOptions{Parallel: true, Workers: 2})
+			if err != nil {
+				t.Fatalf("%s: parallel recover: %v", name, err)
+			}
+			long := 0
+			for i := range seq.Shards {
+				if err := par.Shards[i].Result.SameOutcome(seq.Shards[i].Result); err != nil {
+					t.Fatalf("%s: shard %d: parallel diverged from sequential: %v", name, i, err)
+				}
+				if seq.Shards[i].CutRecords >= 64 {
+					long++
+				}
+			}
+			if long == 0 {
+				t.Fatalf("%s: no shard's cut prefix spans two pipeline chunks", name)
+			}
+			oracle, err := d.MergedOracle(par.Cut)
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", name, err)
+			}
+			if !par.State.Equal(oracle) {
+				t.Fatalf("%s: parallel sharded recovery diverged from the merged-log oracle on %v", name, par.State.Diff(oracle))
+			}
+		}
+	}
+}
+
 // TestRecoveryDropsTornCrossTxn pins the semantics on a hand-built
 // scenario: a cross-shard transaction whose second record never became
 // durable is rolled out of both logs, along with the durable follower

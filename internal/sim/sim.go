@@ -96,8 +96,8 @@ type Result struct {
 	// partitioned replay produced the sequential outcome (true when
 	// ParallelWorkers was off).
 	ParallelAgrees bool
-	// ParallelComponents is how many independent components the parallel
-	// plan replayed (0 when ParallelWorkers was off).
+	// ParallelComponents is how many independent components the admitted
+	// records form (ParallelResult.Plan; 0 when ParallelWorkers was off).
 	ParallelComponents int
 	// Wall is the wall-clock duration of the sequential recovery pass.
 	Wall time.Duration
@@ -230,7 +230,7 @@ func Run(mk Factory, cfg Config) (*Result, error) {
 			res.RecoverErr = fmt.Errorf("sim: parallel recovery: %w", err)
 			return res, nil
 		}
-		res.ParallelComponents = par.Plan.Components
+		res.ParallelComponents = par.Plan().Components
 		if err := par.SameOutcome(rec); err != nil {
 			res.ParallelAgrees = false
 		}
