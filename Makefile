@@ -10,11 +10,12 @@ build:
 	$(GO) build ./...
 
 # loc prints non-test Go lines per internal/* and cmd/* package: the
-# figure ROADMAP's line-count acceptance criteria are stated in.
+# figure ROADMAP's line-count acceptance criteria are stated in. The
+# last line is their total, so a change can quote its net in one number.
 loc:
 	@for d in internal/* cmd/*; do \
 		printf '%6d %s\n' "$$(find $$d -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" $$d; \
-	done
+	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
 
 vet:
 	$(GO) vet ./...

@@ -41,22 +41,18 @@ type RedoDecision struct {
 // values. The property tests in internal/method assert the resulting
 // equivalence against sequential Recover for every method.
 func DecideRedo(state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) *RedoDecision {
-	return DecideRedoObserved(nil, state, log, checkpoint, redo, analyze)
+	return DecideRedoEach(nil, state, log, checkpoint, redo, analyze, nil)
 }
 
-// DecideRedoObserved is DecideRedo with telemetry: a "decide" span over
-// Scan's account (nothing is timed as replay: the step only notes the
-// index). A nil recorder makes it exactly DecideRedo.
-func DecideRedoObserved(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) *RedoDecision {
-	return DecideRedoEach(rec, state, log, checkpoint, redo, analyze, nil)
-}
-
-// DecideRedoEach is DecideRedoObserved with a hook for an engine that
-// consumes the decision while it is being made (pipelined recovery,
-// DESIGN.md §8): each, when non-nil, runs on the scanning goroutine for
-// every admitted record i just before i joins ReplayIdx, so ReplayIdx
-// then holds exactly the admitted records before i. Returning true ends
-// the scan there, leaving i out; the decision is then a prefix.
+// DecideRedoEach is DecideRedo with telemetry and a hook. rec gets a
+// "decide" span over Scan's account (nothing is timed as replay: the
+// step only notes the index); a nil recorder disables it. each serves
+// an engine that consumes the decision while it is being made
+// (pipelined recovery, DESIGN.md §8): when non-nil, it runs on the
+// scanning goroutine for every admitted record i just before i joins
+// ReplayIdx, so ReplayIdx then holds exactly the admitted records
+// before i. Returning true ends the scan there, leaving i out; the
+// decision is then a prefix.
 func DecideRedoEach(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc, each func(d *RedoDecision, i int) (stop bool)) *RedoDecision {
 	d := &RedoDecision{
 		// Presized for the worst case (every record admitted): append
@@ -79,16 +75,16 @@ func DecideRedoEach(rec *obs.Recorder, state *model.State, log *Log, checkpoint 
 
 // DecideAndView is the front half of the instant-restart engine
 // (serve.New), which plans every admitted record before it replays any:
-// DecideRedoObserved, and the log's dense view from DefaultViews, built
-// concurrently. The two passes are independent — the decision
-// reads records and the redo test, the view build reads records and
-// interns their variables — so they overlap, and the caller gets both
-// once the slower finishes. The view build records only its cache hit
+// DecideRedoEach with no hook, and the log's dense view from
+// DefaultViews, built concurrently. The two passes are independent — the
+// decision reads records and the redo test, the view build reads records
+// and interns their variables — so they overlap, and the caller gets
+// both once the slower finishes. The view build records only its cache hit
 // or miss on rec, never a span, so the decide span tree is unchanged.
 func DecideAndView(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) (*RedoDecision, *LogView) {
 	view := make(chan *LogView, 1)
 	go func() { view <- DefaultViews.ViewOf(log, rec) }()
-	d := DecideRedoObserved(rec, state, log, checkpoint, redo, analyze)
+	d := DecideRedoEach(rec, state, log, checkpoint, redo, analyze, nil)
 	return d, <-view
 }
 

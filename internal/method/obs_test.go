@@ -278,7 +278,7 @@ func TestScanUniformSchema(t *testing.T) {
 			engines := []engine{
 				{"sequential", func(rec *obs.Recorder) error { _, err := RecoverObserved(db, rec); return err }},
 				{"decide-only", func(rec *obs.Recorder) error {
-					core.DecideRedoObserved(rec, db.StableState(), db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze())
+					core.DecideRedoEach(rec, db.StableState(), db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze(), nil)
 					return nil
 				}},
 			}

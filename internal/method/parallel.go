@@ -388,7 +388,7 @@ func (f *failures) past(lsn core.LSN) bool { return int64(lsn) > f.lsn.Load() }
 // workers skip it (StoreRaw); the caller's merge re-marks the written
 // ids. With nothing left it opens no span and records a zero-duration
 // replay phase, so every observed recovery reports the full breakdown.
-func replayPlan(rec *obs.Recorder, ds *dense.State, lv *core.LogView, plan *partition.DensePlan, from, workers int) (partition.Stats, int, error) {
+func replayPlan(rec *obs.Recorder, ds *dense.State, lv *core.LogView, plan *partition.Plan, from, workers int) (partition.Stats, int, error) {
 	idx, of := plan.Idx[from:], plan.Of[from:]
 	left := make([]int, len(plan.Components))
 	tail := partition.Stats{Ops: len(idx)}
@@ -462,7 +462,7 @@ type share struct{ components, records, writes int }
 // share; the linear scan for the least-loaded worker costs components ×
 // workers, and poolSize bounds workers by the parallelism asked for and
 // by components.
-func assign(plan *partition.DensePlan, left []int, workers int) ([]int32, []share) {
+func assign(plan *partition.Plan, left []int, workers int) ([]int32, []share) {
 	owner := make([]int32, len(plan.Components))
 	shares := make([]share, workers)
 	for ci, c := range plan.Components {

@@ -218,11 +218,11 @@ func TestReplayFailure(t *testing.T) {
 		if v, err := eng.Read("a"); err != nil || v != "0+" {
 			t.Errorf("Read(a) = %q, %v: a healthy component must still serve", v, err)
 		}
-		if err := eng.Drain(); err == nil || !strings.Contains(err.Error(), "replaying flaky#5: boom") {
-			t.Errorf("Drain error %v, want component b's failure (first in plan order)", err)
+		if err := eng.Drain(); err == nil || !strings.Contains(err.Error(), first) {
+			t.Errorf("Drain error %v, want the smallest-LSN failure %q", err, first)
 		}
-		if res, err := eng.Result(); res != nil || err == nil {
-			t.Errorf("Result() = %v, %v, want the sticky failure", res, err)
+		if res, err := eng.Result(); res != nil || err == nil || !strings.Contains(err.Error(), first) {
+			t.Errorf("Result() = %v, %v, want the smallest-LSN failure %q", res, err, first)
 		}
 		if err := obs.CheckSpanNesting(sink.Events()); err != nil {
 			t.Errorf("span nesting after the failures: %v", err)

@@ -25,7 +25,7 @@
 //
 // # The schedule the planner actually builds
 //
-// Components computes the same partition without building a graph at
+// FromViews computes the same partition without building a graph at
 // all, from interference alone: for every variable written by some
 // replayed operation, all replayed operations accessing that variable
 // are fused into one component. Under the Recovery Invariant the two
@@ -51,7 +51,7 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"redotheory/internal/conflict"
 	"redotheory/internal/core"
@@ -60,14 +60,17 @@ import (
 	"redotheory/internal/model"
 )
 
-// Component is one independently replayable unit: records in LSN order
-// whose written variables no other component touches.
+// Component is one independently replayable unit: record indexes into a
+// log view, in LSN order, whose written variables no other component
+// touches.
 type Component struct {
-	// Records in LSN order (the component's topological schedule).
-	Records []*core.Record
-	// Writes is the set of variables the component's operations write:
-	// its slice of the state. Disjoint across components by construction.
-	Writes graph.Set[model.Var]
+	// Idx are indexes into the log view's Views slice, in LSN order
+	// (the component's topological schedule).
+	Idx []int
+	// Writes are the unique interned ids the component's operations
+	// write, ascending: its slice of the state. Disjoint across
+	// components by construction.
+	Writes []uint32
 }
 
 // Plan is a parallel replay schedule for one redo set.
@@ -76,87 +79,179 @@ type Plan struct {
 	Components []*Component
 	// Ops is the total number of records scheduled.
 	Ops int
+	// Idx lists every scheduled record's view index in LSN order: the
+	// replayIdx the plan was built from. Each component's Idx is a
+	// subsequence of it.
+	Idx []int
+	// Of is the component table of the schedule: Of[i] is the index
+	// into Components of the component that replays Idx[i]. Schedules
+	// that walk the log once (DESIGN.md §8) read ownership from it.
+	Of []int32
+
+	// writer and readers are the serve gate's tables (WriterIndex,
+	// ReaderIndex), left over from planning.
+	writer  []int32
+	readers [][]int32
 }
 
-// MaxComponentLen returns the longest component's length — the critical
-// path of the plan in records (0 for an empty plan).
+// MaxComponentLen returns the longest component's length — the
+// critical path of the plan in records (0 for an empty plan).
 func (p *Plan) MaxComponentLen() int {
 	m := 0
 	for _, c := range p.Components {
-		if len(c.Records) > m {
-			m = len(c.Records)
-		}
+		m = max(m, len(c.Idx))
 	}
 	return m
 }
 
-// FromLog plans the replay of the given redo set out of the log: the
-// records whose operation ids are in the set, fused into interference
-// components (see the package comment) and scheduled in LSN order.
-func FromLog(log *core.Log, redo graph.Set[model.OpID]) *Plan {
-	var records []*core.Record
-	for _, r := range log.Records() {
-		if redo.Has(r.Op.ID()) {
-			records = append(records, r)
-		}
-	}
-	return FromRecords(records)
+// Stats returns the plan's summary numbers.
+func (p *Plan) Stats() Stats {
+	return Stats{Ops: p.Ops, Components: len(p.Components), Largest: p.MaxComponentLen()}
 }
 
-// FromRecords plans the replay of the given records, which must be in
-// LSN order (as a log scan yields them).
-func FromRecords(records []*core.Record) *Plan {
-	uf := NewUnionFind(len(records))
+// WriterIndex returns the page→component table of the plan: entry x is
+// the index (into Components) of the component that writes variable id
+// x, or -1 when no scheduled operation writes it. Because components
+// write disjoint variables, the writer component is unique — this is
+// the page→admitted-records index the instant-restart serve engine
+// consults on every touch. The table is built by FromViews and shared:
+// callers must not modify it. numIDs is unused; the parameter keeps the
+// call shape the benchmark harness compiles against.
+func (p *Plan) WriterIndex(numIDs int) []int32 { return p.writer }
+
+// ReaderIndex returns, per variable id, the components whose scheduled
+// operations read it without writing it, ascending and without
+// duplicates: the stable variables a component's recomputation depends
+// on. Interference closure fuses a reader with the variable's writer, so
+// for any id with a writer component the reader list is empty by
+// construction; non-empty lists name variables no component writes. The
+// serve engine's admission gate uses this as the careful-write-order
+// constraint for post-crash writes: a new write to x may proceed only
+// once every component reading x has replayed, or its recomputations
+// would observe the new value instead of the crash-time one. The table
+// is built by FromViews and shared: callers must not modify it. views
+// and numIDs are unused; the parameters keep the call shape the
+// benchmark harness compiles against.
+func (p *Plan) ReaderIndex(views []core.RecordView, numIDs int) [][]int32 { return p.readers }
+
+// FromViews plans the replay of the records named by replayIdx (indexes
+// into views, in LSN order, as the decision phase yields them), fused
+// into interference components (see the package comment). The writer
+// and pending-reader tables are flat slices indexed by interned variable
+// id — numIDs is the interner's Len() — and they become the plan's
+// WriterIndex and ReaderIndex once the components are known.
+func FromViews(views []core.RecordView, replayIdx []int, numIDs int) *Plan {
+	uf := NewUnionFind(len(replayIdx))
 	// Two operations interfere iff they access a common variable that at
 	// least one of them writes; union-find fuses the transitive closure.
-	// writerOf[x] is a representative index once x has a scheduled
-	// writer; pending[x] collects readers seen before any writer — they
-	// must observe the pre-write value, so the first writer fuses with
-	// all of them. Readers of a variable no scheduled operation writes
-	// stay unconstrained: the variable is stable throughout replay.
-	writerOf := make(map[model.Var]int)
-	pending := make(map[model.Var][]int)
-	for i, r := range records {
-		for _, x := range r.Op.Writes() {
-			if w, ok := writerOf[x]; ok {
-				uf.Union(w, i)
+	// writerOf[x] is the replay position of x's first scheduled writer
+	// (-1 when none yet); pending[x] collects readers seen before any
+	// writer — they must observe the pre-write value, so the first writer
+	// fuses with all of them. Readers of a variable no scheduled
+	// operation writes stay unconstrained: the variable is stable
+	// throughout replay.
+	writerOf := make([]int32, numIDs)
+	for i := range writerOf {
+		writerOf[i] = -1
+	}
+	pending := make([][]int32, numIDs)
+	for i, vi := range replayIdx {
+		v := &views[vi]
+		for _, x := range v.Writes {
+			if w := writerOf[x]; w >= 0 {
+				uf.Union(int(w), i)
 			} else {
-				writerOf[x] = i
+				writerOf[x] = int32(i)
 				for _, reader := range pending[x] {
-					uf.Union(reader, i)
+					uf.Union(int(reader), i)
 				}
-				delete(pending, x)
+				pending[x] = nil
 			}
 		}
-		for _, x := range r.Op.Reads() {
-			if w, ok := writerOf[x]; ok {
-				uf.Union(w, i)
+		for _, x := range v.Reads {
+			if w := writerOf[x]; w >= 0 {
+				uf.Union(int(w), i)
 			} else {
-				pending[x] = append(pending[x], i)
+				pending[x] = append(pending[x], int32(i))
 			}
 		}
 	}
 
-	byRoot := make(map[int]*Component)
-	var order []int
-	for i, r := range records {
+	// Group by root. Roots are replay positions, so flat slices replace
+	// a root→component map, and a counting pass sizes two shared arenas
+	// exactly: every component's Idx and Writes is a zero-growth
+	// sub-slice, so building the plan costs a fixed handful of
+	// allocations regardless of how many components there are.
+	n := len(replayIdx)
+	counts := make([]int32, n)
+	wcounts := make([]int32, n)
+	comps := 0
+	for i := 0; i < n; i++ {
 		root := uf.Find(i)
-		c, ok := byRoot[root]
-		if !ok {
-			c = &Component{Writes: graph.NewSet[model.Var]()}
-			byRoot[root] = c
-			order = append(order, root)
+		if counts[root] == 0 {
+			comps++
 		}
-		c.Records = append(c.Records, r) // i ascends, so LSN order is kept
-		for _, x := range r.Op.Writes() {
-			c.Writes.Add(x)
+		counts[root]++
+	}
+	totalWrites := 0
+	for _, w := range writerOf {
+		if w >= 0 {
+			wcounts[uf.Find(int(w))]++
+			totalWrites++
 		}
 	}
-	plan := &Plan{Ops: len(records)}
-	// order holds roots by first appearance, i.e. by first record LSN.
-	for _, root := range order {
-		plan.Components = append(plan.Components, byRoot[root])
+
+	backing := make([]Component, comps)
+	idxArena := make([]int, n)
+	writeArena := make([]uint32, totalWrites)
+	// compAt[root] is the root's component index plus one (0: unseen).
+	compAt := make([]int32, n)
+	plan := &Plan{Ops: n, Components: make([]*Component, 0, comps), Idx: replayIdx, Of: make([]int32, n)}
+	idxOff, wOff := 0, 0
+	for i, vi := range replayIdx {
+		root := uf.Find(i)
+		if compAt[root] == 0 {
+			c := &backing[len(plan.Components)]
+			// Three-index sub-slices: appends fill the reserved region
+			// and can never spill into a neighbour's.
+			c.Idx = idxArena[idxOff : idxOff : idxOff+int(counts[root])]
+			idxOff += int(counts[root])
+			c.Writes = writeArena[wOff : wOff : wOff+int(wcounts[root])]
+			wOff += int(wcounts[root])
+			// i ascends, so components order by first record LSN.
+			plan.Components = append(plan.Components, c)
+			compAt[root] = int32(len(plan.Components))
+		}
+		ci := compAt[root] - 1
+		plan.Of[i] = ci
+		backing[ci].Idx = append(backing[ci].Idx, vi)
 	}
+	// Each written id belongs to the component of its first writer;
+	// iterating writerOf ascending yields each component's Writes
+	// sorted and each id exactly once. The same loop turns writerOf
+	// into the writer table.
+	for x, w := range writerOf {
+		if w >= 0 {
+			ci := compAt[uf.Find(int(w))] - 1
+			backing[ci].Writes = append(backing[ci].Writes, uint32(x))
+			writerOf[x] = ci
+		}
+	}
+	// A written id's readers all fused into its writer's component and
+	// its pending list was cleared, so what pending still holds are the
+	// readers of ids no scheduled record writes: the reader table, once
+	// positions become component indexes, ascending and deduplicated.
+	for x, rs := range pending {
+		if len(rs) == 0 {
+			continue
+		}
+		for k, i := range rs {
+			rs[k] = plan.Of[i]
+		}
+		slices.Sort(rs)
+		pending[x] = slices.Compact(rs)
+	}
+	plan.writer, plan.readers = writerOf, pending
 	return plan
 }
 
@@ -187,11 +282,6 @@ type Stats struct {
 	Components int
 	// Largest is the longest component (the critical path).
 	Largest int
-}
-
-// Stats returns the plan's summary numbers.
-func (p *Plan) Stats() Stats {
-	return Stats{Ops: p.Ops, Components: len(p.Components), Largest: p.MaxComponentLen()}
 }
 
 // Signature renders the stats as a compact "ops/components/largest"
@@ -253,19 +343,4 @@ func (uf *UnionFind) Sets() int {
 		}
 	}
 	return n
-}
-
-// sortIDs sorts operation ids ascending (test helper shared via export).
-func sortIDs(ids []model.OpID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
-// IDs returns the component's operation ids in ascending order.
-func (c *Component) IDs() []model.OpID {
-	out := make([]model.OpID, len(c.Records))
-	for i, r := range c.Records {
-		out[i] = r.Op.ID()
-	}
-	sortIDs(out)
-	return out
 }

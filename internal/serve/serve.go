@@ -4,7 +4,7 @@
 // Sauer & Härder, built on the paper's state-blind decision phase.
 //
 // On startup the engine runs only the cheap decision phase
-// (core.DecideRedo): the same analysis phase, scan, and redo-test
+// (core.DecideAndView): the same analysis phase, scan, and redo-test
 // invocations as offline recovery, but applying nothing. The admitted
 // record set is then partitioned into interference components
 // (internal/partition), and two indexes make any page independently
@@ -90,8 +90,10 @@ type compState struct {
 	// failure) is installed. The atomic read is the gate's lock-free fast
 	// path.
 	done atomic.Bool
-	// err is the sticky replay failure, set before done flips.
-	err error
+	// err is the sticky replay failure and errLSN its record's LSN, both
+	// set before done flips.
+	err    error
+	errLSN core.LSN
 	// redone counts completions — the exactly-once audit the race tests
 	// assert on.
 	redone atomic.Int64
@@ -102,7 +104,7 @@ type Engine struct {
 	rec      *obs.Recorder
 	lv       *core.LogView
 	decision *core.RedoDecision
-	plan     *partition.DensePlan
+	plan     *partition.Plan
 	ds       *dense.State
 	// writer[id] is the component redoing variable id (-1: none);
 	// readers[id] lists the components whose replay reads variable id.
@@ -333,10 +335,10 @@ func (e *Engine) ensure(ci int) error {
 	// admission gate holds post-crash writes to the latter until every
 	// reading component is done.
 	var buf core.ReplayBuf
-	_, err := e.lv.Replay(e.ds, c.Idx[cs.cursor:], &buf)
+	failed, err := e.lv.Replay(e.ds, c.Idx[cs.cursor:], &buf)
 	cs.cursor = len(c.Idx)
 	span.End()
-	e.finish(ci, err, false)
+	e.finish(ci, failed, err, false)
 	e.rec.ObserveDuration(obs.MServeGateWait, time.Since(t0))
 	return cs.err
 }
@@ -364,21 +366,23 @@ func (e *Engine) step(i int, seen []int32, buf *core.ReplayBuf) {
 	if cs.done.Load() || cs.cursor != k {
 		return
 	}
-	_, err := e.lv.Replay(e.ds, e.plan.Idx[i:i+1], buf)
+	failed, err := e.lv.Replay(e.ds, e.plan.Idx[i:i+1], buf)
 	cs.cursor++
 	if err != nil || cs.cursor == cs.n {
-		e.finish(int(ci), err, true)
+		e.finish(int(ci), failed, err, true)
 	}
 }
 
-// finish completes component ci with its replay outcome: it installs the
-// component's writes (on success), counts the completion by trigger,
-// advances the progress gauges, and publishes done. The caller holds the
-// component's mutex.
-func (e *Engine) finish(ci int, err error, swept bool) {
+// finish completes component ci with its replay outcome (failed is the
+// record whose replay returned err): it installs the component's writes
+// (on success), counts the completion by trigger, advances the progress
+// gauges, and publishes done. The caller holds the component's mutex.
+func (e *Engine) finish(ci int, failed *core.Record, err error, swept bool) {
 	cs, c := &e.comps[ci], e.plan.Components[ci]
 	cs.err = err
-	if err == nil {
+	if err != nil {
+		cs.errLSN = failed.LSN
+	} else {
 		// Presence bits share words across components, so the install
 		// needs the state lock.
 		e.mu.Lock()
@@ -412,10 +416,10 @@ func (e *Engine) finish(ci int, err error, swept bool) {
 }
 
 // Drain recovers every remaining component inline — the sweep's walk of
-// the admitted records in log order — then returns the first sticky
-// replay error in component order, if any. Serving continues during and
-// after the drain; Drain alongside a running sweeper is safe and just
-// splits the remaining work.
+// the admitted records in log order — then returns the smallest-LSN
+// sticky replay error, if any: the failure sequential replay hits.
+// Serving continues during and after the drain; Drain alongside a
+// running sweeper is safe and just splits the remaining work.
 func (e *Engine) Drain() error {
 	var buf core.ReplayBuf
 	seen := make([]int32, len(e.comps))
@@ -424,12 +428,22 @@ func (e *Engine) Drain() error {
 	}
 	// The walk reached every component's last record, so every
 	// component is done and its sticky error published.
+	return e.firstErr()
+}
+
+// firstErr returns the sticky replay error with the smallest failing
+// LSN, or nil. Every component must be done.
+func (e *Engine) firstErr() error {
+	var first *compState
 	for ci := range e.comps {
-		if err := e.comps[ci].err; err != nil {
-			return err
+		if cs := &e.comps[ci]; cs.err != nil && (first == nil || cs.errLSN < first.errLSN) {
+			first = cs
 		}
 	}
-	return nil
+	if first == nil {
+		return nil
+	}
+	return first.err
 }
 
 // sweep is the background sweeper: after the optional delay it walks the
@@ -474,20 +488,18 @@ func (e *Engine) Close() {
 }
 
 // Result materializes the recovery outcome once every component has
-// recovered (it errors before that, and surfaces any sticky replay
-// failure). With no post-crash Execs the result is SameOutcome-
-// equivalent to sequential Recover over the same survivors — the
-// fuzzer's leg 8 asserts it across methods, crash points, and touch
+// recovered (it errors before that, and surfaces the smallest-LSN
+// sticky replay failure). With no post-crash Execs the result is
+// SameOutcome-equivalent to sequential Recover over the same survivors —
+// the fuzzer's leg 8 asserts it across methods, crash points, and touch
 // orders; with Execs the state additionally carries the committed
 // writes in commit order (see Commits).
 func (e *Engine) Result() (*core.Result, error) {
 	if !e.FullyRecovered() {
 		return nil, fmt.Errorf("serve: %d of %d components still unrecovered", int64(len(e.plan.Components))-e.recovered.Load(), len(e.plan.Components))
 	}
-	for ci := range e.comps {
-		if err := e.comps[ci].err; err != nil {
-			return nil, err
-		}
+	if err := e.firstErr(); err != nil {
+		return nil, err
 	}
 	return e.decision.Result(e.state), nil
 }
