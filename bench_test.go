@@ -139,7 +139,7 @@ func BenchmarkFig6Recover(b *testing.B) {
 			for _, op := range ops {
 				lg.Append(op)
 			}
-			redo := func(*core.Record, *model.State, *core.Log, core.Analysis) bool { return true }
+			redo := func(*core.Record, core.Analysis) bool { return true }
 			none := graph.NewSet[model.OpID]()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

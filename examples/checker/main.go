@@ -96,7 +96,7 @@ func brokenRedoTest() {
 		log.Fatal(err)
 	}
 	// Nothing installed, but the redo test never replays O.
-	broken := func(r *core.Record, _ *model.State, _ *core.Log, _ core.Analysis) bool {
+	broken := func(r *core.Record, _ core.Analysis) bool {
 		return r.Op.ID() != 1
 	}
 	rep := ck.Check(model.NewState(), lg, graph.NewSet[model.OpID](), broken, nil, true)

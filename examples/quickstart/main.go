@@ -60,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	redo := func(r *core.Record, _ *model.State, _ *core.Log, _ core.Analysis) bool {
+	redo := func(r *core.Record, _ core.Analysis) bool {
 		return !installed.Has(r.Op.ID())
 	}
 	rep := ck.Check(stable, lg, graph.NewSet[model.OpID](), redo, nil, true)

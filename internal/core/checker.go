@@ -188,9 +188,8 @@ func (c *Checker) CheckInstalled(state *model.State, installed graph.Set[model.O
 // method's redo test and analysis function, it runs the recovery
 // procedure once on a clone to learn redo_set, then verifies that
 // operations(log) − redo_set induces an explaining prefix. With verifyEnd
-// set it also confirms that run's final state. One run serves both
-// because the Section 6 redo tests are stateful (they advance captured
-// page LSNs) and would skip on a second pass what the first redid.
+// set it also confirms that run's final state. One run serves both: the
+// replay that learns redo_set is the replay whose end state is checked.
 func (c *Checker) Check(state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc, verifyEnd bool) *Report {
 	if err := log.ValidateAgainst(c.cg); err != nil {
 		return &Report{Violations: []Violation{{Kind: LogInconsistent, Detail: err.Error()}}}

@@ -89,7 +89,7 @@ func TestLogValidateAgainst(t *testing.T) {
 // outside the given installed set, modelling a method that knows its
 // installed set precisely.
 func oracleRedo(installed graph.Set[model.OpID]) RedoTest {
-	return func(r *Record, _ *model.State, _ *Log, _ Analysis) bool {
+	return func(r *Record, _ Analysis) bool {
 		return !installed.Has(r.Op.ID())
 	}
 }
@@ -128,7 +128,7 @@ func TestRecoverHonorsCheckpoint(t *testing.T) {
 	// Checkpoint covers O: recovery must not even examine it.
 	state := model.StateOf(map[model.Var]model.Value{"x": model.IntVal(1)})
 	res, err := Recover(state, l, graph.NewSet[model.OpID](1),
-		func(*Record, *model.State, *Log, Analysis) bool { return true }, nil)
+		func(*Record, Analysis) bool { return true }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestAnalysisPhaseThreading(t *testing.T) {
 			return "the-analysis"
 		}
 		var seen []Analysis
-		redo := func(_ *Record, _ *model.State, _ *Log, a Analysis) bool {
+		redo := func(_ *Record, a Analysis) bool {
 			if calls != 1 {
 				t.Errorf("%s: redo test ran with %d analysis calls made, want 1", name, calls)
 			}
@@ -195,7 +195,7 @@ func TestAnalysisPhaseThreading(t *testing.T) {
 			}
 		}
 
-		run(func(_ *Record, _ *model.State, _ *Log, a Analysis) bool {
+		run(func(_ *Record, a Analysis) bool {
 			if a != nil {
 				t.Errorf("%s: nil analysis function, yet redo test saw %v", name, a)
 			}
@@ -323,7 +323,7 @@ func TestCheckerEndToEnd(t *testing.T) {
 	if !good.OK {
 		t.Errorf("good redo test rejected: %s", good.Summary())
 	}
-	broken := func(r *Record, _ *model.State, _ *Log, _ Analysis) bool {
+	broken := func(r *Record, _ Analysis) bool {
 		return r.Op.ID() != 1 // never redoes O, though nothing is installed
 	}
 	bad := ck.Check(state, l, empty, broken, nil, true)
@@ -350,7 +350,7 @@ func TestCheckerLogInconsistent(t *testing.T) {
 	}
 	rev := logOf(b, a)
 	rep := ck.Check(model.NewState(), rev, graph.NewSet[model.OpID](),
-		func(*Record, *model.State, *Log, Analysis) bool { return true }, nil, false)
+		func(*Record, Analysis) bool { return true }, nil, false)
 	if rep.OK || rep.Violations[0].Kind != LogInconsistent {
 		t.Errorf("report = %s", rep.Summary())
 	}

@@ -31,15 +31,13 @@ type RedoDecision struct {
 // same scan, the same redo test invocations, against the given state.
 //
 // Separating decision from application is what makes partitioned replay
-// possible, and it is faithful to sequential Recover exactly when the
-// redo test and analysis function are state-blind: they may read the
-// log, the analysis value, and any state captured at construction time
-// (the page-LSN tables every Section 6 method uses), but not the state
-// being rebuilt — in Recover that state mutates as replay progresses,
-// here it does not. Every method in internal/method satisfies this: the
-// paper's redo tests decide from LSN comparisons, not from recovering
-// values. The property tests in internal/method assert the resulting
-// equivalence against sequential Recover for every method.
+// possible, and it is faithful to sequential Recover because the redo
+// test cannot see the state being rebuilt: its type hands it only the
+// record and the analysis value, plus whatever it captured at
+// construction (the page-LSN tables every Section 6 method uses). The
+// analysis function runs once, before any replay, so it sees the same
+// state here as in Recover. The property tests in internal/method assert
+// the resulting equivalence against sequential Recover for every method.
 func DecideRedo(state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) *RedoDecision {
 	return DecideRedoEach(nil, state, log, checkpoint, redo, analyze, nil)
 }

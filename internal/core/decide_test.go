@@ -24,7 +24,7 @@ func decideFixture() (*model.State, *Log, graph.Set[model.OpID], RedoTest, Analy
 	checkpoint := graph.NewSet[model.OpID](1)
 	// State-blind: decides from the operation id alone (a stand-in for
 	// the LSN comparisons the real methods make).
-	redo := func(r *Record, _ *model.State, _ *Log, analysis Analysis) bool {
+	redo := func(r *Record, analysis Analysis) bool {
 		return r.Op.ID() >= analysis.(model.OpID)
 	}
 	calls := new(int)

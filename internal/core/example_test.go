@@ -25,7 +25,7 @@ func ExampleRecover() {
 		"x": model.IntVal(1), "y": model.IntVal(3),
 	})
 	installed := graph.NewSet[model.OpID](p.ID())
-	redo := func(r *core.Record, _ *model.State, _ *core.Log, _ core.Analysis) bool {
+	redo := func(r *core.Record, _ core.Analysis) bool {
 		return !installed.Has(r.Op.ID())
 	}
 	res, err := core.Recover(state, log, graph.NewSet[model.OpID](), redo, nil)

@@ -53,7 +53,7 @@ func TestLogNeedsOnlyConflictOrder(t *testing.T) {
 		if err := shuffled.ValidateAgainst(ck.Conflict()); err != nil {
 			return false
 		}
-		replayAll := func(*Record, *model.State, *Log, Analysis) bool { return true }
+		replayAll := func(*Record, Analysis) bool { return true }
 		res, err := Recover(s0.Clone(), shuffled, graph.NewSet[model.OpID](), replayAll, nil)
 		if err != nil {
 			return false
@@ -80,7 +80,7 @@ func TestCheckpointNeedNotBePrefix(t *testing.T) {
 	state := model.StateOf(map[model.Var]model.Value{"x": model.IntVal(3)})
 	// Checkpoint covers only the later record.
 	checkpoint := graph.NewSet[model.OpID](2)
-	replayRest := func(*Record, *model.State, *Log, Analysis) bool { return true }
+	replayRest := func(*Record, Analysis) bool { return true }
 	rep := ck.Check(state, l, checkpoint, replayRest, nil, true)
 	if !rep.OK {
 		t.Fatalf("non-prefix checkpoint rejected: %s", rep.Summary())

@@ -26,8 +26,11 @@ type AnalyzeFunc func(state *model.State, log *Log, checkpoint graph.Set[model.O
 // redo(O, S, L, A) names the operation; the test here is handed the log
 // record the scan is standing on — the operation r.Op plus the "additional
 // information about this operation and its invocation" Section 4.1 lets a
-// record carry, of which the LSN is what the page-LSN tests compare.
-type RedoTest func(r *Record, state *model.State, log *Log, analysis Analysis) bool
+// record carry, of which the LSN is what the page-LSN tests compare. S and
+// L are fixed when the analysis runs, so whatever a test needs from them
+// the analysis (or the test's construction) captures: a RedoTest is a
+// pure predicate — reentrant, order-free, and shareable across goroutines.
+type RedoTest func(r *Record, analysis Analysis) bool
 
 // Result reports what an execution of the recovery procedure did.
 type Result struct {
@@ -131,7 +134,7 @@ func Scan(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[
 		}
 		examined++
 		cExamined.Add(1)
-		if !redo(r, state, log, analysis) {
+		if !redo(r, analysis) {
 			cSkipped.Add(1)
 			if sinking {
 				rec.Emit(verdict(obs.EvSkip, r, "redo-test-false"))

@@ -18,9 +18,10 @@ import (
 // returned in the Result exactly as Recover would have left it.
 //
 // Faithfulness rests on the kernel contract (DESIGN.md §1.1.1):
-// the redo test and analysis function are state-blind, so handing them
-// the pre-replay state (which the dense path never mutates mid-scan)
-// makes the same decisions sequential Recover makes, and deterministic
+// the redo test never sees the state (its type says so) and the analysis
+// function is state-blind, so handing analysis the pre-replay state
+// (which the dense path never mutates mid-scan) makes the same decisions
+// sequential Recover makes, and deterministic
 // operations replayed in the same order against the same read values
 // write the same values. The differential tests in internal/method
 // assert state-for-state equality against map-based Recover for every

@@ -30,7 +30,7 @@ func TestRedoSetLargerThanNecessary(t *testing.T) {
 	}
 	final := ck.FinalState() // {x=3 z=7}
 	// Everything is installed; an over-eager redo test replays A and B.
-	overEager := func(r *Record, _ *model.State, _ *Log, _ Analysis) bool {
+	overEager := func(r *Record, _ Analysis) bool {
 		return r.Op.ID() != 1
 	}
 	rep := ck.Check(final.Clone(), l, graph.NewSet[model.OpID](), overEager, nil, true)
@@ -53,7 +53,7 @@ func TestRedoSetLargerThanNecessary(t *testing.T) {
 	// mid-replay... more precisely, replaying only A rewrites z to 4 and
 	// nothing restores it, and the checker's end-to-end verification
 	// catches the divergence.
-	onlyA := func(r *Record, _ *model.State, _ *Log, _ Analysis) bool {
+	onlyA := func(r *Record, _ Analysis) bool {
 		return r.Op.ID() == 2
 	}
 	rep = ck.Check(final.Clone(), l, graph.NewSet[model.OpID](), onlyA, nil, true)
@@ -76,7 +76,7 @@ func TestPhysicalStyleFullReplayAlwaysSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := ck.FinalState()
-	replayAll := func(*Record, *model.State, *Log, Analysis) bool { return true }
+	replayAll := func(*Record, Analysis) bool { return true }
 	// From the final state (everything installed) and from the initial
 	// state (nothing installed), full replay lands on the final state.
 	for _, start := range []*model.State{final.Clone(), model.NewState()} {

@@ -34,13 +34,13 @@ import (
 
 // Coverage counter and sample names recorded on Config.Recorder.
 const (
-	MCells         = "fuzz.cells"          // clean oracle cells checked
-	MFaultCells    = "fuzz.fault_cells"    // faulted campaign cells checked
-	MShardCells    = "fuzz.shard_cells"    // sharded differential cells checked
-	MHistories     = "fuzz.histories"      // distinct histories generated
-	MDisagreements = "fuzz.disagreements"  // oracle disagreements found
-	MRedoSize      = "fuzz.redo_size"      // sample: redo-set size per cell
-	MComponents    = "fuzz.components"     // sample: partition components per cell
+	MCells         = "fuzz.cells"            // clean oracle cells checked
+	MFaultCells    = "fuzz.fault_cells"      // faulted campaign cells checked
+	MShardCells    = "fuzz.shard_cells"      // sharded differential cells checked
+	MHistories     = "fuzz.histories"        // distinct histories generated
+	MDisagreements = "fuzz.disagreements"    // oracle disagreements found
+	MRedoSize      = "fuzz.redo_size"        // sample: redo-set size per cell
+	MComponents    = "fuzz.components"       // sample: partition components per cell
 	GShapes        = "fuzz.partition_shapes" // gauge: distinct partition signatures
 )
 

@@ -106,10 +106,11 @@ func TestAnalysisRunsOncePerRecovery(t *testing.T) {
 	}
 }
 
-// TestCheckerVerifyEndStatefulRedoTest is the regression test for the
-// audit handing one stateful page-LSN redo test to two recoveries: the
-// second skipped what the first had redone and reported a false
-// recovery-diverged.
+// TestCheckerVerifyEndStatefulRedoTest: a verifyEnd audit of a sound
+// page-LSN crash state passes, with one redo test serving both the
+// redo_set replay and the end-state check. (The name is from when a
+// page-LSN test updated its table on admit and a reused test reported a
+// false recovery-diverged.)
 func TestCheckerVerifyEndStatefulRedoTest(t *testing.T) {
 	db := hotPageCrashed(t, func(s *model.State) DB { return NewPhysiological(s) }, 200)
 	checker, err := core.NewChecker(db.StableLog(), db.RecoveryBase())

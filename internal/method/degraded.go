@@ -274,8 +274,8 @@ func RecoverDegraded(db DB, opts DegradedOptions) (*DegradedResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("method: building degraded-recovery checker: %w", err)
 		}
-		// verifyEnd is off: stateful redo tests (page-LSN families) are
-		// single-use, and end-state equality is the caller's oracle check.
+		// verifyEnd is off: end-state equality is the caller's oracle
+		// check, against the determined state rather than this replay.
 		res.Audit = checker.Check(db.StableState(), log, db.Checkpointed(), db.RedoTest(), db.Analyze(), false)
 		return res, nil
 	}
@@ -288,7 +288,6 @@ func RecoverDegraded(db DB, opts DegradedOptions) (*DegradedResult, error) {
 	rec.Inc(obs.MDegradedRuns)
 	state := db.RecoveryBase()
 	lsns := db.RecoveryBaseLSNs()
-	redoAll := func(*core.Record, *model.State, *core.Log, core.Analysis) bool { return true }
 	_, _, err := core.Scan(rec, state, log, nil, redoAll, nil, true, func(_ int, r *core.Record) (bool, error) {
 		_, err := state.Apply(r.Op)
 		for _, x := range r.Op.Writes() {

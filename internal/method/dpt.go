@@ -21,10 +21,6 @@ import (
 // survive both filters pay the page-LSN comparison.
 type PhysiologicalDPT struct {
 	*Physiological
-	// DPTSkips counts redo-test rejections decided by the table alone,
-	// without a page read — the metric the analysis phase exists to
-	// improve.
-	DPTSkips int
 }
 
 // dptCheckpoint is the checkpoint payload: the redo scan bound plus the
@@ -44,35 +40,19 @@ func NewPhysiologicalDPT(initial *model.State) *PhysiologicalDPT {
 func (d *PhysiologicalDPT) Name() string { return "physiological+dpt" }
 
 // Checkpoint records the fuzzy bound and a snapshot of the dirty page
-// table.
+// table: each dirty page with its recLSN, the LSN of the first update
+// since the page was last installed. Everything logged for the page
+// below its recLSN is installed.
 func (d *PhysiologicalDPT) Checkpoint() error {
-	bound, dirty := d.cache.MinRecLSN()
-	if !dirty {
-		bound = d.log.NextLSN()
-	}
 	dpt := make(map[model.Var]core.LSN)
 	for _, id := range d.cache.DirtyPages() {
-		// recLSN is not exported per page; the minimum bound plus the
-		// page set is what ARIES needs — the per-page recLSN here is the
-		// page's current LSN lower-bounded by the global bound, which is
-		// conservative but correct. Use the page's recLSN via RecLSN.
 		if lsn, ok := d.cache.RecLSN(id); ok {
 			dpt[id] = lsn
 		}
 	}
-	d.log.AppendCheckpoint(dptCheckpoint{bound: bound, dpt: dpt})
+	d.log.AppendCheckpoint(dptCheckpoint{bound: d.fuzzyBound(), dpt: dpt})
 	d.noteCheckpoint()
 	return nil
-}
-
-// Checkpointed returns the operations below the stable checkpoint's
-// bound.
-func (d *PhysiologicalDPT) Checkpointed() graph.Set[model.OpID] {
-	ck, ok := d.log.StableCheckpoint()
-	if !ok {
-		return graph.NewSet[model.OpID]()
-	}
-	return checkpointedUpTo(d.StableLog(), ck.Payload.(dptCheckpoint).bound)
 }
 
 // Analyze reconstructs the dirty page table in one pass: start from the
@@ -132,20 +112,18 @@ func (d *PhysiologicalDPT) CheckpointFloors() map[model.Var]core.LSN {
 }
 
 // RedoTest filters through the reconstructed table before falling back
-// to the stable page-LSN comparison, which it never updates (see
-// Physiological.RedoTest).
+// to the stable page-LSN comparison (pageLSNTest). A rejection by the
+// table is decided without reading the page.
 func (d *PhysiologicalDPT) RedoTest() core.RedoTest {
-	lsns := d.store.LSNs()
-	return func(r *core.Record, _ *model.State, _ *core.Log, analysis core.Analysis) bool {
-		page, lsn := r.Op.Writes()[0], r.LSN
+	byPage := pageLSNTest(d.store.LSNs())
+	return func(r *core.Record, analysis core.Analysis) bool {
 		if dpt, ok := analysis.(map[model.Var]core.LSN); ok {
-			rec, dirty := dpt[page]
-			if !dirty || lsn < rec {
-				d.DPTSkips++
+			rec, dirty := dpt[r.Op.Writes()[0]]
+			if !dirty || r.LSN < rec {
 				return false
 			}
 		}
-		return lsn > lsns[page]
+		return byPage(r, analysis)
 	}
 }
 

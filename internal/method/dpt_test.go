@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"redotheory/internal/core"
 	"redotheory/internal/model"
 )
 
@@ -102,8 +103,16 @@ func TestDPTSkipCounterFires(t *testing.T) {
 	if len(res.RedoSet()) != 2 || !res.RedoSet().Has(1) || !res.RedoSet().Has(4) {
 		t.Errorf("redo set = %v, want {1,4}", res.RedoSet())
 	}
-	if db.DPTSkips < 2 {
-		t.Errorf("DPT skips = %d, want both op 2 (clean page) and op 3 (below snapshot recLSN)", db.DPTSkips)
+	// Ops 2 and 3 are rejected by the table db.Analyze() reconstructs,
+	// before any page-LSN comparison: R is absent from it, and P's
+	// recLSN is above op 3's LSN.
+	log := db.StableLog()
+	dpt := db.Analyze()(db.StableState(), log, db.Checkpointed()).(map[model.Var]core.LSN)
+	if _, ok := dpt[r]; ok {
+		t.Errorf("table %v holds R, which was clean at the checkpoint (op 2 not skipped by the table)", dpt)
+	}
+	if rec, ok := dpt[p]; !ok || rec <= log.RecordOf(3).LSN {
+		t.Errorf("table %v: P's recLSN must be above op 3's LSN %d (op 3 not skipped by the table)", dpt, log.RecordOf(3).LSN)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"redotheory/internal/cache"
 	"redotheory/internal/core"
-	"redotheory/internal/graph"
 	"redotheory/internal/model"
 )
 
@@ -111,50 +110,16 @@ func (d *GenLSN) FlushOne() bool {
 	return d.cache.FlushFirst()
 }
 
-// Checkpoint takes the same fuzzy checkpoint as physiological recovery:
-// the minimum recLSN of the dirty pages bounds the redo scan, because an
-// operation below the bound has its written page already installed.
-func (d *GenLSN) Checkpoint() error {
-	bound, dirty := d.cache.MinRecLSN()
-	if !dirty {
-		bound = d.log.NextLSN()
-	}
-	d.log.AppendCheckpoint(bound)
-	d.noteCheckpoint()
-	return nil
-}
-
-// Checkpointed returns the stable-logged operations below the stable
-// checkpoint bound.
-func (d *GenLSN) Checkpointed() graph.Set[model.OpID] {
-	ck, ok := d.log.StableCheckpoint()
-	if !ok {
-		return graph.NewSet[model.OpID]()
-	}
-	return checkpointedUpTo(d.StableLog(), ck.Payload.(core.LSN))
-}
-
-// RedoTest is the generalized page-LSN test: redo iff the written page's
-// stable LSN is below the operation's (the table is never updated; see
-// Physiological.RedoTest). A replayed operation re-reads its read pages
-// from the recovering state; the careful write order guarantees it
-// observes exactly what it observed during normal execution.
-func (d *GenLSN) RedoTest() core.RedoTest {
-	lsns := d.store.LSNs()
-	return func(r *core.Record, _ *model.State, _ *core.Log, _ core.Analysis) bool {
-		return r.LSN > lsns[r.Op.Writes()[0]]
-	}
-}
-
-// Analyze returns nil.
-func (d *GenLSN) Analyze() core.AnalyzeFunc { return nil }
+// RedoTest is the page-LSN test on the one written page, as in
+// physiological recovery, behind base's fuzzy checkpoint. A replayed
+// operation re-reads its read pages from the recovering state; the
+// careful write order guarantees it observes exactly what it observed
+// during normal execution.
+func (d *GenLSN) RedoTest() core.RedoTest { return pageLSNTest(d.store.LSNs()) }
 
 // CarefulWriteOrder is true: the read-write deps registered in Exec are
 // exactly the install-order contract RedoTest's re-reads rely on.
 func (d *GenLSN) CarefulWriteOrder() bool { return true }
-
-// Stats reports the method's counters.
-func (d *GenLSN) Stats() Stats { return d.stats() }
 
 // Crash discards volatile state including the reader tracking.
 func (d *GenLSN) Crash() {

@@ -167,35 +167,14 @@ func (d *GroupLSN) FlushOne() bool {
 	return true
 }
 
-// Checkpoint takes the fuzzy min-recLSN checkpoint.
-func (d *GroupLSN) Checkpoint() error {
-	bound, dirtyAny := d.cache.MinRecLSN()
-	if !dirtyAny {
-		bound = d.log.NextLSN()
-	}
-	d.log.AppendCheckpoint(bound)
-	d.noteCheckpoint()
-	return nil
-}
-
-// Checkpointed returns the stable-logged operations below the stable
-// checkpoint bound.
-func (d *GroupLSN) Checkpointed() graph.Set[model.OpID] {
-	ck, ok := d.log.StableCheckpoint()
-	if !ok {
-		return graph.NewSet[model.OpID]()
-	}
-	return checkpointedUpTo(d.StableLog(), ck.Payload.(core.LSN))
-}
-
 // RedoTest: an operation is installed iff every page it wrote carries at
 // least its LSN — group-atomic installation guarantees all-or-nothing,
 // so testing any one page would suffice, but checking them all doubles
 // as a runtime assertion of that atomicity. The stable page-LSN table is
-// never updated (see Physiological.RedoTest).
+// never updated (see pageLSNTest). Checkpoints are base's fuzzy ones.
 func (d *GroupLSN) RedoTest() core.RedoTest {
 	lsns := d.store.LSNs()
-	return func(r *core.Record, _ *model.State, _ *core.Log, _ core.Analysis) bool {
+	return func(r *core.Record, _ core.Analysis) bool {
 		op, lsn := r.Op, r.LSN
 		installedPages := 0
 		for _, page := range op.Writes() {
@@ -213,12 +192,6 @@ func (d *GroupLSN) RedoTest() core.RedoTest {
 		return true
 	}
 }
-
-// Analyze returns nil.
-func (d *GroupLSN) Analyze() core.AnalyzeFunc { return nil }
-
-// Stats reports the method's counters.
-func (d *GroupLSN) Stats() Stats { return d.stats() }
 
 // Crash discards volatile state including the group and reader tracking.
 func (d *GroupLSN) Crash() {

@@ -99,22 +99,11 @@ func (d *Logical) Crash() {
 	d.base.Crash()
 }
 
-// Checkpointed returns every stable-logged operation below the stable
-// checkpoint: exactly the operations the pointer swing installed.
-func (d *Logical) Checkpointed() graph.Set[model.OpID] {
-	ck, ok := d.log.StableCheckpoint()
-	if !ok {
-		return graph.NewSet[model.OpID]()
-	}
-	return checkpointedUpTo(d.StableLog(), ck.Payload.(core.LSN))
-}
-
-// RedoTest replays every operation after the checkpoint: the stable state
-// is exactly the state the checkpoint determined, so each replayed
+// RedoTest replays every operation after the checkpoint (base's
+// Checkpointed is exactly what the pointer swing installed): the stable
+// state is exactly the state the checkpoint determined, so each replayed
 // operation reads precisely what it read during normal execution.
-func (d *Logical) RedoTest() core.RedoTest {
-	return func(*core.Record, *model.State, *core.Log, core.Analysis) bool { return true }
-}
+func (d *Logical) RedoTest() core.RedoTest { return redoAll }
 
 // Analyze returns the analysis locating the last stable checkpoint (the
 // classic "find the checkpoint record" scan).
@@ -127,8 +116,5 @@ func (d *Logical) Analyze() core.AnalyzeFunc {
 		return ck.AtLSN
 	}
 }
-
-// Stats reports the method's counters.
-func (d *Logical) Stats() Stats { return d.stats() }
 
 var _ DB = (*Logical)(nil)

@@ -58,10 +58,10 @@ type DB interface {
 	// ignore (Section 4.2): they are installed by construction.
 	Checkpointed() graph.Set[model.OpID]
 	// RedoTest returns a redo test bound to the current stable state.
-	// Every shipped test is a pure function of the record and the
-	// analysis: the page-LSN tests compare against the stable page LSN
-	// table captured here and never update it, so one test gives the
-	// same verdicts on a second call and in any record order.
+	// A core.RedoTest sees only the record and the analysis, so every
+	// test is a pure predicate: the page-LSN tests compare against the
+	// stable page LSN table captured here, and one test gives the same
+	// verdicts on a second call, in any record order, on any goroutine.
 	RedoTest() core.RedoTest
 	// Analyze returns the method's analysis function (may be nil).
 	Analyze() core.AnalyzeFunc
@@ -231,6 +231,46 @@ func (b *base) WAL() *wal.Manager { return b.log }
 // never read pages other than the one being redone.
 func (b *base) CarefulWriteOrder() bool { return false }
 
+// Checkpoint takes the fuzzy checkpoint of Sections 6.3–6.4 without
+// flushing anything: it records the minimum recLSN of the dirty pages
+// (or the log end when the cache is clean). Every operation logged below
+// that bound has its pages installed, so recovery may ignore it.
+// Physical, logical and +dpt override it.
+func (b *base) Checkpoint() error {
+	b.log.AppendCheckpoint(b.fuzzyBound())
+	b.noteCheckpoint()
+	return nil
+}
+
+// fuzzyBound is the fuzzy checkpoint's installed-below bound.
+func (b *base) fuzzyBound() core.LSN {
+	bound, dirty := b.cache.MinRecLSN()
+	if !dirty {
+		bound = b.log.NextLSN()
+	}
+	return bound
+}
+
+// Checkpointed returns the stable-logged operations below the newest
+// stable checkpoint's bound: the operations its checkpoint installed
+// (the pointer swing, the flush-all, or the fuzzy bound), whichever
+// payload shape carries the bound.
+func (b *base) Checkpointed() graph.Set[model.OpID] {
+	bound, ok := b.CheckpointBound()
+	if !ok {
+		return graph.NewSet[model.OpID]()
+	}
+	return checkpointedUpTo(b.StableLog(), bound)
+}
+
+// Analyze returns nil: the checkpoint bound, already consumed by
+// Checkpointed, is the whole analysis. Logical and +dpt override it.
+func (b *base) Analyze() core.AnalyzeFunc { return nil }
+
+// FlushOne installs the first dirty page the cache's write-order and WAL
+// gates allow, and reports whether it made progress.
+func (b *base) FlushOne() bool { return b.cache.FlushFirst() }
+
 // CheckpointBound returns the newest stable checkpoint's installed-below
 // LSN bound. Both checkpoint payload shapes carry one.
 func (b *base) CheckpointBound() (core.LSN, bool) {
@@ -313,7 +353,8 @@ func (b *base) StableState() *model.State { return b.store.State() }
 // StableLog returns the stable log prefix.
 func (b *base) StableLog() *core.Log { return b.log.StableLog() }
 
-func (b *base) stats() Stats {
+// Stats reports the method's counters.
+func (b *base) Stats() Stats {
 	return Stats{
 		OpsExecuted: b.opsExecuted,
 		LogRecords:  b.log.Log().Len(),
@@ -328,6 +369,20 @@ func (b *base) stats() Stats {
 // FlushPage installs one specific dirty page if its dependencies allow;
 // experiments use it to shape which pages pin the checkpoint bound.
 func (b *base) FlushPage(x model.Var) error { return b.cache.Flush(x) }
+
+// redoAll is the redo test that replays every unrecovered record.
+func redoAll(*core.Record, core.Analysis) bool { return true }
+
+// pageLSNTest is the page-LSN test of Section 6.3 for operations that
+// write one page: redo a record iff its LSN exceeds the stable LSN
+// tagging the page it writes (else it is already installed). The table
+// is never updated: LSNs rise along the log, so once a record beats its
+// page's stable tag every later record on that page does too.
+func pageLSNTest(lsns map[model.Var]core.LSN) core.RedoTest {
+	return func(r *core.Record, _ core.Analysis) bool {
+		return r.LSN > lsns[r.Op.Writes()[0]]
+	}
+}
 
 // checkpointedUpTo returns the stable-logged operations with LSN strictly
 // below the bound: the canonical "ops the checkpoint covers" set.

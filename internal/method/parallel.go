@@ -88,8 +88,8 @@ func (r *ParallelResult) Plan() partition.Stats {
 // or so; heavy replay falls behind, and the pool takes most of the log.
 //
 // Like Recover via the DB surface, it does not modify the crashed DB:
-// it works on the fresh projections StableState, StableLog, and a fresh
-// RedoTest return.
+// it works on the fresh projections StableState and StableLog, and on the
+// pure test RedoTest returns.
 func RecoverParallel(db DB, opts ParallelOptions) (*ParallelResult, error) {
 	return RecoverParallelLog(db, db.StableLog(), opts)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"redotheory/internal/core"
-	"redotheory/internal/graph"
 	"redotheory/internal/model"
 )
 
@@ -52,10 +51,6 @@ func (d *Physical) Exec(op *model.Op) error {
 	return nil
 }
 
-// FlushOne installs any dirty page; physical logging permits stealing at
-// any time because uninstalled after-images keep their pages unexposed.
-func (d *Physical) FlushOne() bool { return d.cache.FlushFirst() }
-
 // Checkpoint flushes every dirty page and then writes the checkpoint
 // record. Writing the record atomically installs all operations logged
 // before it (their effects are already stable) and removes them from
@@ -69,27 +64,11 @@ func (d *Physical) Checkpoint() error {
 	return nil
 }
 
-// Checkpointed returns every stable-logged operation below the stable
-// checkpoint.
-func (d *Physical) Checkpointed() graph.Set[model.OpID] {
-	ck, ok := d.log.StableCheckpoint()
-	if !ok {
-		return graph.NewSet[model.OpID]()
-	}
-	return checkpointedUpTo(d.StableLog(), ck.Payload.(core.LSN))
-}
-
 // RedoTest replays every non-checkpointed operation unconditionally:
 // after-images are blind, so replay is idempotent and order within a page
-// follows the log.
-func (d *Physical) RedoTest() core.RedoTest {
-	return func(*core.Record, *model.State, *core.Log, core.Analysis) bool { return true }
-}
-
-// Analyze returns nil; the checkpoint bound is the whole analysis.
-func (d *Physical) Analyze() core.AnalyzeFunc { return nil }
-
-// Stats reports the method's counters.
-func (d *Physical) Stats() Stats { return d.stats() }
+// follows the log. Physical logging permits stealing at any time
+// (base.FlushOne) because uninstalled after-images keep their pages
+// unexposed.
+func (d *Physical) RedoTest() core.RedoTest { return redoAll }
 
 var _ DB = (*Physical)(nil)

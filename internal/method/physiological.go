@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"redotheory/internal/core"
-	"redotheory/internal/graph"
 	"redotheory/internal/model"
 )
 
@@ -49,50 +48,10 @@ func (d *Physiological) Exec(op *model.Op) error {
 	return nil
 }
 
-// FlushOne installs one dirty page (no ordering constraints exist:
-// single-page operations put no edges between page nodes, Section 6.3).
-func (d *Physiological) FlushOne() bool { return d.cache.FlushFirst() }
-
-// Checkpoint takes a fuzzy checkpoint: it records the minimum recLSN of
-// the dirty pages (or the log end when clean) without flushing anything.
-// Operations below the bound are installed, so recovery may ignore them.
-func (d *Physiological) Checkpoint() error {
-	bound, dirty := d.cache.MinRecLSN()
-	if !dirty {
-		bound = d.log.NextLSN()
-	}
-	d.log.AppendCheckpoint(bound)
-	d.noteCheckpoint()
-	return nil
-}
-
-// Checkpointed returns the stable-logged operations below the stable
-// checkpoint's recLSN bound.
-func (d *Physiological) Checkpointed() graph.Set[model.OpID] {
-	ck, ok := d.log.StableCheckpoint()
-	if !ok {
-		return graph.NewSet[model.OpID]()
-	}
-	return checkpointedUpTo(d.StableLog(), ck.Payload.(core.LSN))
-}
-
-// RedoTest returns the page-LSN test of Section 6.3: redo an operation
-// iff its LSN exceeds the stable LSN tagging its page. The test never
-// updates the table: LSNs rise along the log, so once a record beats
-// its page's stable tag every later record on that page does too, and
-// the verdict depends on the record alone (reusable, order-free).
-func (d *Physiological) RedoTest() core.RedoTest {
-	lsns := d.store.LSNs()
-	return func(r *core.Record, _ *model.State, _ *core.Log, _ core.Analysis) bool {
-		return r.LSN > lsns[r.Op.Writes()[0]] // else already installed; bypass
-	}
-}
-
-// Analyze returns nil: the page-LSN test needs no analysis phase beyond
-// the checkpoint bound already consumed by Checkpointed.
-func (d *Physiological) Analyze() core.AnalyzeFunc { return nil }
-
-// Stats reports the method's counters.
-func (d *Physiological) Stats() Stats { return d.stats() }
+// RedoTest returns the page-LSN test of Section 6.3 over the stable page
+// LSNs. Checkpoints are base's fuzzy ones, and base.FlushOne may install
+// any dirty page: single-page operations put no edges between page
+// nodes (Section 6.3).
+func (d *Physiological) RedoTest() core.RedoTest { return pageLSNTest(d.store.LSNs()) }
 
 var _ DB = (*Physiological)(nil)

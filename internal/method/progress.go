@@ -17,9 +17,10 @@ import (
 // checkpoint record with that bound is a legal fuzzy checkpoint taken
 // during recovery (the restart analogue of ARIES fuzzy checkpointing).
 //
-// The payload must be whatever the method's own Checkpointed/Analyze
-// expect: a plain core.LSN bound for the scalar-payload methods, a
-// dirty-page-table snapshot for the ARIES-style analysis variant.
+// The payload must be whatever the method's Analyze expects: a plain
+// core.LSN bound for the scalar-payload methods, a dirty-page-table
+// snapshot for the ARIES-style analysis variant. base.Checkpointed reads
+// the bound out of either shape.
 
 // ProgressCheckpointer is implemented by methods that accept a
 // recovery-progress checkpoint. All methods embed the base
@@ -51,8 +52,8 @@ func (b *base) AppendProgressCheckpoint(bound core.LSN) {
 func (b *base) InstallsDuringRecovery() bool { return true }
 
 // AppendProgressCheckpoint overrides the scalar payload with a
-// dirty-page-table snapshot, which is what this method's Checkpointed,
-// Analyze, and CheckpointFloors expect. The reconstructed table maps
+// dirty-page-table snapshot, which is what this method's Analyze and
+// CheckpointFloors expect. The reconstructed table maps
 // each page with uninstalled records to its recLSN — the first stable
 // record at or above the bound that writes it. That is precisely the
 // table a fuzzy checkpoint taken at this point of recovery would

@@ -49,14 +49,14 @@ func TestRedoTestsArePure(t *testing.T) {
 						redo := db.RedoTest()
 						want := make(map[*core.Record]bool, len(recs))
 						for _, r := range recs {
-							want[r] = redo(r, state, log, analysis)
+							want[r] = redo(r, analysis)
 							if want[r] {
 								admitted++
 							}
 						}
 						check := func(how string, order []*core.Record) {
 							for _, r := range order {
-								if got := redo(r, state, log, analysis); got != want[r] {
+								if got := redo(r, analysis); got != want[r] {
 									t.Fatalf("seed=%d crash=%d: %s verdict on LSN %d is %v, in-order verdict %v", seed, crash, how, r.LSN, got, want[r])
 								}
 							}

@@ -239,11 +239,11 @@ type panickyRedo struct {
 
 func (d panickyRedo) RedoTest() core.RedoTest {
 	inner := d.DB.RedoTest()
-	return func(r *core.Record, s *model.State, l *core.Log, a core.Analysis) bool {
+	return func(r *core.Record, a core.Analysis) bool {
 		if r.LSN == d.at {
 			panic("redo test: invariant broken")
 		}
-		return inner(r, s, l, a)
+		return inner(r, a)
 	}
 }
 

@@ -15,10 +15,12 @@ import (
 // crash-during-recovery tests drive this to a fixed point and audit the
 // invariant at every intermediate crash.
 
-// Installer is implemented by methods whose recovery may persist redone
-// work as it goes (the page-LSN and after-image families). Logical
-// recovery deliberately does not implement it: System R keeps recovery's
-// work volatile and re-runs from the checkpoint state after a crash.
+// Installer is the DB surface restart-installing recovery writes through.
+// Every method implements it via base, logical recovery included; what
+// keeps logical out of installing recovery is its
+// InstallsDuringRecovery() returning false (System R keeps recovery's
+// work volatile and re-runs from the checkpoint state after a crash), so
+// callers check that before installing.
 type Installer interface {
 	DB
 	// InstallPage writes a page with its LSN tag directly into stable

@@ -6,7 +6,9 @@ import (
 	"testing/quick"
 
 	"redotheory/internal/core"
+	"redotheory/internal/graph"
 	"redotheory/internal/model"
+	"redotheory/internal/workload"
 )
 
 func TestTruncateCheckpointedBasics(t *testing.T) {
@@ -178,6 +180,79 @@ func TestCheckpointedUpToStopsAtBound(t *testing.T) {
 		}
 		if len(got) != want {
 			t.Errorf("bound %d: %d ops, want %d", bound, len(got), want)
+		}
+	}
+}
+
+// TestCheckpointedMatchesBound pins every method's Checkpointed to one
+// definition: the stable-logged operations below CheckpointBound, and
+// nothing when there is no stable checkpoint. The table covers both
+// checkpoint payload shapes (+dpt's table snapshot, the scalar bound of
+// the rest, logical's pointer swing among them), over seeded histories
+// with and without log truncation after a checkpoint.
+func TestCheckpointedMatchesBound(t *testing.T) {
+	pages := workload.Pages(5)
+	for _, f := range parallelFactories {
+		shapes, err := workload.ShapesFor(f.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, truncate := range []bool{false, true} {
+			var none, some int // crash points with no checkpoint, with a non-empty set
+			for seed := int64(1); seed <= 3; seed++ {
+				ops := shapes[0].Gen(40, pages, seed)
+				for crash := 0; crash <= len(ops); crash += 4 {
+					db := f.mk(workload.InitialState(pages))
+					rng := rand.New(rand.NewSource(seed*97 + int64(crash)))
+					for _, op := range ops[:crash] {
+						if err := db.Exec(op); err != nil {
+							t.Fatal(err)
+						}
+						if rng.Float64() < 0.3 {
+							db.FlushOne()
+						}
+						if rng.Float64() < 0.2 {
+							db.FlushLog()
+						}
+						if rng.Float64() < 0.15 {
+							if err := db.Checkpoint(); err != nil {
+								t.Fatal(err)
+							}
+							if truncate && rng.Intn(2) == 0 {
+								if _, err := db.(Truncator).TruncateCheckpointed(); err != nil {
+									t.Fatal(err)
+								}
+							}
+						}
+					}
+					db.Crash()
+					got := db.Checkpointed()
+					want := graph.NewSet[model.OpID]()
+					if bound, ok := db.CheckpointBound(); ok {
+						for _, r := range db.StableLog().Records() {
+							if r.LSN < bound {
+								want.Add(r.Op.ID())
+							}
+						}
+					} else {
+						none++
+					}
+					if len(want) > 0 {
+						some++
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s truncate=%v seed=%d crash=%d: Checkpointed has %d ops, want %d", f.name, truncate, seed, crash, len(got), len(want))
+					}
+					for id := range want {
+						if !got.Has(id) {
+							t.Fatalf("%s truncate=%v seed=%d crash=%d: op %d below the bound is missing", f.name, truncate, seed, crash, id)
+						}
+					}
+				}
+			}
+			if none == 0 || some == 0 {
+				t.Errorf("%s truncate=%v: %d crash points without a checkpoint, %d with a non-empty set; the table must cover both", f.name, truncate, none, some)
+			}
 		}
 	}
 }

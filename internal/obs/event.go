@@ -43,15 +43,15 @@ const (
 // per type; Seq is stamped by the emitting Recorder and totally orders
 // the stream.
 type Event struct {
-	Seq   uint64        `json:"seq"`
-	Type  EventType     `json:"type"`
-	Phase Phase         `json:"phase,omitempty"`   // span events
-	LSN   int64         `json:"lsn,omitempty"`     // record/force LSN
-	Op    string        `json:"op,omitempty"`      // logged operation (admit/skip)
-	Page  string        `json:"page,omitempty"`    // cache events
-	Verdict string      `json:"verdict,omitempty"` // redo-test reason
-	Detail  string      `json:"detail,omitempty"`  // free-form (detections)
-	Dur     time.Duration `json:"dur,omitempty"`   // span-end elapsed
+	Seq     uint64        `json:"seq"`
+	Type    EventType     `json:"type"`
+	Phase   Phase         `json:"phase,omitempty"`   // span events
+	LSN     int64         `json:"lsn,omitempty"`     // record/force LSN
+	Op      string        `json:"op,omitempty"`      // logged operation (admit/skip)
+	Page    string        `json:"page,omitempty"`    // cache events
+	Verdict string        `json:"verdict,omitempty"` // redo-test reason
+	Detail  string        `json:"detail,omitempty"`  // free-form (detections)
+	Dur     time.Duration `json:"dur,omitempty"`     // span-end elapsed
 
 	// Causal-tracing fields (see DESIGN.md §13). TS is nanoseconds since
 	// the process trace epoch, stamped by Emit under the emission lock, so

@@ -100,16 +100,16 @@ const (
 // noted.
 const (
 	// Decision-phase counters (core.DecideRedo / core.Recover).
-	MRedoExamined     = "redo.examined"      // records the redo test saw
-	MRedoAdmitted     = "redo.admitted"      // redo test said replay
-	MRedoSkipped      = "redo.skipped"       // redo test said installed
-	MRedoCheckpointed = "redo.checkpointed"  // skipped via checkpoint set
-	MReplayRecords    = "replay.records"     // operations actually re-applied
-	MReplayComponents = "replay.components"  // components replayed
-	MPartitionPlans   = "partition.plans"    // partition plans built
-	MPartitionWidth   = "partition.width"    // sample histogram: records per component
-	GPartitionLargest = "partition.largest"  // gauge: widest component of the last plan
-	MDegradedRuns     = "degraded.replays"   // conservative full-replay passes
+	MRedoExamined     = "redo.examined"       // records the redo test saw
+	MRedoAdmitted     = "redo.admitted"       // redo test said replay
+	MRedoSkipped      = "redo.skipped"        // redo test said installed
+	MRedoCheckpointed = "redo.checkpointed"   // skipped via checkpoint set
+	MReplayRecords    = "replay.records"      // operations actually re-applied
+	MReplayComponents = "replay.components"   // components replayed
+	MPartitionPlans   = "partition.plans"     // partition plans built
+	MPartitionWidth   = "partition.width"     // sample histogram: records per component
+	GPartitionLargest = "partition.largest"   // gauge: widest component of the last plan
+	MDegradedRuns     = "degraded.replays"    // conservative full-replay passes
 	MDetections       = "degraded.detections" // integrity detections observed
 
 	// Supervised-recovery counters (internal/supervise).
@@ -124,33 +124,33 @@ const (
 	GSupProgress    = "supervise.progress"             // gauge: installed-prefix size after the last attempt
 
 	// Runtime counters (the DB implementations and substrates).
-	MDBExec        = "db.exec"        // operations executed
-	MDBCheckpoints = "db.checkpoints" // checkpoints taken
-	MCacheFlushes  = "cache.flushes"  // page installs
-	MCacheSteals   = "cache.steals"   // older-version installs (multi-version cache)
+	MDBExec        = "db.exec"             // operations executed
+	MDBCheckpoints = "db.checkpoints"      // checkpoints taken
+	MCacheFlushes  = "cache.flushes"       // page installs
+	MCacheSteals   = "cache.steals"        // older-version installs (multi-version cache)
 	MCacheGroups   = "cache.group_flushes" // atomic multi-page group installs
-	MWALAppends    = "wal.appends"    // log records appended
-	MWALBytes      = "wal.bytes"      // simulated log bytes appended
-	MWALForces     = "wal.forces"     // log forces that did work
+	MWALAppends    = "wal.appends"         // log records appended
+	MWALBytes      = "wal.bytes"           // simulated log bytes appended
+	MWALForces     = "wal.forces"          // log forces that did work
 
 	// Instant-restart serve counters (internal/serve).
-	MServeReads    = "serve.reads"        // client reads served
-	MServeWrites   = "serve.writes"       // post-crash client writes committed
-	MServeLazy     = "serve.lazy_redo"    // components finished on demand by a touch
-	MServeSwept    = "serve.swept"        // components finished by the background sweeper or Drain
-	MServeGateWait = "serve.gate_wait"    // duration histogram: time a touch spent blocked on the admission gate
-	MServeTTFR     = "serve.ttfr"         // duration histogram: time from engine start to the first served read
-	GServePages    = "serve.pages_recovered" // gauge: pages (written variables) recovered so far
+	MServeReads    = "serve.reads"                // client reads served
+	MServeWrites   = "serve.writes"               // post-crash client writes committed
+	MServeLazy     = "serve.lazy_redo"            // components finished on demand by a touch
+	MServeSwept    = "serve.swept"                // components finished by the background sweeper or Drain
+	MServeGateWait = "serve.gate_wait"            // duration histogram: time a touch spent blocked on the admission gate
+	MServeTTFR     = "serve.ttfr"                 // duration histogram: time from engine start to the first served read
+	GServePages    = "serve.pages_recovered"      // gauge: pages (written variables) recovered so far
 	GServeComps    = "serve.components_recovered" // gauge: components recovered so far
 
 	// Sharded-database counters (internal/shard).
-	MShardCrossTxns   = "shard.cross_txns"     // cross-shard transactions executed
-	MShardCertify     = "shard.certifications" // certification passes run
-	MShardGateBlocked = "shard.gate_blocked"   // installs/checkpoints refused by the certification gate
-	MShardCutRetreats = "shard.cut_retreats"   // frontier-retreat steps during cut computation
-	MShardCutDropped  = "shard.cut_dropped_txns" // transactions outside the certified cut
+	MShardCrossTxns   = "shard.cross_txns"          // cross-shard transactions executed
+	MShardCertify     = "shard.certifications"      // certification passes run
+	MShardGateBlocked = "shard.gate_blocked"        // installs/checkpoints refused by the certification gate
+	MShardCutRetreats = "shard.cut_retreats"        // frontier-retreat steps during cut computation
+	MShardCutDropped  = "shard.cut_dropped_txns"    // transactions outside the certified cut
 	MShardCutRecords  = "shard.cut_dropped_records" // stable records excluded by the cut
-	GShardCutLag      = "shard.cut_lag_records" // gauge: records between stable frontiers and the last cut, summed over shards
+	GShardCutLag      = "shard.cut_lag_records"     // gauge: records between stable frontiers and the last cut, summed over shards
 
 	// Shared-cache effectiveness counters (core.ViewCache/GraphCache).
 	MViewHits    = "cache.view_hits"    // log-view cache hits

@@ -18,8 +18,8 @@ const SchemaV1 = "redotheory/metrics/v1"
 // Report is the on-disk metrics artifact: what `redosim -metrics`
 // writes, `redostats` renders, and the CI schema smoke test validates.
 type Report struct {
-	Schema      string               `json:"schema"`
-	GeneratedAt string               `json:"generated_at"`
+	Schema      string `json:"schema"`
+	GeneratedAt string `json:"generated_at"`
 	// Source names the producing command and mode (e.g. "redosim -campaign").
 	Source  string               `json:"source"`
 	Methods map[string]*Snapshot `json:"methods"`

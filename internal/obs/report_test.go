@@ -168,8 +168,8 @@ func TestCorruptReportInputs(t *testing.T) {
 // on negative bar widths.
 func TestRenderCorruptWidthsDoesNotPanic(t *testing.T) {
 	for _, h := range []HistSnapshot{
-		{Count: 5},                                          // count, no buckets
-		{Count: 5, Buckets: []int64{-3, -2}},                // all-negative buckets
+		{Count: 5},                           // count, no buckets
+		{Count: 5, Buckets: []int64{-3, -2}}, // all-negative buckets
 		{Count: 5, Min: 1, Max: 9, Buckets: []int64{0, -1, 6}}, // mixed sign
 	} {
 		rep := &Report{Totals: &Snapshot{Samples: map[string]HistSnapshot{MPartitionWidth: h}}}

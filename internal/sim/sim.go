@@ -205,7 +205,7 @@ func Run(mk Factory, cfg Config) (*Result, error) {
 		res.Violations = rep.Violations
 	}
 
-	// Recovery (fresh redo test) and verification.
+	// Recovery and verification.
 	start := time.Now()
 	rec, err := method.RecoverObserved(db, cfg.Recorder)
 	res.Wall = time.Since(start)
