@@ -259,7 +259,7 @@ func benchMethodRecovery(b *testing.B, name string, mk sim.Factory) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := sim.Run(mk, sim.Config{
-			Ops: ops, Initial: s0, CrashAfter: 150, Seed: int64(i), SkipChecker: true,
+			Ops: ops, Initial: s0, CrashAfter: 150, Sched: sim.DefaultSched(int64(i)), SkipChecker: true,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -48,8 +48,10 @@ import (
 	"time"
 
 	"redotheory/internal/method"
+	"redotheory/internal/model"
 	"redotheory/internal/obs"
 	"redotheory/internal/rtrace"
+	"redotheory/internal/sim"
 	"redotheory/internal/trendlog"
 	"redotheory/internal/workload"
 )
@@ -177,14 +179,11 @@ func main() {
 	pages := workload.Pages(*nPages)
 	s0 := workload.InitialState(pages)
 	ops := workload.HeavySinglePage(*nOps, pages, *rounds, 42)
-	db := method.NewPhysiological(s0)
-	for _, op := range ops {
-		if err := db.Exec(op); err != nil {
-			fatal(err)
-		}
+	physiological := func(s *model.State) method.DB { return method.NewPhysiological(s) }
+	db, err := sim.BuildCrashed(physiological, s0, ops, len(ops), sim.Sched{ForceOnCrash: true}, nil)
+	if err != nil {
+		fatal(err)
 	}
-	db.FlushLog()
-	db.Crash()
 
 	// One recovery up front: sanity-check the fixture shape and the
 	// parallel engine's agreement with the sequential procedure before

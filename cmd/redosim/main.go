@@ -35,23 +35,10 @@ import (
 	"redotheory/internal/workload"
 )
 
-var factories = []struct {
-	name string
-	mk   sim.Factory
-}{
-	{"logical", func(s *model.State) method.DB { return method.NewLogical(s) }},
-	{"physical", func(s *model.State) method.DB { return method.NewPhysical(s) }},
-	{"physiological", func(s *model.State) method.DB { return method.NewPhysiological(s) }},
-	{"physiological+dpt", func(s *model.State) method.DB { return method.NewPhysiologicalDPT(s) }},
-	{"genlsn", func(s *model.State) method.DB { return method.NewGenLSN(s) }},
-	{"genlsn+mv", func(s *model.State) method.DB { return method.NewGenLSNMV(s) }},
-	{"grouplsn", func(s *model.State) method.DB { return method.NewGroupLSN(s) }},
-}
-
 func factory(name string) (sim.Factory, bool) {
-	for _, f := range factories {
-		if f.name == name {
-			return f.mk, true
+	for _, f := range sim.DefaultMethods() {
+		if f.Name == name {
+			return f.New, true
 		}
 	}
 	return nil, false
@@ -150,39 +137,28 @@ func writeTraceArtifact(path string, nOps, nPages int, seed int64) {
 
 	pages := workload.Pages(nPages)
 	s0 := workload.InitialState(pages)
-	for _, f := range factories {
-		ops, err := workload.ForMethod(f.name, nOps, pages, seed)
+	// Every history runs to its end with the whole log forced: a crash
+	// that loses nothing, so recovery replays every unflushed record.
+	crashed := func(name string) method.DB {
+		ops, err := workload.ForMethod(name, nOps, pages, seed)
 		if err != nil {
 			fatal(err)
 		}
-		db := f.mk(s0)
-		for _, op := range ops {
-			if err := db.Exec(op); err != nil {
-				fatal(err)
-			}
+		db, err := sim.BuildCrashed(factoryMust(name), s0, ops, len(ops), sim.Sched{ForceOnCrash: true}, nil)
+		if err != nil {
+			fatal(err)
 		}
-		db.FlushLog()
-		db.Crash()
-		if _, err := method.RecoverParallel(db, method.ParallelOptions{Workers: 4, Recorder: rec}); err != nil {
-			fatal(fmt.Errorf("tracing %s: %w", f.name, err))
+		return db
+	}
+	for _, f := range sim.DefaultMethods() {
+		if _, err := method.RecoverParallel(crashed(f.Name), method.ParallelOptions{Workers: 4, Recorder: rec}); err != nil {
+			fatal(fmt.Errorf("tracing %s: %w", f.Name, err))
 		}
 	}
 
 	// One supervised recovery with a single nested crash: the trace gains
 	// a supervise root with two attempt spans and their install batches.
-	ops, err := workload.ForMethod("physiological", nOps, pages, seed)
-	if err != nil {
-		fatal(err)
-	}
-	db := method.NewPhysiological(s0)
-	for _, op := range ops {
-		if err := db.Exec(op); err != nil {
-			fatal(err)
-		}
-	}
-	db.FlushLog()
-	db.Crash()
-	sup, err := supervise.Supervise(db, supervise.Options{
+	sup, err := supervise.Supervise(crashed("physiological"), supervise.Options{
 		MaxAttempts:   8,
 		ProgressEvery: 2,
 		Seed:          seed,
@@ -254,8 +230,8 @@ func runMatrix(nOps, nPages int, seed int64, workers int, metrics *sim.CampaignM
 	}
 	fmt.Fprintln(w, header)
 	bad := false
-	for _, f := range factories {
-		ops, err := workload.ForMethod(f.name, nOps, pages, seed)
+	for _, f := range sim.DefaultMethods() {
+		ops, err := workload.ForMethod(f.Name, nOps, pages, seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -268,7 +244,7 @@ func runMatrix(nOps, nPages int, seed int64, workers int, metrics *sim.CampaignM
 			// only exist in the partitioned engine; observe it.
 			sweepWorkers = 2
 		}
-		results, err := sim.SweepObserved(f.mk, ops, s0, seed, sweepWorkers, metrics.Recorder(f.name))
+		results, err := sim.Sweep(f.New, ops, s0, seed, sweepWorkers, metrics.Recorder(f.Name))
 		if err != nil {
 			fatal(err)
 		}
@@ -334,8 +310,9 @@ func runWALFault(nOps, nPages int, seed int64) {
 	detected, runs := 0, 0
 	for crashAt := 1; crashAt <= len(ops); crashAt++ {
 		res, err := sim.Run(factoryMust("physiological"), sim.Config{
-			Ops: ops, Initial: s0, CrashAfter: crashAt, Seed: seed + int64(crashAt),
-			DisableWAL: true, FlushProb: 0.6, ForceProb: 0.05,
+			Ops: ops, Initial: s0, CrashAfter: crashAt,
+			Sched:      sim.Sched{Seed: seed + int64(crashAt), FlushProb: 0.6, ForceProb: 0.05, CheckpointProb: 0.1},
+			DisableWAL: true,
 		})
 		if err != nil {
 			fatal(err)
@@ -364,16 +341,12 @@ func runWALFault(nOps, nPages int, seed int64) {
 // classifying every run; the headline assertion is zero silent
 // corruption across the whole matrix.
 func runCampaign(nOps, nPages, nSeeds, workers int, metrics *sim.CampaignMetrics) {
-	methods := make([]sim.NamedFactory, len(factories))
-	for i, f := range factories {
-		methods[i] = sim.NamedFactory{Name: f.name, New: f.mk}
-	}
 	seeds := make([]int64, 0, max(nSeeds, 0))
 	for i := 0; i < nSeeds; i++ {
 		seeds = append(seeds, int64(i+1))
 	}
 	results, err := sim.Campaign(sim.CampaignConfig{
-		Methods:      methods,
+		Methods:      sim.DefaultMethods(),
 		NumOps:       nOps,
 		NumPages:     nPages,
 		CrashPoints:  []int{0, nOps / 2, nOps},
@@ -434,16 +407,12 @@ func runCampaign(nOps, nPages, nSeeds, workers int, metrics *sim.CampaignMetrics
 // restart loop; the headline assertion is that every cell converges to
 // the determined state with strictly monotone install progress.
 func runNestedCrash(nOps, nPages, nSeeds, workers, maxAttempts, progressEvery int, outDir string, metrics *sim.CampaignMetrics) {
-	methods := make([]sim.NamedFactory, len(factories))
-	for i, f := range factories {
-		methods[i] = sim.NamedFactory{Name: f.name, New: f.mk}
-	}
 	seeds := make([]int64, 0, max(nSeeds, 0))
 	for i := 0; i < nSeeds; i++ {
 		seeds = append(seeds, int64(i+1))
 	}
 	results, err := sim.NestedCrashCampaign(sim.NestedCrashConfig{
-		Methods:       methods,
+		Methods:       sim.DefaultMethods(),
 		NumOps:        nOps,
 		NumPages:      nPages,
 		Seeds:         seeds,
@@ -527,19 +496,15 @@ func nestedFailure(r *sim.NestedCrashResult) (check, detail string) {
 }
 
 // writeNestedArtifact exports a failing cell as a fuzz v2 repro. The
-// campaign's execution loop draws background activity in the same order
-// and with the same probabilities as the fuzzer's executor, so the
-// schedule below re-creates the identical crash state and the artifact's
-// nested_crash field drives the supervised leg through the same restart
-// storm.
+// campaign and the fuzzer execute through the same crash loop, so the
+// schedule the cell ran re-creates the identical crash state and the
+// artifact's nested_crash field drives the supervised leg through the
+// same restart storm.
 func writeNestedArtifact(dir string, i int, r *sim.NestedCrashResult, nPages int, check, detail string) {
 	cell := fuzz.Cell{
-		History: fuzz.History{Method: r.Method, Shape: "nested-crash-campaign", Pages: nPages, Ops: r.Ops},
-		Crash:   r.CrashAfter,
-		Schedule: fuzz.Schedule{
-			Seed:      sim.MixSeed(r.Seed, int64(fault.Sum(r.Method)), int64(r.CrashAfter), 5),
-			FlushProb: 0.3, ForceProb: 0.2, CheckpointProb: 0.1,
-		},
+		History:     fuzz.History{Method: r.Method, Shape: "nested-crash-campaign", Pages: nPages, Ops: r.Ops},
+		Crash:       r.CrashAfter,
+		Schedule:    r.Sched,
 		NestedCrash: r.Schedule,
 	}
 	art := fuzz.NewArtifact(cell, check, detail)
@@ -702,7 +667,7 @@ func runOne(name string, nOps, nPages, crash int, seed int64, online bool, worke
 		parWorkers = workers
 	}
 	if crash < 0 {
-		results, err := sim.SweepObserved(mk, ops, s0, seed, parWorkers, metrics.Recorder(name))
+		results, err := sim.Sweep(mk, ops, s0, seed, parWorkers, metrics.Recorder(name))
 		if err != nil {
 			fatal(err)
 		}
@@ -721,7 +686,7 @@ func runOne(name string, nOps, nPages, crash int, seed int64, online bool, worke
 		}
 		return
 	}
-	res, err := sim.Run(mk, sim.Config{Ops: ops, Initial: s0, CrashAfter: crash, Seed: seed, OnlineAudit: online, ParallelWorkers: parWorkers, Recorder: metrics.Recorder(name)})
+	res, err := sim.Run(mk, sim.Config{Ops: ops, Initial: s0, CrashAfter: crash, Sched: sim.DefaultSched(seed), OnlineAudit: online, ParallelWorkers: parWorkers, Recorder: metrics.Recorder(name)})
 	if err != nil {
 		fatal(err)
 	}
@@ -765,23 +730,10 @@ func emitCrashTrace(name string, nOps, nPages, crash int, seed int64) {
 	if err != nil {
 		fatal(err)
 	}
-	if crash > len(ops) {
-		fatal(fmt.Errorf("crash point %d beyond %d ops", crash, len(ops)))
+	db, err := sim.BuildCrashed(mk, s0, ops, crash, sim.Sched{Seed: seed, FlushProb: 0.3, ForceProb: 0.2}, nil)
+	if err != nil {
+		fatal(err)
 	}
-	db := mk(s0)
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < crash; i++ {
-		if err := db.Exec(ops[i]); err != nil {
-			fatal(err)
-		}
-		if rng.Float64() < 0.3 {
-			db.FlushOne()
-		}
-		if rng.Float64() < 0.2 {
-			db.FlushLog()
-		}
-	}
-	db.Crash()
 	stableLog := db.StableLog()
 	redoSet, err := core.PredictRedoSet(db.StableState(), stableLog, db.Checkpointed(), db.RedoTest(), db.Analyze())
 	if err != nil {

@@ -31,7 +31,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		results, err := sim.Sweep(f.mk, ops, s0, 77)
+		results, err := sim.Sweep(f.mk, ops, s0, 77, 0, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -129,7 +129,7 @@ func TestExperimentE9CrashMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := sim.Sweep(row.mk, ops, s0, 17)
+		results, err := sim.Sweep(row.mk, ops, s0, 17, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,8 +491,9 @@ func TestExperimentWALFaultDetection(t *testing.T) {
 	detected := 0
 	for crash := 1; crash <= len(ops); crash++ {
 		res, err := sim.Run(func(s *model.State) method.DB { return method.NewPhysiological(s) },
-			sim.Config{Ops: ops, Initial: s0, CrashAfter: crash, Seed: int64(crash),
-				DisableWAL: true, FlushProb: 0.6, ForceProb: 0.05})
+			sim.Config{Ops: ops, Initial: s0, CrashAfter: crash,
+				Sched:      sim.Sched{Seed: int64(crash), FlushProb: 0.6, ForceProb: 0.05, CheckpointProb: 0.1},
+				DisableWAL: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,18 +44,6 @@ const (
 	GShapes        = "fuzz.partition_shapes" // gauge: distinct partition signatures
 )
 
-// Schedule is one background cache-steal/flush/checkpoint schedule. The
-// probabilities are taken literally — unlike sim.Config, a zero value
-// means "never", which is what lets the shrinker simplify a failing
-// schedule all the way down to no background activity at all.
-type Schedule struct {
-	Seed           int64   `json:"seed"`
-	FlushProb      float64 `json:"flush_prob"`
-	ForceProb      float64 `json:"force_prob"`
-	CheckpointProb float64 `json:"checkpoint_prob"`
-	TruncateProb   float64 `json:"truncate_prob"`
-}
-
 // History is one generated operation history bound to a method.
 type History struct {
 	// Method names the recovery method the history is legal for.
@@ -75,7 +63,7 @@ type History struct {
 type Cell struct {
 	History  History
 	Crash    int
-	Schedule Schedule
+	Schedule sim.Sched
 	// Workers is the parallel-recovery pool size.
 	Workers int
 	// NestedCrash is the supervised-recovery leg's crash schedule: entry
@@ -197,7 +185,7 @@ func (r *Report) Disagreements() int { return len(r.Failures) }
 // histories: the sim default, an aggressive-steal profile, a
 // force-heavy/rarely-checkpoint profile, and a flush-heavy profile with
 // truncation after every checkpoint.
-var scheduleProfiles = []Schedule{
+var scheduleProfiles = []sim.Sched{
 	{FlushProb: 0.3, ForceProb: 0.2, CheckpointProb: 0.1, TruncateProb: 0.2},
 	{FlushProb: 0.6, ForceProb: 0.5, CheckpointProb: 0.3, TruncateProb: 0.5},
 	{FlushProb: 0.05, ForceProb: 0.9, CheckpointProb: 0.02, TruncateProb: 0},
@@ -328,20 +316,10 @@ func (c *Config) fail(m sim.NamedFactory, cell Cell, dis *disagreement) *Failure
 // history, asserting the media-fault oracle: an injected fault either
 // doesn't materialize, is repaired, or is explicitly unrecoverable —
 // never silent corruption.
-func runFaultCells(m sim.NamedFactory, hist History, profile Schedule, rep *Report, rec *obs.Recorder, kinds map[string]bool) error {
+func runFaultCells(m sim.NamedFactory, hist History, profile sim.Sched, rep *Report, rec *obs.Recorder, kinds map[string]bool) error {
 	for _, kind := range fault.Kinds() {
-		planSeed := sim.MixSeed(hist.Seed, int64(fault.Sum(string(kind))), 5)
-		crash := len(hist.Ops) / 2
-		res, err := sim.RunFaulted(m.New, sim.Config{
-			Ops:            hist.Ops,
-			Initial:        workload.InitialState(workload.Pages(hist.Pages)),
-			CrashAfter:     crash,
-			Seed:           sim.MixSeed(planSeed, 6),
-			FlushProb:      profile.FlushProb,
-			ForceProb:      profile.ForceProb,
-			CheckpointProb: profile.CheckpointProb,
-			TruncateProb:   profile.TruncateProb,
-		}, fault.Plan{Seed: planSeed, Kind: kind})
+		cell, plan := faultCell(hist, profile, kind)
+		res, err := runFaulted(m, cell, plan)
 		if err != nil {
 			return fmt.Errorf("fuzz: faulted cell %s/%s: %w", m.Name, kind, err)
 		}
@@ -349,11 +327,10 @@ func runFaultCells(m sim.NamedFactory, hist History, profile Schedule, rep *Repo
 		rec.Inc(MFaultCells)
 		kinds[string(kind)] = true
 		if res.Outcome == sim.SilentCorruption {
-			cell := Cell{History: hist, Crash: crash, Schedule: profile}
 			rep.Failures = append(rep.Failures, &Failure{
 				Cell:   cell,
 				Check:  "fault-silent-corruption",
-				Detail: fmt.Sprintf("kind %s: %v", kind, res.Detections),
+				Detail: fmt.Sprintf("kind %s, plan seed %d: %v", kind, plan.Seed, res.Detections),
 			})
 			rec.Inc(MDisagreements)
 		}
@@ -361,20 +338,31 @@ func runFaultCells(m sim.NamedFactory, hist History, profile Schedule, rep *Repo
 	return nil
 }
 
-// execute runs the cell's history prefix under its schedule and crashes.
-// It delegates to sim.BuildCrashed, which takes the probabilities
-// literally: the fuzzer owns schedule shrinking, and a shrunk schedule
-// must be able to express "no background activity", which sim.Config's
-// zero-means-default convention cannot.
+// faultCell is the cell and fault plan of one faulted campaign run over
+// the history: crashed halfway, under the history's schedule profile
+// seeded from the plan seed. The reported cell is the one that ran, so a
+// failure re-creates its crash state from the report.
+func faultCell(hist History, profile sim.Sched, kind fault.Kind) (Cell, fault.Plan) {
+	planSeed := sim.MixSeed(hist.Seed, int64(fault.Sum(string(kind))), 5)
+	sched := profile
+	sched.Seed = sim.MixSeed(planSeed, 6)
+	return Cell{History: hist, Crash: len(hist.Ops) / 2, Schedule: sched}, fault.Plan{Seed: planSeed, Kind: kind}
+}
+
+// runFaulted runs a fault cell under its plan (sim.RunFaulted).
+func runFaulted(m sim.NamedFactory, cell Cell, plan fault.Plan) (*sim.FaultResult, error) {
+	return sim.RunFaulted(m.New, sim.Config{
+		Ops:        cell.History.Ops,
+		Initial:    workload.InitialState(workload.Pages(cell.History.Pages)),
+		CrashAfter: cell.Crash,
+		Sched:      cell.Schedule,
+	}, plan)
+}
+
+// execute runs the cell's history prefix under its schedule through the
+// shared crash loop (sim.BuildCrashed) and crashes.
 func execute(mk sim.Factory, cell Cell, rec *obs.Recorder) (method.DB, error) {
-	s := cell.Schedule
-	return sim.BuildCrashed(mk, workload.InitialState(workload.Pages(cell.History.Pages)), cell.History.Ops, cell.Crash, sim.Sched{
-		Seed:           s.Seed,
-		FlushProb:      s.FlushProb,
-		ForceProb:      s.ForceProb,
-		CheckpointProb: s.CheckpointProb,
-		TruncateProb:   s.TruncateProb,
-	}, rec)
+	return sim.BuildCrashed(mk, workload.InitialState(workload.Pages(cell.History.Pages)), cell.History.Ops, cell.Crash, cell.Schedule, rec)
 }
 
 func sortedKeys(m map[string]bool) []string {

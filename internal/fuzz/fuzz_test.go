@@ -4,8 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"redotheory/internal/fault"
 	"redotheory/internal/model"
 	"redotheory/internal/obs"
+	"redotheory/internal/sim"
 )
 
 // TestCleanGridAgrees is the fuzzer's own soundness check: over the full
@@ -129,13 +131,12 @@ func TestInjectedOracleBugIsCaught(t *testing.T) {
 	}
 }
 
-// TestExecuteHonorsLiteralZeroProbabilities distinguishes the fuzzer's
-// execution loop from sim.Run: a schedule of literal zeros must perform
-// no background flushes, forces, or checkpoints — sim.Config would remap
-// those zeros to its defaults, which would make shrunk quiet schedules
-// unrepresentable.
+// TestExecuteHonorsLiteralZeroProbabilities: the crash loop takes a
+// schedule's probabilities literally, so a schedule of zeros performs no
+// background flushes, forces, or checkpoints. The shrinker's quiet
+// schedule depends on it.
 func TestExecuteHonorsLiteralZeroProbabilities(t *testing.T) {
-	cell := mkCell(t, "physiological", 6, 6, Schedule{Seed: 7})
+	cell := mkCell(t, "physiological", 6, 6, sim.Sched{Seed: 7})
 	db, err := execute(factoryFor(t, "physiological"), cell, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -147,6 +148,41 @@ func TestExecuteHonorsLiteralZeroProbabilities(t *testing.T) {
 	// Nothing was forced or stolen, so no operation survives the crash.
 	if n := db.StableLog().Len(); n != 0 {
 		t.Fatalf("quiet schedule left %d stable records", n)
+	}
+}
+
+// TestFaultCellReportsTheScheduleThatRan: a fault cell's report must
+// re-create its run. The cell carries the plan-seeded schedule that
+// sim.RunFaulted executed, not the history's unseeded profile, and
+// re-running it reproduces the outcome.
+func TestFaultCellReportsTheScheduleThatRan(t *testing.T) {
+	m := namedFor(t, "physiological")
+	hist := mkCell(t, m.Name, 10, 0, sim.Sched{}).History
+	profile := scheduleProfiles[1]
+	for _, kind := range fault.Kinds() {
+		cell, plan := faultCell(hist, profile, kind)
+		if cell.Schedule.Seed == 0 || cell.Schedule.Seed == plan.Seed {
+			t.Fatalf("%s: schedule seed %d is not derived from plan seed %d", kind, cell.Schedule.Seed, plan.Seed)
+		}
+		want := profile
+		want.Seed = cell.Schedule.Seed
+		if cell.Schedule != want || cell.Crash != len(hist.Ops)/2 {
+			t.Fatalf("%s: cell schedule %+v crash %d, want profile %+v crash %d", kind, cell.Schedule, cell.Crash, want, len(hist.Ops)/2)
+		}
+		a, err := runFaulted(m, cell, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Seed != cell.Schedule.Seed || a.CrashAfter != cell.Crash {
+			t.Fatalf("%s: RunFaulted ran seed %d crash %d, cell reports seed %d crash %d", kind, a.Seed, a.CrashAfter, cell.Schedule.Seed, cell.Crash)
+		}
+		b, err := runFaulted(m, cell, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Outcome != b.Outcome || len(a.Fired) != len(b.Fired) || len(a.Detections) != len(b.Detections) {
+			t.Fatalf("%s: re-running the reported cell gave %s, first run %s", kind, b.Outcome, a.Outcome)
+		}
 	}
 }
 
@@ -208,7 +244,7 @@ func TestInjectedBugArtifactCarriesFlightDump(t *testing.T) {
 func TestSupervisedLegPreservesCrashSnapshots(t *testing.T) {
 	// No page flushes and a forced log: every stable op needs redo, so
 	// the supervised attempts have installs for the schedule to crash.
-	cell := mkCell(t, "physiological", 8, 8, Schedule{Seed: 3, ForceProb: 1})
+	cell := mkCell(t, "physiological", 8, 8, sim.Sched{Seed: 3, ForceProb: 1})
 	cell.NestedCrash = []int{0, 1}
 	rec := obs.New()
 	flight := obs.NewFlightRecorder(512)

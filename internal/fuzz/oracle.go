@@ -112,11 +112,9 @@ func checkCellRun(m sim.NamedFactory, cell Cell, rec *obs.Recorder, flight *obs.
 	base := db.RecoveryBase()
 
 	// Leg 1: the oracle state.
-	oracle := db.RecoveryBase()
-	for _, op := range stableLog.Ops() {
-		if _, err := oracle.Apply(op); err != nil {
-			return nil, nil, fmt.Errorf("fuzz: oracle replay: %w", err)
-		}
+	oracle, err := sim.Determined(db)
+	if err != nil {
+		return nil, nil, fmt.Errorf("fuzz: %w", err)
 	}
 
 	// Test-only injected oracle bug (see Config.failCheck).

@@ -46,7 +46,7 @@ type Artifact struct {
 	// Crash is the crash point (operations executed before the crash).
 	Crash int `json:"crash"`
 	// Schedule is the background-activity schedule.
-	Schedule Schedule `json:"schedule"`
+	Schedule sim.Sched `json:"schedule"`
 	// Workers is the parallel-recovery pool size (0 means the default).
 	Workers int `json:"workers,omitempty"`
 	// NestedCrash is the supervised-recovery leg's crash-during-recovery

@@ -69,7 +69,7 @@ func TestReplayPassesOnCleanCell(t *testing.T) {
 // TestReplayUnknownMethodErrors: an artifact naming a method outside the
 // table is an error, not a silent pass.
 func TestReplayUnknownMethodErrors(t *testing.T) {
-	cell := mkCell(t, "physiological", 4, 2, Schedule{Seed: 1})
+	cell := mkCell(t, "physiological", 4, 2, sim.Sched{Seed: 1})
 	art := NewArtifact(cell, "", "")
 	art.Method = "no-such-method"
 	if _, err := Replay(sim.DefaultMethods(), art); err == nil {
@@ -82,7 +82,7 @@ func TestReplayUnknownMethodErrors(t *testing.T) {
 // zero-value cell.
 func TestArtifactValidateRejectsCorruptInputs(t *testing.T) {
 	base := func() *Artifact {
-		return NewArtifact(mkCell(t, "physical", 4, 3, Schedule{Seed: 1}), "c", "d")
+		return NewArtifact(mkCell(t, "physical", 4, 3, sim.Sched{Seed: 1}), "c", "d")
 	}
 	cases := []struct {
 		name   string
@@ -205,7 +205,7 @@ func TestArtifactV2RoundTrip(t *testing.T) {
 // TestGoSourceEmbedsArtifact: the generated standalone repro embeds the
 // JSON and the replay entry points.
 func TestGoSourceEmbedsArtifact(t *testing.T) {
-	art := NewArtifact(mkCell(t, "logical", 3, 2, Schedule{Seed: 9}), "invariant", "d")
+	art := NewArtifact(mkCell(t, "logical", 3, 2, sim.Sched{Seed: 9}), "invariant", "d")
 	src, err := art.GoSource()
 	if err != nil {
 		t.Fatal(err)

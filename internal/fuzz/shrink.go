@@ -86,11 +86,11 @@ func Shrink(m sim.NamedFactory, cell Cell, failCheck func(ops []*model.Op, crash
 	quiet.Schedule.FlushProb, quiet.Schedule.ForceProb = 0, 0
 	quiet.Schedule.CheckpointProb, quiet.Schedule.TruncateProb = 0, 0
 	if !try(quiet) {
-		for _, zero := range []func(*Schedule){
-			func(s *Schedule) { s.TruncateProb = 0 },
-			func(s *Schedule) { s.CheckpointProb = 0 },
-			func(s *Schedule) { s.ForceProb = 0 },
-			func(s *Schedule) { s.FlushProb = 0 },
+		for _, zero := range []func(*sim.Sched){
+			func(s *sim.Sched) { s.TruncateProb = 0 },
+			func(s *sim.Sched) { s.CheckpointProb = 0 },
+			func(s *sim.Sched) { s.ForceProb = 0 },
+			func(s *sim.Sched) { s.FlushProb = 0 },
 		} {
 			cand := cur
 			zero(&cand.Schedule)

@@ -24,7 +24,7 @@ func factoryFor(t *testing.T, name string) sim.Factory {
 }
 
 // mkCell generates a cell for the method's first workload shape.
-func mkCell(t *testing.T, methodName string, numOps, crash int, sched Schedule) Cell {
+func mkCell(t *testing.T, methodName string, numOps, crash int, sched sim.Sched) Cell {
 	t.Helper()
 	shapes, err := workload.ShapesFor(methodName)
 	if err != nil {

@@ -2,14 +2,12 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 
 	"redotheory/internal/fault"
 	"redotheory/internal/method"
 	"redotheory/internal/model"
-	"redotheory/internal/storage"
 	"redotheory/internal/workload"
 )
 
@@ -72,63 +70,20 @@ func RunFaulted(mk Factory, cfg Config, plan fault.Plan) (*FaultResult, error) {
 	if cfg.Initial == nil {
 		cfg.Initial = model.NewState()
 	}
-	flushP, forceP, ckP := cfg.FlushProb, cfg.ForceProb, cfg.CheckpointProb
-	if flushP == 0 {
-		flushP = 0.3
-	}
-	if forceP == 0 {
-		forceP = 0.2
-	}
-	if ckP == 0 {
-		ckP = 0.1
-	}
-	if cfg.CrashAfter < 0 || cfg.CrashAfter > len(cfg.Ops) {
-		return nil, fmt.Errorf("sim: crash point %d out of range [0,%d]", cfg.CrashAfter, len(cfg.Ops))
-	}
-
 	db := mk(cfg.Initial)
-	if cfg.Recorder != nil {
-		db.SetRecorder(cfg.Recorder)
-	}
+	db.SetRecorder(cfg.Recorder)
 	inj := plan.New()
 	db.Store().SetInjector(inj)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for i := 0; i < cfg.CrashAfter; i++ {
-		if err := db.Exec(cfg.Ops[i]); err != nil {
-			return nil, fmt.Errorf("sim: %s: executing op %d: %w", db.Name(), i, err)
-		}
-		if rng.Float64() < flushP {
-			db.FlushOne()
-		}
-		if rng.Float64() < forceP {
-			db.FlushLog()
-		}
-		if rng.Float64() < ckP {
-			if err := db.Checkpoint(); err != nil {
-				if !storage.IsTorn(err) {
-					return nil, fmt.Errorf("sim: %s: checkpoint: %w", db.Name(), err)
-				}
-				// A torn pointer swing aborts the checkpoint; the system
-				// keeps running on the previous one. The half-written
-				// group stays on disk for recovery to find.
-			} else if cfg.TruncateProb > 0 && rng.Float64() < cfg.TruncateProb {
-				if tr, ok := db.(method.Truncator); ok {
-					if _, err := tr.TruncateCheckpointed(); err != nil {
-						return nil, fmt.Errorf("sim: %s: truncate: %w", db.Name(), err)
-					}
-				}
-			}
-		}
+	if _, err := cfg.Sched.run(db, cfg.Ops, cfg.CrashAfter, nil); err != nil {
+		return nil, err
 	}
 	db.Crash()
 
 	// The full oracle: what the stable log promised before media decay.
 	// Captured now because realization below may shorten the log.
-	oracleFull := db.RecoveryBase()
-	for _, op := range db.StableLog().Ops() {
-		if _, err := oracleFull.Apply(op); err != nil {
-			return nil, fmt.Errorf("sim: oracle replay: %w", err)
-		}
+	oracleFull, err := Determined(db)
+	if err != nil {
+		return nil, err
 	}
 
 	abortAfter := realizeAtCrash(db, inj)
@@ -137,7 +92,7 @@ func RunFaulted(mk Factory, cfg Config, plan fault.Plan) (*FaultResult, error) {
 		Method:     db.Name(),
 		Kind:       plan.Kind,
 		CrashAfter: cfg.CrashAfter,
-		Seed:       cfg.Seed,
+		Seed:       cfg.Sched.Seed,
 	}
 
 	if abortAfter >= 0 {
@@ -157,11 +112,9 @@ func RunFaulted(mk Factory, cfg Config, plan fault.Plan) (*FaultResult, error) {
 
 	// The repaired oracle: what the surviving validated log describes
 	// after any truncation repair.
-	oracleRepaired := db.RecoveryBase()
-	for _, op := range db.StableLog().Ops() {
-		if _, err := oracleRepaired.Apply(op); err != nil {
-			return nil, fmt.Errorf("sim: repaired oracle replay: %w", err)
-		}
+	oracleRepaired, err := Determined(db)
+	if err != nil {
+		return nil, err
 	}
 
 	res.Outcome = classify(final, res.Detections, inj.HasFired(), oracleFull, oracleRepaired)
@@ -289,13 +242,14 @@ type campaignCell struct {
 
 func (c campaignCell) run(initial *model.State, truncateProb float64, metrics *CampaignMetrics) (*FaultResult, error) {
 	runSeed, planSeed := cellSeeds(c.seed, c.method.Name, c.kind, c.crash)
+	sched := DefaultSched(runSeed)
+	sched.TruncateProb = truncateProb
 	r, err := RunFaulted(c.method.New, Config{
-		Ops:          c.ops,
-		Initial:      initial,
-		CrashAfter:   c.crash,
-		Seed:         runSeed,
-		TruncateProb: truncateProb,
-		Recorder:     metrics.Recorder(c.method.Name),
+		Ops:        c.ops,
+		Initial:    initial,
+		CrashAfter: c.crash,
+		Sched:      sched,
+		Recorder:   metrics.Recorder(c.method.Name),
 	}, fault.Plan{Seed: planSeed, Kind: c.kind})
 	if err != nil {
 		return nil, fmt.Errorf("sim: campaign %s/%s/crash=%d/seed=%d: %w", c.method.Name, c.kind, c.crash, c.seed, err)
@@ -352,59 +306,45 @@ func Campaign(cfg CampaignConfig) ([]*FaultResult, error) {
 		}
 	}
 
-	out := make([]*FaultResult, len(cells))
-	workers := cfg.Workers
-	if workers > len(cells) {
-		workers = len(cells)
+	out, err := runCells(len(cells), cfg.Workers, func(i int) (*FaultResult, error) {
+		return cells[i].run(initial, cfg.TruncateProb, cfg.Metrics)
+	})
+	if err != nil {
+		return nil, err
 	}
-	if workers <= 1 {
-		for i, c := range cells {
-			r, err := c.run(initial, cfg.TruncateProb, cfg.Metrics)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		SortResults(out)
-		return out, nil
-	}
+	SortResults(out)
+	return out, nil
+}
 
-	// Order-stable aggregation: each worker writes its cell's slot, so
-	// completion order never reorders results.
+// runCells runs run(i) for every cell index i in [0, n) on a pool of at
+// most workers goroutines (one when workers ≤ 1) and returns the results
+// in cell order, so completion order never reorders them. On failure it
+// returns the error of the earliest failing cell — what a sequential
+// sweep would have reported.
+func runCells[T any](n, workers int, run func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
 	work := make(chan int)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	firstErrIdx := len(cells)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < max(1, min(workers, n)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				r, err := cells[i].run(initial, cfg.TruncateProb, cfg.Metrics)
-				if err != nil {
-					// Keep the error of the earliest cell, matching what
-					// a sequential sweep would have reported.
-					mu.Lock()
-					if i < firstErrIdx {
-						firstErr, firstErrIdx = err, i
-					}
-					mu.Unlock()
-					continue
-				}
-				out[i] = r
+				out[i], errs[i] = run(i)
 			}
 		}()
 	}
-	for i := range cells {
+	for i := 0; i < n; i++ {
 		work <- i
 	}
 	close(work)
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	SortResults(out)
 	return out, nil
 }
 

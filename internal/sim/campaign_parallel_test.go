@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"redotheory/internal/fault"
 	"redotheory/internal/workload"
@@ -140,7 +141,7 @@ func TestSweepParallelCrossCheck(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := SweepParallel(f.New, ops, initial, 7, 4)
+		rs, err := Sweep(f.New, ops, initial, 7, 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,6 +151,44 @@ func TestSweepParallelCrossCheck(t *testing.T) {
 		}
 		if s.Recovered != s.Runs {
 			t.Errorf("%s: recovered at %d/%d crash points", f.Name, s.Recovered, s.Runs)
+		}
+	}
+}
+
+// TestRunCellsOrderAndEarliestError pins the campaign pool both
+// campaigns share: results come back in cell order whatever the
+// completion order, and when cells fail the error reported is the
+// earliest failing cell's — what a sequential sweep reports — for a
+// sequential pool and a concurrent one.
+func TestRunCellsOrderAndEarliestError(t *testing.T) {
+	const n = 40
+	for _, workers := range []int{0, 1, 4} {
+		// Later cells finish first, so completion order is reversed.
+		got, err := runCells(n, workers, func(i int) (int, error) {
+			time.Sleep(time.Duration(n-i) * 20 * time.Microsecond)
+			return i * i, nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(got) != n {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), n)
+		}
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("workers=%d: result %d is %d, want %d", workers, i, v, i*i)
+			}
+		}
+
+		failing := map[int]bool{7: true, 23: true, 31: true}
+		rs, err := runCells(n, workers, func(i int) (int, error) {
+			if failing[i] {
+				return 0, fmt.Errorf("cell %d failed", i)
+			}
+			return i, nil
+		})
+		if rs != nil || err == nil || err.Error() != "cell 7 failed" {
+			t.Fatalf("workers=%d: got results %v, error %v; want the error of cell 7", workers, rs, err)
 		}
 	}
 }

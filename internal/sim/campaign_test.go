@@ -106,7 +106,8 @@ func TestRunFaultedLostWrite(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 5; seed++ {
 		r, err := RunFaulted(factories["physiological"], Config{
-			Ops: ops, Initial: s0, CrashAfter: 10, Seed: seed, TruncateProb: 1,
+			Ops: ops, Initial: s0, CrashAfter: 10,
+			Sched: Sched{Seed: seed, FlushProb: 0.3, ForceProb: 0.2, CheckpointProb: 0.1, TruncateProb: 1},
 		}, fault.Plan{Seed: seed, Kind: fault.LostWrite})
 		if err != nil {
 			t.Fatal(err)
@@ -129,7 +130,7 @@ func TestRunFaultedCrashInRecovery(t *testing.T) {
 	sawDegraded := false
 	for seed := int64(1); seed <= 6; seed++ {
 		r, err := RunFaulted(factories["grouplsn"], Config{
-			Ops: ops, Initial: s0, CrashAfter: 8, Seed: seed,
+			Ops: ops, Initial: s0, CrashAfter: 8, Sched: DefaultSched(seed),
 		}, fault.Plan{Seed: seed, Kind: fault.CrashInRecovery})
 		if err != nil {
 			t.Fatal(err)
@@ -152,7 +153,7 @@ func TestRunFaultedCrashInRecovery(t *testing.T) {
 // run that recovers trivially.
 func TestSweepEmptyOps(t *testing.T) {
 	s0 := workload.InitialState(workload.Pages(2))
-	results, err := Sweep(factories["physiological"], nil, s0, 1)
+	results, err := Sweep(factories["physiological"], nil, s0, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestRunCrashAtZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(factories["physical"], Config{Ops: ops, Initial: s0, CrashAfter: 0, Seed: 1})
+	r, err := Run(factories["physical"], Config{Ops: ops, Initial: s0, CrashAfter: 0, Sched: DefaultSched(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestSummaryRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := Sweep(factories["physiological"], ops, s0, 5)
+	results, err := Sweep(factories["physiological"], ops, s0, 5, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,14 +2,11 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"redotheory/internal/fault"
 	"redotheory/internal/model"
-	"redotheory/internal/storage"
 	"redotheory/internal/supervise"
 	"redotheory/internal/workload"
 )
@@ -79,6 +76,9 @@ type NestedCrashResult struct {
 	Method     string
 	CrashAfter int
 	Seed       int64
+	// Sched is the background schedule the cell's execution ran under,
+	// so a failing cell's repro re-creates its crash state exactly.
+	Sched Sched
 	// ScheduleIdx and Schedule identify the nested-crash schedule.
 	ScheduleIdx int
 	Schedule    []int
@@ -127,46 +127,27 @@ func runNestedCell(c nestedCell, cfg NestedCrashConfig, initial *model.State) (*
 		Method:      c.method.Name,
 		CrashAfter:  c.crash,
 		Seed:        c.seed,
+		Sched:       DefaultSched(MixSeed(c.seed, int64(fault.Sum(c.method.Name)), int64(c.crash), 5)),
 		ScheduleIdx: c.scheduleIdx,
 		Schedule:    c.schedule,
 		Ops:         c.ops,
 	}
 
-	// Execute the workload prefix with the standard background-activity
-	// mix, then crash. Same probabilities as the fault campaign so the
-	// crash states are comparable across experiments.
+	// Execute the workload prefix under the crash matrix's background
+	// mix, then crash.
 	db := c.method.New(initial)
 	rec := cfg.Metrics.Recorder(c.method.Name)
-	if rec != nil {
-		db.SetRecorder(rec)
-	}
-	rng := rand.New(rand.NewSource(MixSeed(c.seed, int64(fault.Sum(c.method.Name)), int64(c.crash), 5)))
-	for i := 0; i < c.crash; i++ {
-		if err := db.Exec(c.ops[i]); err != nil {
-			return nil, fmt.Errorf("sim: nested-crash %s: executing op %d: %w", c.method.Name, i, err)
-		}
-		if rng.Float64() < 0.3 {
-			db.FlushOne()
-		}
-		if rng.Float64() < 0.2 {
-			db.FlushLog()
-		}
-		if rng.Float64() < 0.1 {
-			if err := db.Checkpoint(); err != nil && !storage.IsTorn(err) {
-				return nil, fmt.Errorf("sim: nested-crash %s: checkpoint: %w", c.method.Name, err)
-			}
-		}
+	db.SetRecorder(rec)
+	if _, err := out.Sched.run(db, c.ops, c.crash, nil); err != nil {
+		return nil, err
 	}
 	db.Crash()
 
-	// The oracle: the determined state per Theorem 2 — the stable log
-	// applied in order to the recovery base. Captured before supervision
-	// because the supervised installing passes mutate the stable state.
-	oracle := db.RecoveryBase()
-	for _, op := range db.StableLog().Ops() {
-		if _, err := oracle.Apply(op); err != nil {
-			return nil, fmt.Errorf("sim: nested-crash oracle replay: %w", err)
-		}
+	// The oracle, captured before supervision because the supervised
+	// installing passes mutate the stable state.
+	oracle, err := Determined(db)
+	if err != nil {
+		return nil, err
 	}
 
 	maxAttempts := cfg.MaxAttempts
@@ -260,53 +241,11 @@ func NestedCrashCampaign(cfg NestedCrashConfig) ([]*NestedCrashResult, error) {
 		}
 	}
 
-	out := make([]*NestedCrashResult, len(cells))
-	workers := cfg.Workers
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers <= 1 {
-		for i, c := range cells {
-			r, err := runNestedCell(c, cfg, initial)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		SortNestedResults(out)
-		return out, nil
-	}
-
-	work := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	firstErrIdx := len(cells)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				r, err := runNestedCell(cells[i], cfg, initial)
-				if err != nil {
-					mu.Lock()
-					if i < firstErrIdx {
-						firstErr, firstErrIdx = err, i
-					}
-					mu.Unlock()
-					continue
-				}
-				out[i] = r
-			}
-		}()
-	}
-	for i := range cells {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	out, err := runCells(len(cells), cfg.Workers, func(i int) (*NestedCrashResult, error) {
+		return runNestedCell(cells[i], cfg, initial)
+	})
+	if err != nil {
+		return nil, err
 	}
 	SortNestedResults(out)
 	return out, nil

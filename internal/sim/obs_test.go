@@ -58,7 +58,7 @@ func TestSweepObservedSummary(t *testing.T) {
 	pages := workload.Pages(4)
 	ops := workload.SinglePage(12, pages, 3, false)
 	rec := obs.New()
-	rs, err := SweepObserved(func(s *model.State) method.DB { return method.NewPhysiological(s) },
+	rs, err := Sweep(func(s *model.State) method.DB { return method.NewPhysiological(s) },
 		ops, workload.InitialState(pages), 11, 2, rec)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -32,16 +31,10 @@ type Config struct {
 	// CrashAfter crashes the system after that many operations have
 	// executed (0 = immediately, len(Ops) = after all).
 	CrashAfter int
-	// Seed drives the background schedule (flushes, forces, checkpoints).
-	Seed int64
-	// FlushProb, ForceProb, CheckpointProb are per-operation probabilities
-	// of the corresponding background action. Zero values get defaults
-	// (0.3, 0.2, 0.1).
-	FlushProb, ForceProb, CheckpointProb float64
-	// TruncateProb is the probability that a checkpoint is followed by a
-	// log truncation (folding the covered records into the recovery base
-	// state). Zero means never truncate.
-	TruncateProb float64
+	// Sched is the background schedule (flushes, forces, checkpoints,
+	// truncations), its probabilities taken literally; DefaultSched(seed)
+	// is the crash matrix's mix.
+	Sched Sched
 	// DisableWAL injects the write-ahead-log fault.
 	DisableWAL bool
 	// SkipChecker skips the invariant audit (for pure throughput
@@ -108,71 +101,32 @@ func Run(mk Factory, cfg Config) (*Result, error) {
 	if cfg.Initial == nil {
 		cfg.Initial = model.NewState()
 	}
-	flushP, forceP, ckP := cfg.FlushProb, cfg.ForceProb, cfg.CheckpointProb
-	if flushP == 0 {
-		flushP = 0.3
-	}
-	if forceP == 0 {
-		forceP = 0.2
-	}
-	if ckP == 0 {
-		ckP = 0.1
-	}
-	if cfg.CrashAfter < 0 || cfg.CrashAfter > len(cfg.Ops) {
-		return nil, fmt.Errorf("sim: crash point %d out of range [0,%d]", cfg.CrashAfter, len(cfg.Ops))
-	}
-
 	db := mk(cfg.Initial)
-	if cfg.Recorder != nil {
-		db.SetRecorder(cfg.Recorder)
-	}
+	db.SetRecorder(cfg.Recorder)
 	if cfg.DisableWAL {
 		db.DisableWAL()
 	}
 	var auditor *core.Auditor
+	var step func(i int) error
+	onlineOK := true
 	if cfg.OnlineAudit {
 		auditor = core.NewAuditor(cfg.Initial)
 		db.SetInstallHook(auditor.PageInstalled)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	onlineOK := true
-	truncated := 0
-	for i := 0; i < cfg.CrashAfter; i++ {
-		if err := db.Exec(cfg.Ops[i]); err != nil {
-			return nil, fmt.Errorf("sim: %s: executing op %d: %w", db.Name(), i, err)
-		}
-		if auditor != nil {
+		step = func(i int) error {
 			if _, err := auditor.Logged(cfg.Ops[i]); err != nil {
-				return nil, fmt.Errorf("sim: online auditor: %w", err)
+				return fmt.Errorf("sim: online auditor: %w", err)
 			}
-		}
-		if rng.Float64() < flushP {
-			db.FlushOne()
-		}
-		if rng.Float64() < forceP {
-			db.FlushLog()
-		}
-		if rng.Float64() < ckP {
-			if err := db.Checkpoint(); err != nil {
-				return nil, fmt.Errorf("sim: %s: checkpoint: %w", db.Name(), err)
-			}
-			if cfg.TruncateProb > 0 && rng.Float64() < cfg.TruncateProb {
-				if tr, ok := db.(method.Truncator); ok {
-					n, err := tr.TruncateCheckpointed()
-					if err != nil {
-						return nil, fmt.Errorf("sim: %s: truncate: %w", db.Name(), err)
-					}
-					truncated += n
-				}
-			}
-		}
-		if auditor != nil {
 			// Continuous auditing: a crash after this step must leave an
 			// explainable stable state.
 			if rep := auditor.Audit(db.StableState()); !rep.OK {
 				onlineOK = false
 			}
+			return nil
 		}
+	}
+	truncated, err := cfg.Sched.run(db, cfg.Ops, cfg.CrashAfter, step)
+	if err != nil {
+		return nil, err
 	}
 	stats := db.Stats()
 	db.Crash()
@@ -184,14 +138,9 @@ func Run(mk Factory, cfg Config) (*Result, error) {
 	stableLog := db.StableLog()
 	res.StableOps = stableLog.Len()
 
-	// Oracle: the state determined by the surviving log's conflict graph,
-	// applied against the recovery base (the initial state plus every
-	// truncated operation).
-	oracle := db.RecoveryBase()
-	for _, op := range stableLog.Ops() {
-		if _, err := oracle.Apply(op); err != nil {
-			return nil, fmt.Errorf("sim: oracle replay: %w", err)
-		}
+	oracle, err := Determined(db)
+	if err != nil {
+		return nil, err
 	}
 
 	// Invariant audit at the crash point.
@@ -238,29 +187,17 @@ func Run(mk Factory, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// Sweep runs a simulation at every crash point from 0 to len(ops) and
-// returns the per-point results: the crash-matrix row for one method and
-// one workload.
-func Sweep(mk Factory, ops []*model.Op, initial *model.State, seed int64) ([]*Result, error) {
-	return SweepParallel(mk, ops, initial, seed, 0)
-}
-
-// SweepParallel is Sweep with the parallel-recovery cross-check enabled
-// at every crash point when workers > 0: each run also recovers via
-// method.RecoverParallel and records agreement with the sequential
-// procedure.
-func SweepParallel(mk Factory, ops []*model.Op, initial *model.State, seed int64, workers int) ([]*Result, error) {
-	return SweepObserved(mk, ops, initial, seed, workers, nil)
-}
-
-// SweepObserved is SweepParallel with a telemetry recorder attached to
-// every run: the recorder accumulates execution counters, phase spans
-// from both the sequential and (when workers > 0) partitioned recovery
-// passes, and the partition width histogram across all crash points.
-func SweepObserved(mk Factory, ops []*model.Op, initial *model.State, seed int64, workers int, rec *obs.Recorder) ([]*Result, error) {
+// Sweep runs a simulation at every crash point from 0 to len(ops) under
+// DefaultSched(seed + crash) and returns the per-point results: the
+// crash-matrix row for one method and one workload. With workers > 0
+// every run also cross-checks partitioned parallel recovery
+// (Config.ParallelWorkers); rec, when non-nil, is attached to every run
+// and accumulates execution counters, phase spans and the partition
+// width histogram across the sweep.
+func Sweep(mk Factory, ops []*model.Op, initial *model.State, seed int64, workers int, rec *obs.Recorder) ([]*Result, error) {
 	out := make([]*Result, 0, len(ops)+1)
 	for crash := 0; crash <= len(ops); crash++ {
-		r, err := Run(mk, Config{Ops: ops, Initial: initial, CrashAfter: crash, Seed: seed + int64(crash), ParallelWorkers: workers, Recorder: rec})
+		r, err := Run(mk, Config{Ops: ops, Initial: initial, CrashAfter: crash, Sched: DefaultSched(seed + int64(crash)), ParallelWorkers: workers, Recorder: rec})
 		if err != nil {
 			return nil, err
 		}

@@ -27,7 +27,7 @@ func TestRunAllMethodsRecover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(mk, Config{Ops: ops, Initial: s0, CrashAfter: 25, Seed: 99})
+		res, err := Run(mk, Config{Ops: ops, Initial: s0, CrashAfter: 25, Sched: DefaultSched(99)})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -51,7 +51,7 @@ func TestSweepEveryCrashPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := Sweep(mk, ops, s0, 11)
+		results, err := Sweep(mk, ops, s0, 11, 0, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -79,8 +79,9 @@ func TestWALFaultIsDetected(t *testing.T) {
 	detected := false
 	for crash := 1; crash <= len(ops); crash++ {
 		res, err := Run(factories["physiological"], Config{
-			Ops: ops, Initial: s0, CrashAfter: crash, Seed: int64(crash),
-			DisableWAL: true, ForceProb: 0.05, FlushProb: 0.6,
+			Ops: ops, Initial: s0, CrashAfter: crash,
+			Sched:      Sched{Seed: int64(crash), FlushProb: 0.6, ForceProb: 0.05, CheckpointProb: 0.1},
+			DisableWAL: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +108,7 @@ func TestCrashMatrixProperty(t *testing.T) {
 				return false
 			}
 			crash := int(uint64(seed) % uint64(len(ops)+1))
-			res, err := Run(mk, Config{Ops: ops, Initial: s0, CrashAfter: crash, Seed: seed})
+			res, err := Run(mk, Config{Ops: ops, Initial: s0, CrashAfter: crash, Sched: DefaultSched(seed)})
 			if err != nil || !res.Recovered || !res.InvariantOK {
 				return false
 			}
@@ -129,7 +130,7 @@ func TestSkipChecker(t *testing.T) {
 	pages := workload.Pages(3)
 	ops := workload.SinglePage(10, pages, 1, false)
 	res, err := Run(factories["physiological"], Config{
-		Ops: ops, Initial: workload.InitialState(pages), CrashAfter: 10, Seed: 1, SkipChecker: true,
+		Ops: ops, Initial: workload.InitialState(pages), CrashAfter: 10, Sched: DefaultSched(1), SkipChecker: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +155,7 @@ func TestOnlineAuditFollowsExecution(t *testing.T) {
 		}
 		for crash := 0; crash <= len(ops); crash += 6 {
 			res, err := Run(factories[name], Config{
-				Ops: ops, Initial: s0, CrashAfter: crash, Seed: int64(crash), OnlineAudit: true,
+				Ops: ops, Initial: s0, CrashAfter: crash, Sched: DefaultSched(int64(crash)), OnlineAudit: true,
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -184,8 +185,9 @@ func TestOnlineAuditCatchesWALFault(t *testing.T) {
 	caught := false
 	for crash := 1; crash <= len(ops); crash++ {
 		res, err := Run(factories["physiological"], Config{
-			Ops: ops, Initial: s0, CrashAfter: crash, Seed: int64(crash),
-			DisableWAL: true, FlushProb: 0.6, ForceProb: 0.05, OnlineAudit: true,
+			Ops: ops, Initial: s0, CrashAfter: crash,
+			Sched:      Sched{Seed: int64(crash), FlushProb: 0.6, ForceProb: 0.05, CheckpointProb: 0.1},
+			DisableWAL: true, OnlineAudit: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -212,8 +214,8 @@ func TestTruncationSweep(t *testing.T) {
 		totalTruncated := 0
 		for crash := 0; crash <= len(ops); crash += 5 {
 			res, err := Run(mk, Config{
-				Ops: ops, Initial: s0, CrashAfter: crash, Seed: int64(crash) + 3,
-				CheckpointProb: 0.25, TruncateProb: 1.0,
+				Ops: ops, Initial: s0, CrashAfter: crash,
+				Sched: Sched{Seed: int64(crash) + 3, FlushProb: 0.3, ForceProb: 0.2, CheckpointProb: 0.25, TruncateProb: 1.0},
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -241,7 +243,7 @@ func TestBankTransfersConserveMoney(t *testing.T) {
 	}
 	ops := workload.BankTransfers(12, pages, 21)
 	for crash := 0; crash <= len(ops); crash++ {
-		res, err := Run(factories["logical"], Config{Ops: ops, Initial: s0, CrashAfter: crash, Seed: int64(crash)})
+		res, err := Run(factories["logical"], Config{Ops: ops, Initial: s0, CrashAfter: crash, Sched: DefaultSched(int64(crash))})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func TestSoakAllMethodsLongHistory(t *testing.T) {
 		}
 		for _, crash := range []int{0, n / 3, 2 * n / 3, n} {
 			res, err := sim.Run(row.mk, sim.Config{
-				Ops: ops, Initial: s0, CrashAfter: crash, Seed: int64(crash) + 7,
+				Ops: ops, Initial: s0, CrashAfter: crash, Sched: sim.DefaultSched(int64(crash) + 7),
 				OnlineAudit: row.online,
 			})
 			if err != nil {
