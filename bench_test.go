@@ -20,6 +20,7 @@ import (
 	"redotheory/internal/model"
 	"redotheory/internal/sim"
 	"redotheory/internal/stategraph"
+	"redotheory/internal/supervise"
 	"redotheory/internal/workload"
 	"redotheory/internal/writegraph"
 )
@@ -428,7 +429,8 @@ func BenchmarkMVCacheDrain(b *testing.B) {
 }
 
 // BenchmarkRestartInstallingRecovery measures the restart-recovery path
-// (persisting redone pages as it goes).
+// (persisting redone pages as it goes) through the supervisor's
+// installing pass, without crashes or the invariant audit.
 func BenchmarkRestartInstallingRecovery(b *testing.B) {
 	pages := workload.Pages(16)
 	s0 := workload.InitialState(pages)
@@ -445,7 +447,7 @@ func BenchmarkRestartInstallingRecovery(b *testing.B) {
 		db.FlushLog()
 		db.Crash()
 		b.StartTimer()
-		if _, done, err := method.RecoverInstalling(db, -1); err != nil || !done {
+		if _, err := supervise.Supervise(db, supervise.Options{SkipAudit: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -587,7 +589,7 @@ func BenchmarkAblationMinimalDirectVsReachability(b *testing.B) {
 
 func BenchmarkLegacyInstallationGraph(b *testing.B) {
 	pages := workload.Pages(16)
-	cg := conflict.FromOps(workload.AnyShape(2000, pages, 42)...)
+	cg := conflict.FromOps(anyShape(b, 2000, pages, 42)...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		install.LegacyFromConflict(cg)

@@ -6,16 +6,19 @@
 //
 //	redoserve -bench -out BENCH_serve.json [-baseline BENCH_serve.json]
 //
-// runs the availability benchmark: per trial it times sequential
-// offline recovery over the crashed fixture, then restarts the same
-// crash behind the serving engine under concurrent Zipfian client load
-// and records each client's time to first successfully served read.
-// The availability gate — the instant-restart claim — is that p99
-// time-to-first-read stays under -tolerance (default 10%) of the
-// offline full-recovery wall-clock, and the command exits non-zero
-// when it does not hold. With -baseline pointing at a checked-in
-// report, the trend history (num_cpu, gomaxprocs, ratio per run) is
-// carried forward like BENCH_parallel.json's.
+// runs the availability benchmark (bench.go; the harness lives in this
+// command so that internal/serve links nothing of the simulator): per
+// trial it times sequential offline recovery over the crashed fixture,
+// then restarts the same crash behind the serving engine under
+// concurrent Zipfian client load and records each client's time to
+// first successfully served read. The availability gate — the
+// instant-restart claim — is that p99 time-to-first-read stays under
+// -tolerance (default 10%) of the offline full-recovery wall-clock, and
+// the command exits non-zero when it does not hold. With -baseline
+// pointing at a checked-in report, the trend history (num_cpu,
+// gomaxprocs, ratio per run) is carried forward like
+// BENCH_parallel.json's. Every fixture count (-ops, -pages, -clients,
+// -requests, -trials) must be at least 1.
 //
 //	redoserve -addr localhost:8080
 //
@@ -33,7 +36,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -42,194 +44,38 @@ import (
 	"redotheory/internal/obs"
 	"redotheory/internal/serve"
 	"redotheory/internal/sim"
-	"redotheory/internal/trendlog"
 	"redotheory/internal/workload"
 )
-
-// report is the BENCH_serve.json schema.
-type report struct {
-	GeneratedAt string `json:"generated_at"`
-	GoMaxProcs  int    `json:"gomaxprocs"`
-	NumCPU      int    `json:"num_cpu"`
-	Fixture     struct {
-		Desc     string `json:"desc"`
-		Ops      int    `json:"ops"`
-		Pages    int    `json:"pages"`
-		Rounds   int    `json:"compute_rounds"`
-		Clients  int    `json:"clients"`
-		Requests int    `json:"requests_per_client"`
-		Trials   int    `json:"trials"`
-	} `json:"fixture"`
-	// TTFR are time-to-first-read percentiles over all per-client
-	// samples (clients × trials): crash handoff → first served read.
-	TTFR struct {
-		P50Ns int64 `json:"p50_ns"`
-		P99Ns int64 `json:"p99_ns"`
-		MaxNs int64 `json:"max_ns"`
-	} `json:"ttfr"`
-	// OfflineRecoveryNs is the median sequential full-recovery
-	// wall-clock — the wait a non-instant restart imposes before the
-	// first read. OnlineRecoveryNs is the median time to full recovery
-	// while serving (sweeper + client touches sharing the machine).
-	OfflineRecoveryNs int64 `json:"offline_recovery_ns"`
-	OnlineRecoveryNs  int64 `json:"online_recovery_ns"`
-	// Ratio is TTFR.P99Ns / OfflineRecoveryNs; the availability gate
-	// requires Ratio ≤ Tolerance.
-	Ratio     float64 `json:"ratio_p99_vs_offline"`
-	Tolerance float64 `json:"tolerance"`
-	// Served traffic and recovery-trigger split, per-trial means (the
-	// engine is fresh each trial, so swept + lazy cannot exceed the
-	// plan's component count in any trial).
-	Reads    float64     `json:"reads_mean"`
-	Writes   float64     `json:"writes_mean"`
-	Lazy     float64     `json:"lazy_redo_components_mean"`
-	Swept    float64     `json:"swept_components_mean"`
-	PerTrial []trialStat `json:"per_trial"`
-	History  []trend     `json:"history,omitempty"`
-	Verdict  string      `json:"verdict"`
-}
-
-// trialStat is one trial's engine counters in the report.
-type trialStat struct {
-	Components int   `json:"components"`
-	Reads      int64 `json:"reads"`
-	Writes     int64 `json:"writes"`
-	Lazy       int64 `json:"lazy_redo_components"`
-	Swept      int64 `json:"swept_components"`
-}
-
-// trend is one historical run in the report's trend log, matching the
-// BENCH_parallel.json convention (oldest first, capped at maxHistory).
-type trend struct {
-	GeneratedAt string  `json:"generated_at"`
-	NumCPU      int     `json:"num_cpu"`
-	GoMaxProcs  int     `json:"gomaxprocs"`
-	TTFRP99Ns   int64   `json:"ttfr_p99_ns"`
-	OfflineNs   int64   `json:"offline_recovery_ns"`
-	Ratio       float64 `json:"ratio_p99_vs_offline"`
-}
-
-func trendOf(r *report) trend {
-	return trend{
-		GeneratedAt: r.GeneratedAt,
-		NumCPU:      r.NumCPU,
-		GoMaxProcs:  r.GoMaxProcs,
-		TTFRP99Ns:   r.TTFR.P99Ns,
-		OfflineNs:   r.OfflineRecoveryNs,
-		Ratio:       r.Ratio,
-	}
-}
 
 func main() {
 	bench := flag.Bool("bench", false, "run the availability benchmark and write the JSON report")
 	out := flag.String("out", "BENCH_serve.json", "output path for the benchmark report")
 	baseline := flag.String("baseline", "", "checked-in report to inherit trend history from")
 	tolerance := flag.Float64("tolerance", 0.10, "availability gate: max allowed p99 TTFR / offline full-recovery ratio")
-	nOps := flag.Int("ops", 3000, "operations in the crashed fixture")
-	nPages := flag.Int("pages", 512, "pages in the fixture")
-	rounds := flag.Int("rounds", 2000, "recomputation rounds per replayed operation")
-	clients := flag.Int("clients", 4, "concurrent bench clients")
-	requests := flag.Int("requests", 200, "requests per bench client")
-	trials := flag.Int("trials", 5, "crash/restart cycles in the benchmark")
+	var fx fixture
+	flag.IntVar(&fx.Ops, "ops", 3000, "operations in the crashed fixture")
+	flag.IntVar(&fx.Pages, "pages", 512, "pages in the fixture")
+	flag.IntVar(&fx.Rounds, "rounds", 2000, "recomputation rounds per replayed operation")
+	flag.IntVar(&fx.Clients, "clients", 4, "concurrent bench clients")
+	flag.IntVar(&fx.Requests, "requests", 200, "requests per bench client")
+	flag.IntVar(&fx.Trials, "trials", 5, "crash/restart cycles in the benchmark")
 	seed := flag.Int64("seed", 1, "fixture and client seed")
 	addr := flag.String("addr", "", "serve the engine over HTTP on this address (server mode)")
 	flag.Parse()
 
+	for _, name := range []string{"ops", "pages", "clients", "requests", "trials"} {
+		if n := flag.Lookup(name).Value.(flag.Getter).Get().(int); n < 1 {
+			fatal(fmt.Errorf("-%s %d: must be at least 1", name, n))
+		}
+	}
 	if *bench {
-		runBench(*out, *baseline, *tolerance, serve.BenchConfig{
-			Ops: *nOps, Pages: *nPages, Rounds: *rounds,
-			Clients: *clients, Requests: *requests, Trials: *trials, Seed: *seed,
-		})
+		runBench(*out, *baseline, *tolerance, fx, *seed)
 		return
 	}
 	if *addr == "" {
 		fatal(fmt.Errorf("nothing to do: pass -bench or -addr (see -h)"))
 	}
-	runServer(*addr, *nOps, *nPages, *rounds, *seed)
-}
-
-func runBench(out, baseline string, tolerance float64, cfg serve.BenchConfig) {
-	var base *report
-	if baseline != "" {
-		data, err := os.ReadFile(baseline)
-		if err != nil {
-			fatal(fmt.Errorf("reading baseline: %w", err))
-		}
-		base = new(report)
-		if err := json.Unmarshal(data, base); err != nil {
-			fatal(fmt.Errorf("parsing baseline %s: %w", baseline, err))
-		}
-	}
-
-	res, err := serve.RunBench(cfg)
-	if err != nil {
-		fatal(err)
-	}
-
-	var rep report
-	rep.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-	rep.GoMaxProcs = runtime.GOMAXPROCS(0)
-	rep.NumCPU = runtime.NumCPU()
-	rep.Fixture.Desc = res.Fixture
-	rep.Fixture.Ops = cfg.Ops
-	rep.Fixture.Pages = cfg.Pages
-	rep.Fixture.Rounds = cfg.Rounds
-	rep.Fixture.Clients = cfg.Clients
-	rep.Fixture.Requests = cfg.Requests
-	rep.Fixture.Trials = cfg.Trials
-	rep.TTFR.P50Ns = int64(res.TTFRP50)
-	rep.TTFR.P99Ns = int64(res.TTFRP99)
-	rep.TTFR.MaxNs = int64(res.TTFRMax)
-	rep.OfflineRecoveryNs = int64(res.OfflineFull)
-	rep.OnlineRecoveryNs = int64(res.OnlineFull)
-	rep.Ratio = round3(res.Ratio)
-	rep.Tolerance = tolerance
-	rep.Reads, rep.Writes = res.Reads, res.Writes
-	rep.Lazy, rep.Swept = res.Lazy, res.Swept
-	for _, ts := range res.PerTrial {
-		rep.PerTrial = append(rep.PerTrial, trialStat{
-			Components: ts.Components,
-			Reads:      ts.Reads, Writes: ts.Writes,
-			Lazy: ts.Lazy, Swept: ts.Swept,
-		})
-	}
-
-	if base != nil {
-		rep.History = trendlog.Append(base.History,
-			func(t trend) string { return t.GeneratedAt }, trendOf(base))
-	}
-
-	fail := ""
-	if rep.Ratio > tolerance {
-		fail = fmt.Sprintf("p99 time-to-first-read is %.1f%% of offline full recovery, over the %.0f%% availability gate",
-			100*rep.Ratio, 100*tolerance)
-		rep.Verdict = "FAIL: " + fail
-	} else {
-		rep.Verdict = fmt.Sprintf("ok: p99 first read in %.1f%% of an offline recovery (gate %.0f%%)",
-			100*rep.Ratio, 100*tolerance)
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fatal(err)
-	}
-
-	fmt.Printf("cpus: %d (GOMAXPROCS %d)\n", rep.NumCPU, rep.GoMaxProcs)
-	fmt.Printf("fixture: %s, %d clients × %d requests × %d trials\n",
-		res.Fixture, cfg.Clients, cfg.Requests, cfg.Trials)
-	fmt.Printf("time to first read: p50 %s  p99 %s  max %s (%d samples)\n",
-		res.TTFRP50, res.TTFRP99, res.TTFRMax, res.Samples)
-	fmt.Printf("full recovery: offline %s, online (serving) %s\n", res.OfflineFull, res.OnlineFull)
-	fmt.Printf("served during recovery (per-trial means): %.1f reads, %.1f writes; components lazy %.1f / swept %.1f\n",
-		res.Reads, res.Writes, res.Lazy, res.Swept)
-	fmt.Printf("wrote %s\n%s\n", out, rep.Verdict)
-	if fail != "" {
-		os.Exit(1)
-	}
+	runServer(*addr, fx.Ops, fx.Pages, fx.Rounds, *seed)
 }
 
 // runServer crashes the fixture and serves it over HTTP while the
@@ -309,8 +155,6 @@ func runServer(addr string, nOps, nPages, rounds int, seed int64) {
 	fmt.Printf("  GET /read?page=%s   /write?page=%s   /stats   /drain\n", pages[7], pages[7])
 	fatal(http.ListenAndServe(addr, nil))
 }
-
-func round3(x float64) float64 { return float64(int64(x*1000+0.5)) / 1000 }
 
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "redoserve: %v\n", err)

@@ -83,6 +83,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "redosim: debug server (pprof, expvar, /metrics) on http://%s\n", addr)
 	}
 
+	// An empty seed list would fall through to the campaign's
+	// zero-means-default seeds.
+	if (*campaign || *nestedCrash || *shardsFlag != "") && *seeds < 1 {
+		fmt.Fprintf(os.Stderr, "redosim: -seeds %d: must be at least 1\n", *seeds)
+		os.Exit(2)
+	}
+
 	switch {
 	case *matrix:
 		runMatrix(*nOps, *nPages, *seed, *workers, metrics)
@@ -341,7 +348,7 @@ func runWALFault(nOps, nPages int, seed int64) {
 // classifying every run; the headline assertion is zero silent
 // corruption across the whole matrix.
 func runCampaign(nOps, nPages, nSeeds, workers int, metrics *sim.CampaignMetrics) {
-	seeds := make([]int64, 0, max(nSeeds, 0))
+	seeds := make([]int64, 0, nSeeds)
 	for i := 0; i < nSeeds; i++ {
 		seeds = append(seeds, int64(i+1))
 	}
@@ -407,7 +414,7 @@ func runCampaign(nOps, nPages, nSeeds, workers int, metrics *sim.CampaignMetrics
 // restart loop; the headline assertion is that every cell converges to
 // the determined state with strictly monotone install progress.
 func runNestedCrash(nOps, nPages, nSeeds, workers, maxAttempts, progressEvery int, outDir string, metrics *sim.CampaignMetrics) {
-	seeds := make([]int64, 0, max(nSeeds, 0))
+	seeds := make([]int64, 0, nSeeds)
 	for i := 0; i < nSeeds; i++ {
 		seeds = append(seeds, int64(i+1))
 	}

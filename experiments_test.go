@@ -23,6 +23,23 @@ import (
 	"redotheory/internal/workload"
 )
 
+// anyShape is the arbitrary read/write-set workload logical and
+// physical recovery accept.
+func anyShape(t testing.TB, n int, pages []model.Var, seed int64) []*model.Op {
+	ops, err := workload.ForMethod("logical", n, pages, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ops
+}
+
+// mustApply applies an operation known to be well-formed.
+func mustApply(s *model.State, op *model.Op) {
+	if _, err := s.Apply(op); err != nil {
+		panic(err)
+	}
+}
+
 func TestExperimentE1E2E3ScenarioVerdicts(t *testing.T) {
 	fmt.Println("E1–E3: scenario verdicts (Figures 1–3)")
 	for _, sc := range []workload.Scenario{
@@ -68,7 +85,7 @@ func TestExperimentE5PrefixCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	totalI, totalC := 0, 0
 	for trial := 0; trial < 50; trial++ {
-		ops := workload.AnyShape(8, workload.Pages(3), rng.Int63())
+		ops := anyShape(t, 8, workload.Pages(3), rng.Int63())
 		g := conflict.FromOps(ops...)
 		i2, err1 := install.FromConflict(g).DAG().EnumeratePrefixes(1 << 14)
 		c2, err2 := g.DAG().EnumeratePrefixes(1 << 14)
@@ -183,7 +200,7 @@ func TestExperimentE11LegacyEdgeCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var conflictE, newE, legacyE int
 	for trial := 0; trial < 100; trial++ {
-		ops := workload.AnyShape(20, workload.Pages(4), rng.Int63())
+		ops := anyShape(t, 20, workload.Pages(4), rng.Int63())
 		cg := conflict.FromOps(ops...)
 		conflictE += cg.DAG().NumEdges()
 		newE += install.FromConflict(cg).DAG().NumEdges()
@@ -233,7 +250,7 @@ func TestExperimentE13CheckpointInterval(t *testing.T) {
 		}
 		oracle := s0.Clone()
 		for _, op := range db.StableLog().Ops() {
-			oracle.MustApply(op)
+			mustApply(oracle, op)
 		}
 		if !res.State.Equal(oracle) {
 			t.Fatalf("interval %d: recovery diverged", interval)
@@ -285,7 +302,7 @@ func TestExperimentE14DPTAnalysisBenefit(t *testing.T) {
 	}
 	oracle := s0.Clone()
 	for _, op := range db.StableLog().Ops() {
-		oracle.MustApply(op)
+		mustApply(oracle, op)
 	}
 	if !res.State.Equal(oracle) {
 		t.Fatal("recovery diverged")
@@ -347,7 +364,7 @@ func TestExperimentE15AtomicGroupSizes(t *testing.T) {
 		}
 		oracle := s0.Clone()
 		for _, op := range db.StableLog().Ops() {
-			oracle.MustApply(op)
+			mustApply(oracle, op)
 		}
 		if !res.State.Equal(oracle) {
 			t.Fatal("grouplsn recovery diverged")
@@ -394,7 +411,7 @@ func TestExperimentE16LogTruncation(t *testing.T) {
 			}
 			oracle := db.RecoveryBase()
 			for _, op := range db.StableLog().Ops() {
-				oracle.MustApply(op)
+				mustApply(oracle, op)
 			}
 			if !res.State.Equal(oracle) {
 				t.Fatalf("n=%d truncate=%v: recovery diverged", n, truncate)
@@ -424,7 +441,7 @@ func TestExperimentE17InvariantNecessity(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	var holdRecovered, holdTotal, violRecovered, violTotal int
 	for trial := 0; trial < 400; trial++ {
-		ops := workload.AnyShape(10, workload.Pages(3), rng.Int63())
+		ops := anyShape(t, 10, workload.Pages(3), rng.Int63())
 		lg := coreLogOf(ops)
 		ck, err := core.NewChecker(lg, model.NewState())
 		if err != nil {
@@ -438,7 +455,7 @@ func TestExperimentE17InvariantNecessity(t *testing.T) {
 		for _, op := range ops {
 			if rng.Float64() < 0.5 {
 				installed.Add(op.ID())
-				state.MustApply(op)
+				mustApply(state, op)
 			}
 		}
 		redo := func(r *core.Record, _ core.Analysis) bool {

@@ -59,14 +59,6 @@ func New(ex Executor, strategy SplitStrategy, order int, firstOp model.OpID) *Tr
 	return &Tree{ex: ex, strategy: strategy, order: order, root: "bt-root", nextOp: firstOp}
 }
 
-// Root returns the root page id (fixed for the tree's lifetime: root
-// splits rewrite the root page in place).
-func (t *Tree) Root() model.Var { return t.root }
-
-// NextOpID returns the next operation id the tree will allocate, so a
-// caller can interleave its own operations without collisions.
-func (t *Tree) NextOpID() model.OpID { return t.nextOp }
-
 func (t *Tree) allocOp() model.OpID {
 	id := t.nextOp
 	t.nextOp++

@@ -246,7 +246,7 @@ func TestMidSplitCrashStillRecoversLoggedPrefix(t *testing.T) {
 		t.Skip("history too short to cut mid-split")
 	}
 	// Force only part of the log: stable cut lands inside a split.
-	db.FlushLogTo(full.Records()[full.Len()/2].LSN)
+	db.WAL().FlushTo(full.Records()[full.Len()/2].LSN)
 	db.Crash()
 	res, err := method.Recover(db)
 	if err != nil {
@@ -254,7 +254,9 @@ func TestMidSplitCrashStillRecoversLoggedPrefix(t *testing.T) {
 	}
 	oracle := model.NewState()
 	for _, op := range db.StableLog().Ops() {
-		oracle.MustApply(op)
+		if _, err := oracle.Apply(op); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !res.State.Equal(oracle) {
 		t.Errorf("recovered %v, want oracle %v", res.State, oracle)
@@ -342,7 +344,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	tr := New(&stateExec{s: s}, GeneralizedSplit, 4, 1)
 	insertAll(t, tr, []int64{1, 2, 3, 4, 5, 6, 7, 8})
 	// Corrupt a page: swap two keys in the root.
-	root := mustDecode(s.Get(tr.Root()))
+	root := mustDecode(s.Get(tr.root))
 	if root.Leaf {
 		t.Fatal("tree too small")
 	}

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"redotheory/internal/method"
@@ -103,17 +104,17 @@ func TestNewPanicsOnTinyOrder(t *testing.T) {
 
 func TestNextOpIDAdvances(t *testing.T) {
 	tr := New(&stateExec{s: model.NewState()}, GeneralizedSplit, 4, 7)
-	if tr.NextOpID() != 7 {
-		t.Errorf("NextOpID = %d", tr.NextOpID())
+	if tr.nextOp != 7 {
+		t.Errorf("nextOp = %d", tr.nextOp)
 	}
 	if err := tr.Insert(1); err != nil {
 		t.Fatal(err)
 	}
-	if tr.NextOpID() != 8 {
-		t.Errorf("NextOpID after insert = %d", tr.NextOpID())
+	if tr.nextOp != 8 {
+		t.Errorf("nextOp after insert = %d", tr.nextOp)
 	}
-	if tr.Root() != "bt-root" {
-		t.Errorf("Root = %s", tr.Root())
+	if tr.root != "bt-root" {
+		t.Errorf("root = %s", tr.root)
 	}
 }
 
@@ -125,7 +126,16 @@ func TestLogBytesByKind(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	kinds := LogBytesByKind(db.Log())
+	// Bucket record sizes by operation kind: the name up to the first
+	// '(' or '@'.
+	kinds := make(map[string]int)
+	for _, r := range db.Log().Records() {
+		name := r.Op.Name()
+		if i := strings.IndexAny(name, "(@"); i >= 0 {
+			name = name[:i]
+		}
+		kinds[name] += r.SizeBytes()
+	}
 	if kinds["ins"] == 0 || kinds["split"] == 0 || kinds["trunc"] == 0 {
 		t.Errorf("kinds = %v", kinds)
 	}
@@ -148,12 +158,12 @@ func TestSearchOnDanglingPointer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	root := mustDecode(s.Get(tr.Root()))
+	root := mustDecode(s.Get(tr.root))
 	if root.Leaf {
 		t.Fatal("tree too small")
 	}
 	root.Kids[0] = "bt-nowhere"
-	s.Set(tr.Root(), encodePage(root))
+	s.Set(tr.root, encodePage(root))
 	if _, err := tr.Search(1); err == nil {
 		t.Error("dangling pointer not reported by Search")
 	}

@@ -21,17 +21,3 @@ func SplitLogBytes(l *core.Log) int {
 	}
 	return total
 }
-
-// LogBytesByKind buckets record sizes by operation kind (the name up to
-// the first '(' or '@'), for the experiment reports.
-func LogBytesByKind(l *core.Log) map[string]int {
-	out := make(map[string]int)
-	for _, r := range l.Records() {
-		name := r.Op.Name()
-		if i := strings.IndexAny(name, "(@"); i >= 0 {
-			name = name[:i]
-		}
-		out[name] += r.SizeBytes()
-	}
-	return out
-}

@@ -177,8 +177,8 @@ func (m *Manager) blockedBy(id model.Var, lsn core.LSN) (Dep, bool) {
 	return Dep{}, false
 }
 
-// CanFlush reports whether the page is dirty and unblocked.
-func (m *Manager) CanFlush(id model.Var) bool {
+// canFlush reports whether the page is dirty and unblocked.
+func (m *Manager) canFlush(id model.Var) bool {
 	p, ok := m.pages[id]
 	if !ok || !p.dirty {
 		return false
@@ -290,7 +290,7 @@ func (m *Manager) FlushAll() error {
 	for {
 		progressed := false
 		for _, id := range m.DirtyPages() {
-			if m.CanFlush(id) {
+			if m.canFlush(id) {
 				if err := m.Flush(id); err != nil {
 					return err
 				}
@@ -312,7 +312,7 @@ func (m *Manager) FlushAll() error {
 func (m *Manager) FlushFirst() bool {
 	// A successful Flush edits m.dirty, but the loop returns right after.
 	for _, id := range m.dirty {
-		if m.CanFlush(id) {
+		if m.canFlush(id) {
 			if err := m.Flush(id); err == nil {
 				return true
 			}

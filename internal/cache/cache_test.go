@@ -9,7 +9,7 @@ import (
 )
 
 func newCache() (*Manager, *storage.Store, *wal.Manager) {
-	st := storage.NewStore()
+	st := storage.FromState(model.NewState())
 	lg := wal.NewManager()
 	return NewManager(st, lg), st, lg
 }
@@ -104,7 +104,7 @@ func TestFlushDependencyOrdering(t *testing.T) {
 	c.ApplyWrite("x", "truncated", 2)
 	c.AddDep(Dep{Prereq: "y", PrereqLSN: 1, Dependent: "x", DepLSN: 2})
 
-	if c.CanFlush("x") {
+	if c.canFlush("x") {
 		t.Error("x flushable before y is stable")
 	}
 	if err := c.Flush("x"); err == nil {
@@ -116,7 +116,7 @@ func TestFlushDependencyOrdering(t *testing.T) {
 	if err := c.Flush("y"); err != nil {
 		t.Fatal(err)
 	}
-	if !c.CanFlush("x") {
+	if !c.canFlush("x") {
 		t.Error("x still blocked after y is stable")
 	}
 	if err := c.Flush("x"); err != nil {
@@ -183,7 +183,7 @@ func TestDepPastLSNDoesNotBlockEarlierFlush(t *testing.T) {
 	lg.Append(model.AssignConst(1, "x", "v3"), 1)
 	c.ApplyWrite("x", "v3", 1)
 	c.AddDep(Dep{Prereq: "y", PrereqLSN: 4, Dependent: "x", DepLSN: 5})
-	if !c.CanFlush("x") {
+	if !c.canFlush("x") {
 		t.Error("dependency for a later LSN blocked an earlier flush")
 	}
 }

@@ -57,7 +57,7 @@ func TestDirtySetModel(t *testing.T) {
 	for _, mv := range []bool{false, true} {
 		steals := 0
 		for seed := int64(1); seed <= 20; seed++ {
-			st, lg := storage.NewStore(), wal.NewManager()
+			st, lg := storage.FromState(model.NewState()), wal.NewManager()
 			m := NewManager(st, lg)
 			if mv {
 				m = NewMVManager(st, lg)
@@ -101,9 +101,9 @@ func TestDirtySetModel(t *testing.T) {
 					}
 				case k < 72:
 					if id, ok := pickDirty(); ok {
-						before := m.Versions(id)
-						if err := m.FlushBest(id); err == nil && m.Versions(id) > 0 && (!mv || m.Versions(id) >= before) {
-							t.Fatalf("%s: partial install left %d of %d versions", name, m.Versions(id), before)
+						before := m.versions(id)
+						if err := m.flushBest(id); err == nil && m.versions(id) > 0 && (!mv || m.versions(id) >= before) {
+							t.Fatalf("%s: partial install left %d of %d versions", name, m.versions(id), before)
 						}
 					}
 				case k < 84:
@@ -113,7 +113,7 @@ func TestDirtySetModel(t *testing.T) {
 					dep, ok1 := pickDirty()
 					pre, ok2 := pickDirty()
 					for _, id := range scanDirty(m) {
-						if rng.Intn(2) == 0 && m.Versions(id) > m.Versions(dep) {
+						if rng.Intn(2) == 0 && m.versions(id) > m.versions(dep) {
 							dep = id // favour a page with older versions to fall back on
 						}
 					}
@@ -123,7 +123,7 @@ func TestDirtySetModel(t *testing.T) {
 				case k < 96:
 					var want model.Var
 					for _, id := range scanDirty(m) {
-						if (mv && m.CanFlushBest(id)) || (!mv && m.CanFlush(id)) {
+						if (mv && m.canFlushBest(id)) || (!mv && m.canFlush(id)) {
 							want = id
 							break
 						}
@@ -141,7 +141,7 @@ func TestDirtySetModel(t *testing.T) {
 					}
 				case k < 98:
 					if mv {
-						_ = m.FlushAllBest()
+						_ = m.flushAllBest()
 					} else {
 						_ = m.FlushAll() // may stop on a dependency cycle
 					}
@@ -164,7 +164,7 @@ func TestDirtySetModel(t *testing.T) {
 // whatever n is.
 func allDirty(n int) (*Manager, *wal.Manager) {
 	lg := wal.NewManager()
-	m := NewManager(storage.NewStore(), lg)
+	m := NewManager(storage.FromState(model.NewState()), lg)
 	for i := 0; i < 2000+n; i++ {
 		id := model.Var(fmt.Sprintf("p%04d", i-2000))
 		r := lg.Append(model.AssignConst(model.OpID(i+1), id, "v"), 1)

@@ -122,7 +122,7 @@ func TestMVFlushBestFiresHookWithVersionLSN(t *testing.T) {
 	lg.Append(model.AssignConst(2, "p", "v2"), 1)
 	c.ApplyWrite("p", "v2", 2)
 	c.AddDep(Dep{Prereq: "q", PrereqLSN: 9, Dependent: "p", DepLSN: 2})
-	if err := c.FlushBest("p"); err != nil {
+	if err := c.flushBest("p"); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0] != 1 {

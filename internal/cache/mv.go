@@ -38,9 +38,9 @@ func NewMVManager(store *storage.Store, log *wal.Manager) *Manager {
 // MultiVersion reports whether the cache retains older page versions.
 func (m *Manager) MultiVersion() bool { return m.multiVersion }
 
-// Versions returns how many unflushed versions of the page the cache
+// versions returns how many unflushed versions of the page the cache
 // holds (0 when clean or absent).
-func (m *Manager) Versions(id model.Var) int {
+func (m *Manager) versions(id model.Var) int {
 	p, ok := m.pages[id]
 	if !ok || !p.dirty {
 		return 0
@@ -72,11 +72,11 @@ func (m *Manager) bestFlushable(id model.Var) (pageVersion, bool) {
 	return pageVersion{}, false
 }
 
-// FlushBest installs the newest version of the page whose dependencies
+// flushBest installs the newest version of the page whose dependencies
 // are satisfied. In single-version mode only the current version is a
-// candidate, so FlushBest coincides with Flush. Flushing an older
+// candidate, so flushBest coincides with Flush. Flushing an older
 // version leaves the page dirty with the newer versions retained.
-func (m *Manager) FlushBest(id model.Var) error {
+func (m *Manager) flushBest(id model.Var) error {
 	p, ok := m.pages[id]
 	if !ok || !p.dirty {
 		return fmt.Errorf("cache: page %q is not dirty", id)
@@ -131,8 +131,8 @@ func (m *Manager) FlushBest(id model.Var) error {
 	return nil
 }
 
-// CanFlushBest reports whether some version of the page is installable.
-func (m *Manager) CanFlushBest(id model.Var) bool {
+// canFlushBest reports whether some version of the page is installable.
+func (m *Manager) canFlushBest(id model.Var) bool {
 	_, ok := m.bestFlushable(id)
 	return ok
 }
@@ -142,8 +142,8 @@ func (m *Manager) CanFlushBest(id model.Var) bool {
 // blocked.
 func (m *Manager) FlushFirstBest() bool {
 	for _, id := range m.dirty {
-		if m.CanFlushBest(id) {
-			if err := m.FlushBest(id); err == nil {
+		if m.canFlushBest(id) {
+			if err := m.flushBest(id); err == nil {
 				return true
 			}
 		}
@@ -151,15 +151,15 @@ func (m *Manager) FlushFirstBest() bool {
 	return false
 }
 
-// FlushAllBest drains the cache version-at-a-time, iterating to a fixed
+// flushAllBest drains the cache version-at-a-time, iterating to a fixed
 // point. Unlike FlushAll it succeeds even when the newest versions form
 // a dependency cycle, as long as older versions break it.
-func (m *Manager) FlushAllBest() error {
+func (m *Manager) flushAllBest() error {
 	for {
 		progressed := false
 		for _, id := range m.DirtyPages() {
-			if m.CanFlushBest(id) {
-				if err := m.FlushBest(id); err != nil {
+			if m.canFlushBest(id) {
+				if err := m.flushBest(id); err != nil {
 					return err
 				}
 				progressed = true

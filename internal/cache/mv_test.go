@@ -9,7 +9,7 @@ import (
 )
 
 func newMV() (*Manager, *storage.Store, *wal.Manager) {
-	st := storage.NewStore()
+	st := storage.FromState(model.NewState())
 	lg := wal.NewManager()
 	return NewMVManager(st, lg), st, lg
 }
@@ -22,7 +22,7 @@ func TestMVRetainsVersions(t *testing.T) {
 	c.ApplyWrite("p", "v2", 2)
 	lg.Append(model.AssignConst(3, "p", "v3"), 1)
 	c.ApplyWrite("p", "v3", 3)
-	if got := c.Versions("p"); got != 3 {
+	if got := c.versions("p"); got != 3 {
 		t.Errorf("Versions = %d, want 3", got)
 	}
 	if c.Read("p") != "v3" {
@@ -36,13 +36,13 @@ func TestMVFlushBestPrefersNewest(t *testing.T) {
 	c.ApplyWrite("p", "v1", 1)
 	lg.Append(model.AssignConst(2, "p", "v2"), 1)
 	c.ApplyWrite("p", "v2", 2)
-	if err := c.FlushBest("p"); err != nil {
+	if err := c.flushBest("p"); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := st.Read("p"); got.Data != "v2" || got.LSN != 2 {
 		t.Errorf("stable = %+v, want newest", got)
 	}
-	if c.Versions("p") != 0 {
+	if c.versions("p") != 0 {
 		t.Error("page should be clean after flushing the newest version")
 	}
 }
@@ -55,17 +55,17 @@ func TestMVFlushBestFallsBackToOlderVersion(t *testing.T) {
 	c.ApplyWrite("p", "v2", 2)
 	// Block the newest version: p at LSN ≥ 2 needs q stable at 9.
 	c.AddDep(Dep{Prereq: "q", PrereqLSN: 9, Dependent: "p", DepLSN: 2})
-	if !c.CanFlushBest("p") {
+	if !c.canFlushBest("p") {
 		t.Fatal("older version should be installable")
 	}
-	if err := c.FlushBest("p"); err != nil {
+	if err := c.flushBest("p"); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := st.Read("p"); got.Data != "v1" || got.LSN != 1 {
 		t.Errorf("stable = %+v, want the older version", got)
 	}
-	if c.Versions("p") != 1 {
-		t.Errorf("Versions = %d, want the newer one retained", c.Versions("p"))
+	if c.versions("p") != 1 {
+		t.Errorf("Versions = %d, want the newer one retained", c.versions("p"))
 	}
 	if min, ok := c.MinRecLSN(); !ok || min != 2 {
 		t.Errorf("recLSN = %d,%v, want 2 (the unflushed version)", min, ok)
@@ -88,7 +88,7 @@ func TestMVBreaksDependencyCycle(t *testing.T) {
 	if err := c.FlushAll(); err == nil {
 		t.Fatal("single-copy FlushAll should deadlock on the newest versions")
 	}
-	if err := c.FlushAllBest(); err != nil {
+	if err := c.flushAllBest(); err != nil {
 		t.Fatalf("version-at-a-time drain failed: %v", err)
 	}
 	if got, _ := st.Read("w"); got.LSN != 3 {
@@ -100,22 +100,22 @@ func TestMVBreaksDependencyCycle(t *testing.T) {
 }
 
 func TestMVSingleVersionModeUnchanged(t *testing.T) {
-	// In a plain manager, FlushBest behaves exactly like Flush.
-	st := storage.NewStore()
+	// In a plain manager, flushBest behaves exactly like Flush.
+	st := storage.FromState(model.NewState())
 	lg := wal.NewManager()
 	c := NewManager(st, lg)
 	lg.Append(model.AssignConst(1, "p", "v1"), 1)
 	c.ApplyWrite("p", "v1", 1)
 	lg.Append(model.AssignConst(2, "p", "v2"), 1)
 	c.ApplyWrite("p", "v2", 2)
-	if c.Versions("p") != 1 {
+	if c.versions("p") != 1 {
 		t.Error("single-version manager retained history")
 	}
-	if err := c.FlushBest("p"); err != nil {
+	if err := c.flushBest("p"); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := st.Read("p"); got.Data != "v2" {
-		t.Error("FlushBest flushed the wrong version")
+		t.Error("flushBest flushed the wrong version")
 	}
 }
 
@@ -126,7 +126,7 @@ func TestMVCrashDropsVersions(t *testing.T) {
 	lg.Append(model.AssignConst(2, "p", "v2"), 1)
 	c.ApplyWrite("p", "v2", 2)
 	c.Crash()
-	if c.Versions("p") != 0 {
+	if c.versions("p") != 0 {
 		t.Error("versions survived the crash")
 	}
 }

@@ -87,16 +87,6 @@ func New() *Graph {
 	}
 }
 
-// FromSequence builds the conflict graph generated by the operation
-// sequence.
-func FromSequence(seq *model.Sequence) *Graph {
-	g := New()
-	for _, o := range seq.Ops() {
-		g.Append(o)
-	}
-	return g
-}
-
 // FromOps builds the conflict graph generated by operations given in
 // invocation order.
 func FromOps(ops ...*model.Op) *Graph {

@@ -130,9 +130,6 @@ func (c *Checker) Conflict() *conflict.Graph { return c.cg }
 // Install returns the checker's installation graph.
 func (c *Checker) Install() *install.Graph { return c.ig }
 
-// StateGraph returns the checker's conflict state graph.
-func (c *Checker) StateGraph() *stategraph.Graph { return c.sg }
-
 // FinalState returns the state recovery must reconstruct.
 func (c *Checker) FinalState() *model.State { return c.sg.FinalState() }
 

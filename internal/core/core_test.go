@@ -107,7 +107,7 @@ func TestRecoverFigure6Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.State.GetInt("x") != 3 || res.State.GetInt("y") != 3 {
+	if model.AsInt(res.State.Get("x")) != 3 || model.AsInt(res.State.Get("y")) != 3 {
 		t.Errorf("recovered %v, want x=3 y=3", res.State)
 	}
 	if len(res.RedoSet()) != 2 || !res.RedoSet().Has(1) || !res.RedoSet().Has(3) {
@@ -135,8 +135,8 @@ func TestRecoverHonorsCheckpoint(t *testing.T) {
 	if res.Examined != 1 {
 		t.Errorf("examined = %d, want 1", res.Examined)
 	}
-	if res.State.GetInt("x") != 2 {
-		t.Errorf("x = %d, want 2", res.State.GetInt("x"))
+	if model.AsInt(res.State.Get("x")) != 2 {
+		t.Errorf("x = %d, want 2", model.AsInt(res.State.Get("x")))
 	}
 	if !res.Installed().Has(1) {
 		t.Error("checkpointed op not in installed set")
@@ -220,7 +220,7 @@ func TestCorollary4Property(t *testing.T) {
 			return false
 		}
 		installed := randomPrefixOf(rng, ck.Install().DAG())
-		state, err := ck.Install().DeterminedState(ck.StateGraph(), installed)
+		state, err := ck.Install().DeterminedState(ck.sg, installed)
 		if err != nil {
 			return false
 		}
@@ -379,7 +379,7 @@ func TestCheckerPropertyRandomInstalledSets(t *testing.T) {
 		isPrefix := ck.Install().IsPrefix(installed)
 		var state *model.State
 		if isPrefix {
-			state, err = ck.Install().DeterminedState(ck.StateGraph(), installed)
+			state, err = ck.Install().DeterminedState(ck.sg, installed)
 			if err != nil {
 				return false
 			}

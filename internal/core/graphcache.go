@@ -68,16 +68,10 @@ func keyOf(log *Log) graphKey {
 	return graphKey{first: recs[0], last: recs[len(recs)-1], n: len(recs)}
 }
 
-// Graphs returns the conflict graph and installation graph for the
-// log's record sequence, building and caching them on first sight.
-func (c *GraphCache) Graphs(log *Log) (*conflict.Graph, *install.Graph) {
-	cg, ig, _ := c.graphs(log)
-	return cg, ig
-}
-
-// GraphsObserved is Graphs plus cache-effectiveness telemetry: the
-// lookup is counted as a hit or miss on the recorder (MGraphHits /
-// MGraphMisses).
+// GraphsObserved returns the conflict graph and installation graph for
+// the log's record sequence, building and caching them on first sight.
+// The lookup is counted as a hit or miss on the recorder (MGraphHits /
+// MGraphMisses); rec may be nil.
 func (c *GraphCache) GraphsObserved(log *Log, rec *obs.Recorder) (*conflict.Graph, *install.Graph) {
 	cg, ig, hit := c.graphs(log)
 	if hit {
@@ -122,7 +116,7 @@ func (c *GraphCache) graphs(log *Log) (*conflict.Graph, *install.Graph, bool) {
 
 // Conflict returns the (possibly cached) conflict graph for the log.
 func (c *GraphCache) Conflict(log *Log) *conflict.Graph {
-	cg, _ := c.Graphs(log)
+	cg, _, _ := c.graphs(log)
 	return cg
 }
 

@@ -10,8 +10,8 @@ import (
 func TestGraphCacheHitsOnSameLog(t *testing.T) {
 	c := NewGraphCache(4)
 	l := logOf(model.Incr(1, "x", 1), model.CopyPlus(2, "y", "x", 1))
-	cg1, ig1 := c.Graphs(l)
-	cg2, ig2 := c.Graphs(l)
+	cg1, ig1 := c.GraphsObserved(l, nil)
+	cg2, ig2 := c.GraphsObserved(l, nil)
 	if cg1 != cg2 || ig1 != ig2 {
 		t.Error("second lookup rebuilt the graphs")
 	}
@@ -28,12 +28,12 @@ func TestGraphCacheHitsAcrossSharedProjections(t *testing.T) {
 	// prefix is the same key and a shorter prefix a different one.
 	c := NewGraphCache(4)
 	l := logOf(model.Incr(1, "x", 1), model.Incr(2, "x", 1), model.Incr(3, "x", 1))
-	cgFull, _ := c.Graphs(l)
-	cgSame, _ := c.Graphs(l.Prefix(3))
+	cgFull, _ := c.GraphsObserved(l, nil)
+	cgSame, _ := c.GraphsObserved(l.Prefix(3), nil)
 	if cgFull != cgSame {
 		t.Error("identical record sequence missed the cache")
 	}
-	cgShort, _ := c.Graphs(l.Prefix(2))
+	cgShort, _ := c.GraphsObserved(l.Prefix(2), nil)
 	if cgShort == cgFull {
 		t.Error("shorter prefix shared the full log's graphs")
 	}
@@ -48,9 +48,9 @@ func TestGraphCacheHitsAcrossSharedProjections(t *testing.T) {
 func TestGraphCacheKeyChangesOnAppend(t *testing.T) {
 	c := NewGraphCache(4)
 	l := logOf(model.Incr(1, "x", 1))
-	cg1, _ := c.Graphs(l)
+	cg1, _ := c.GraphsObserved(l, nil)
 	l.Append(model.Incr(2, "x", 1))
-	cg2, _ := c.Graphs(l)
+	cg2, _ := c.GraphsObserved(l, nil)
 	if cg1 == cg2 {
 		t.Error("appended log reused the stale cached graph")
 	}
@@ -64,18 +64,18 @@ func TestGraphCacheEvictsFIFO(t *testing.T) {
 	l1 := logOf(model.Incr(1, "x", 1))
 	l2 := logOf(model.Incr(2, "x", 1))
 	l3 := logOf(model.Incr(3, "x", 1))
-	c.Graphs(l1)
-	c.Graphs(l2)
-	c.Graphs(l3) // evicts l1
+	c.GraphsObserved(l1, nil)
+	c.GraphsObserved(l2, nil)
+	c.GraphsObserved(l3, nil) // evicts l1
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
 	misses := c.Misses
-	c.Graphs(l2) // still cached
+	c.GraphsObserved(l2, nil) // still cached
 	if c.Misses != misses {
 		t.Error("l2 was evicted; FIFO should have evicted l1")
 	}
-	c.Graphs(l1) // rebuilt
+	c.GraphsObserved(l1, nil) // rebuilt
 	if c.Misses != misses+1 {
 		t.Error("l1 should have been evicted and rebuilt")
 	}
@@ -83,8 +83,8 @@ func TestGraphCacheEvictsFIFO(t *testing.T) {
 
 func TestGraphCacheEmptyLog(t *testing.T) {
 	c := NewGraphCache(2)
-	cg1, _ := c.Graphs(NewLog())
-	cg2, _ := c.Graphs(NewLog())
+	cg1, _ := c.GraphsObserved(NewLog(), nil)
+	cg2, _ := c.GraphsObserved(NewLog(), nil)
 	if cg1 != cg2 {
 		t.Error("two empty logs should share the empty-key entry")
 	}
@@ -106,7 +106,7 @@ func TestGraphCacheConcurrentAccess(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
 				l := logs[(w+i)%len(logs)]
-				cg, ig := c.Graphs(l)
+				cg, ig := c.GraphsObserved(l, nil)
 				if cg == nil || ig == nil {
 					t.Error("nil graph from cache")
 					return
@@ -127,14 +127,14 @@ func TestGraphCacheCountersOnRecorder(t *testing.T) {
 	l := logOf(model.Incr(1, "x", 1), model.CopyPlus(2, "y", "x", 1))
 	rec := obs.New()
 	cg1, ig1 := c.GraphsObserved(l, rec)
-	if got := rec.CounterValue(obs.MGraphMisses); got != 1 {
+	if got := rec.Snapshot().Counter(obs.MGraphMisses); got != 1 {
 		t.Fatalf("graph misses = %d after first lookup, want 1", got)
 	}
 	cg2, ig2 := c.GraphsObserved(l, rec)
 	if cg2 != cg1 || ig2 != ig1 {
 		t.Fatal("cache returned different graphs for the same prefix")
 	}
-	if got := rec.CounterValue(obs.MGraphHits); got != 1 {
+	if got := rec.Snapshot().Counter(obs.MGraphHits); got != 1 {
 		t.Fatalf("graph hits = %d after reuse, want 1", got)
 	}
 	if cg3, _ := c.GraphsObserved(l, nil); cg3 != cg1 {

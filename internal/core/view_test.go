@@ -138,7 +138,7 @@ func TestViewCacheCountersOnRecorder(t *testing.T) {
 	c := NewViewCache(4)
 	rec := obs.New()
 	first := c.ViewOf(l, rec)
-	if got := rec.CounterValue(obs.MViewMisses); got != 1 {
+	if got := rec.Snapshot().Counter(obs.MViewMisses); got != 1 {
 		t.Fatalf("view misses = %d after first lookup, want 1", got)
 	}
 	for i := 0; i < 3; i++ {
@@ -146,7 +146,7 @@ func TestViewCacheCountersOnRecorder(t *testing.T) {
 			t.Fatal("cache returned a different view for the same prefix")
 		}
 	}
-	if got := rec.CounterValue(obs.MViewHits); got != 3 {
+	if got := rec.Snapshot().Counter(obs.MViewHits); got != 3 {
 		t.Fatalf("view hits = %d after three reuses, want 3", got)
 	}
 	// A nil recorder is the disabled path: no panic, same view.

@@ -55,7 +55,7 @@ func TestInternerUnknownIDPanics(t *testing.T) {
 }
 
 // TestStateRoundTripIdentity is the dense→Var→dense identity property:
-// for random states, FromState followed by ToState reproduces the
+// for random states, FromState followed by toState reproduces the
 // original state, and a second FromState of the round-tripped state is
 // Equal to the first dense state.
 func TestStateRoundTripIdentity(t *testing.T) {
@@ -72,8 +72,8 @@ func TestStateRoundTripIdentity(t *testing.T) {
 			}
 		}
 		d := FromState(in, s)
-		back := d.ToState()
-		// ToState only sees interned variables; every assigned variable
+		back := d.toState()
+		// toState only sees interned variables; every assigned variable
 		// here was interned, so the round trip must be exact.
 		if !back.Equal(s) {
 			t.Fatalf("trial %d: round-tripped state %v != original %v", trial, back, s)
@@ -94,29 +94,29 @@ func TestStatePresenceBitmap(t *testing.T) {
 		in.Intern(model.Var(fmt.Sprintf("v%02d", i)))
 	}
 	d := FromState(in, model.NewState())
-	if d.Present(3) || d.Present(69) {
+	if d.present(3) || d.present(69) {
 		t.Fatal("empty state reports variables present")
 	}
 	d.Set(69, model.IntVal(5))
-	if !d.Present(69) || d.Value(69) != model.IntVal(5) {
+	if !d.present(69) || d.Value(69) != model.IntVal(5) {
 		t.Fatal("Set did not record value/presence")
 	}
 	d.Set(69, "")
-	if d.Present(69) {
+	if d.present(69) {
 		t.Fatal("assigning the zero Value did not clear presence")
 	}
 
 	d.StoreRaw(7, model.IntVal(1))
-	if d.Present(7) {
+	if d.present(7) {
 		t.Fatal("StoreRaw touched the presence bitmap")
 	}
 	d.Mark(7)
-	if !d.Present(7) {
+	if !d.present(7) {
 		t.Fatal("Mark did not restore the presence bit")
 	}
 	d.StoreRaw(7, "")
 	d.Mark(7)
-	if d.Present(7) {
+	if d.present(7) {
 		t.Fatal("Mark of a zero value did not clear the presence bit")
 	}
 }

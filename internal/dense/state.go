@@ -57,9 +57,9 @@ func (d *State) Interner() *Interner { return d.in }
 // Value returns the value of the variable with the given id.
 func (d *State) Value(id uint32) model.Value { return d.values[id] }
 
-// Present reports whether the variable is assigned (non-zero value),
+// present reports whether the variable is assigned (non-zero value),
 // per the presence bitmap.
-func (d *State) Present(id uint32) bool {
+func (d *State) present(id uint32) bool {
 	return d.dirty[id>>6]&(1<<(id&63)) != 0
 }
 
@@ -111,8 +111,8 @@ func (d *State) WriteBack(dst *model.State, ids []uint32) {
 	}
 }
 
-// ToState converts the dense state to a fresh map-backed state.
-func (d *State) ToState() *model.State {
+// toState converts the dense state to a fresh map-backed state.
+func (d *State) toState() *model.State {
 	s := model.NewState()
 	for id, v := range d.values {
 		if v != "" {
@@ -134,5 +134,5 @@ func (d *State) Equal(o *State) bool {
 		}
 		return true
 	}
-	return d.ToState().Equal(o.ToState())
+	return d.toState().Equal(o.toState())
 }

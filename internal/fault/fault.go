@@ -103,8 +103,12 @@ type Plan struct {
 	Kind Kind
 }
 
-// New builds the plan's injector.
-func (p Plan) New() *Injector { return NewInjector(p.Seed, p.Kind) }
+// New builds the plan's injector, with all victim choices driven by
+// the plan's seed.
+func (p Plan) New() *Injector {
+	rng := rand.New(rand.NewSource(p.Seed))
+	return &Injector{kind: p.Kind, rng: rng, loseAt: rng.Intn(6)}
+}
 
 // Injector carries one armed fault plan through a run. The substrate
 // hooks (storage writes, group writes) consult it at decision points;
@@ -125,18 +129,11 @@ type Injector struct {
 	tornDone bool
 }
 
-// NewInjector returns an injector arming the given kind, with all
-// victim choices driven by the seed.
-func NewInjector(seed int64, kind Kind) *Injector {
-	rng := rand.New(rand.NewSource(seed))
-	return &Injector{kind: kind, rng: rng, loseAt: rng.Intn(6)}
-}
-
 // Kind returns the armed fault kind.
 func (in *Injector) Kind() Kind { return in.kind }
 
-// Armed reports whether the given kind is armed (fired or not).
-func (in *Injector) Armed(k Kind) bool { return in != nil && in.kind == k && k != None }
+// armed reports whether the given kind is armed (fired or not).
+func (in *Injector) armed(k Kind) bool { return in != nil && in.kind == k && k != None }
 
 // Rng exposes the injector's seeded source for victim selection by the
 // crash-time realization code.
@@ -160,7 +157,7 @@ func (in *Injector) HasFired() bool { return in != nil && len(in.fired) > 0 }
 // semantics), so the stale version is what the crash reveals no matter
 // how often the page is rewritten.
 func (in *Injector) LoseWrite(page string) bool {
-	if !in.Armed(LostWrite) {
+	if !in.armed(LostWrite) {
 		return false
 	}
 	if in.deadPage == "" {
@@ -179,7 +176,7 @@ func (in *Injector) LoseWrite(page string) bool {
 // true. It fires at most once. Groups of one page cannot tear (single
 // page writes are atomic by the disk model).
 func (in *Injector) TearGroup(n int) (int, bool) {
-	if !in.Armed(TornGroup) || in.tornDone || n < 2 {
+	if !in.armed(TornGroup) || in.tornDone || n < 2 {
 		return 0, false
 	}
 	in.tornDone = true

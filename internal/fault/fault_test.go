@@ -15,7 +15,7 @@ func TestSumFraming(t *testing.T) {
 }
 
 func TestInjectorDeterminism(t *testing.T) {
-	a, b := NewInjector(7, LostWrite), NewInjector(7, LostWrite)
+	a, b := Plan{Seed: 7, Kind: LostWrite}.New(), Plan{Seed: 7, Kind: LostWrite}.New()
 	pages := []string{"p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7"}
 	var lostA, lostB []string
 	for _, p := range pages {
@@ -38,7 +38,7 @@ func TestInjectorDeterminism(t *testing.T) {
 }
 
 func TestInjectorDeadSector(t *testing.T) {
-	in := NewInjector(1, LostWrite)
+	in := Plan{Seed: 1, Kind: LostWrite}.New()
 	var dead string
 	for i := 0; i < 20; i++ {
 		if in.LoseWrite("pg") {
@@ -61,7 +61,7 @@ func TestInjectorDeadSector(t *testing.T) {
 }
 
 func TestTearGroupOnce(t *testing.T) {
-	in := NewInjector(3, TornGroup)
+	in := Plan{Seed: 3, Kind: TornGroup}.New()
 	if _, ok := in.TearGroup(1); ok {
 		t.Fatal("single-page groups must not tear")
 	}
@@ -78,7 +78,7 @@ func TestTearGroupOnce(t *testing.T) {
 }
 
 func TestUnarmedAndNil(t *testing.T) {
-	in := NewInjector(1, PageBitRot)
+	in := Plan{Seed: 1, Kind: PageBitRot}.New()
 	if in.LoseWrite("p") {
 		t.Fatal("unarmed LoseWrite fired")
 	}
@@ -86,7 +86,7 @@ func TestUnarmedAndNil(t *testing.T) {
 		t.Fatal("unarmed TearGroup fired")
 	}
 	var none *Injector
-	if none.Armed(PageBitRot) || none.HasFired() {
+	if none.armed(PageBitRot) || none.HasFired() {
 		t.Fatal("nil injector must be inert")
 	}
 	if len(Kinds()) != 6 {

@@ -178,9 +178,6 @@ type Report struct {
 	Elapsed time.Duration
 }
 
-// Disagreements is the failure count.
-func (r *Report) Disagreements() int { return len(r.Failures) }
-
 // scheduleProfiles are the background-activity mixes cycled across
 // histories: the sim default, an aggressive-steal profile, a
 // force-heavy/rarely-checkpoint profile, and a flush-heavy profile with

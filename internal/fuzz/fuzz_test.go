@@ -35,10 +35,10 @@ func TestCleanGridAgrees(t *testing.T) {
 	if rep.RedoSizes < 2 {
 		t.Fatalf("redo-size coverage %d is degenerate", rep.RedoSizes)
 	}
-	if got := rec.CounterValue(MCells); got != int64(rep.Cells) {
+	if got := rec.Snapshot().Counter(MCells); got != int64(rep.Cells) {
 		t.Fatalf("recorder cells = %d, report says %d", got, rep.Cells)
 	}
-	if rec.CounterValue(MDisagreements) != 0 {
+	if rec.Snapshot().Counter(MDisagreements) != 0 {
 		t.Fatalf("recorder counted disagreements on a clean grid")
 	}
 }
@@ -126,7 +126,7 @@ func TestInjectedOracleBugIsCaught(t *testing.T) {
 			t.Fatal("failure carries no artifact")
 		}
 	}
-	if got := rec.CounterValue(MDisagreements); got != int64(len(rep.Failures)) {
+	if got := rec.Snapshot().Counter(MDisagreements); got != int64(len(rep.Failures)) {
 		t.Fatalf("recorder disagreements = %d, report has %d", got, len(rep.Failures))
 	}
 }

@@ -62,12 +62,12 @@ func (g *Graph[K]) WeakComponents(within Set[K]) [][]K {
 	return out
 }
 
-// TopoWithin returns a topological order of the subgraph induced by the
+// topoWithin returns a topological order of the subgraph induced by the
 // node set, smallest key first among ready nodes (the same canonical
 // tie-break as TopoOrder). Edges with an endpoint outside the set are
 // ignored. Nodes in the set that are absent from the graph participate
 // with no edges.
-func (g *Graph[K]) TopoWithin(within Set[K]) ([]K, error) {
+func (g *Graph[K]) topoWithin(within Set[K]) ([]K, error) {
 	restricted := New[K]()
 	for n := range within {
 		restricted.AddNode(n)

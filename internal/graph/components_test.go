@@ -61,7 +61,7 @@ func TestWeakComponentsEmptySet(t *testing.T) {
 
 func TestTopoWithinRespectsInducedEdges(t *testing.T) {
 	g := diamondGraph()
-	order, err := g.TopoWithin(NewSet(1, 2, 4))
+	order, err := g.topoWithin(NewSet(1, 2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestTopoWithinRespectsInducedEdges(t *testing.T) {
 func TestTopoWithinIgnoresOutsideEdges(t *testing.T) {
 	g := New[int]()
 	g.AddEdge(2, 1) // 2→1, but 2 is excluded below
-	order, err := g.TopoWithin(NewSet(1, 3))
+	order, err := g.topoWithin(NewSet(1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestTopoWithinIgnoresOutsideEdges(t *testing.T) {
 func TestTopoWithinAbsentNode(t *testing.T) {
 	g := New[int]()
 	g.AddEdge(1, 2)
-	order, err := g.TopoWithin(NewSet(2, 7))
+	order, err := g.topoWithin(NewSet(2, 7))
 	if err != nil {
 		t.Fatal(err)
 	}

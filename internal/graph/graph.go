@@ -68,8 +68,8 @@ func (g *Graph[K]) AddEdge(u, v K) {
 	g.edges++
 }
 
-// RemoveEdge deletes the edge u→v if present.
-func (g *Graph[K]) RemoveEdge(u, v K) {
+// removeEdge deletes the edge u→v if present.
+func (g *Graph[K]) removeEdge(u, v K) {
 	if _, ok := g.succs[u][v]; !ok {
 		return
 	}

@@ -39,11 +39,11 @@ func TestSelfEdgePanics(t *testing.T) {
 
 func TestRemoveEdge(t *testing.T) {
 	g := diamond()
-	g.RemoveEdge(1, 2)
+	g.removeEdge(1, 2)
 	if g.HasEdge(1, 2) || g.NumEdges() != 3 {
 		t.Error("RemoveEdge failed")
 	}
-	g.RemoveEdge(1, 2) // no-op
+	g.removeEdge(1, 2) // no-op
 	if g.NumEdges() != 3 {
 		t.Error("double RemoveEdge changed edge count")
 	}

@@ -130,7 +130,7 @@ func TestScenario2Recoverable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.GetInt("x") != 3 || rec.GetInt("y") != 2 {
+	if model.AsInt(rec.Get("x")) != 3 || model.AsInt(rec.Get("y")) != 2 {
 		t.Errorf("recovered = %v, want x=3 y=2", rec)
 	}
 	if err := ig.PotentiallyRecoverable(sg, aOnly, s); err != nil {
@@ -168,7 +168,7 @@ func TestScenario3ExposedVariables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.GetInt("x") != 2 || rec.GetInt("y") != 1 {
+	if model.AsInt(rec.Get("x")) != 2 || model.AsInt(rec.Get("y")) != 1 {
 		t.Errorf("recovered = %v, want x=2 y=1", rec)
 	}
 	// Even total garbage in x is explained, because x is unexposed.
@@ -345,7 +345,7 @@ func TestDeterminedStateFigure5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.GetInt("x") != 1 || s.GetInt("y") != 3 {
+	if model.AsInt(s.Get("x")) != 1 || model.AsInt(s.Get("y")) != 3 {
 		t.Errorf("determined by {P} = %v, want x=1 y=3", s)
 	}
 }

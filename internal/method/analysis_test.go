@@ -59,7 +59,7 @@ func hotPageCrashed(t testing.TB, mk func(*model.State) DB, n int) DB {
 }
 
 // TestAnalysisRunsOncePerRecovery pins the run-once contract at the
-// method level: Recover, RecoverParallel, and every RecoverInstalling
+// method level: Recover, RecoverParallel, and every recoverInstalling
 // pass — run to completion, stopped early, stopped before its first
 // record, and restarted — invoke the analysis exactly once each, with the
 // checkpoint the pass was run with. Plain physiological has no analysis
@@ -92,14 +92,14 @@ func TestAnalysisRunsOncePerRecovery(t *testing.T) {
 	}
 	expectOneMore("RecoverParallel")
 	for _, stop := range []int{0, 3, 5, -1} {
-		n, done, err := RecoverInstalling(db, stop)
+		n, done, err := recoverInstalling(db, stop)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if done != (stop < 0) || (stop >= 0 && n != stop) {
-			t.Fatalf("RecoverInstalling(stop=%d) redid %d, done=%v", stop, n, done)
+			t.Fatalf("recoverInstalling(stop=%d) redid %d, done=%v", stop, n, done)
 		}
-		expectOneMore("RecoverInstalling")
+		expectOneMore("recoverInstalling")
 	}
 	if NewPhysiological(model.NewState()).Analyze() != nil {
 		t.Error("plain physiological grew an analysis phase")

@@ -11,7 +11,7 @@ import (
 func degradedOracle(db DB) *model.State {
 	s := db.RecoveryBase()
 	for _, op := range db.StableLog().Ops() {
-		s.MustApply(op)
+		mustApply(s, op)
 	}
 	return s
 }

@@ -16,6 +16,9 @@ func EachFactory(f func(name string, mk func(*model.State) DB)) {
 	}
 }
 
+// RecoverInstalling is recoverInstalling.
+var RecoverInstalling = recoverInstalling
+
 // ChunkLen is chunkLen: how many records the pipelined decision runs
 // ahead of replay, for a log of the given length.
 var ChunkLen = chunkLen

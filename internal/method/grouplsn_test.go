@@ -109,7 +109,7 @@ func TestGroupLSNSection5EFGAtEnd(t *testing.T) {
 		t.Errorf("MaxGroupSize = %d, want 2", db.MaxGroupSize)
 	}
 	s := db.StableState()
-	if s.GetInt("x") != 2 || s.GetInt("y") != 2 {
+	if model.AsInt(s.Get("x")) != 2 || model.AsInt(s.Get("y")) != 2 {
 		t.Errorf("stable = %v, want x=2 y=2", s)
 	}
 	db.Crash()

@@ -53,34 +53,34 @@ func (d *Logical) FlushOne() bool { return false }
 
 // Checkpoint quiesces and checkpoints in the System R pattern: force the
 // log, write every dirty page to the staging area (the stable state is
-// untouched — StageCheckpoint), then swing the pointer and append the
-// checkpoint record (CompleteCheckpoint). Shadow paging is what makes the
+// untouched — stageCheckpoint), then swing the pointer and append the
+// checkpoint record (completeCheckpoint). Shadow paging is what makes the
 // multi-page installation one atomic pointer update; a crash between the
 // two phases discards the staging area and recovery restarts from the
 // previous checkpoint.
 func (d *Logical) Checkpoint() error {
-	d.StageCheckpoint()
-	return d.CompleteCheckpoint()
+	d.stageCheckpoint()
+	return d.completeCheckpoint()
 }
 
-// StageCheckpoint performs the first checkpoint phase: quiesce, force the
+// stageCheckpoint performs the first checkpoint phase: quiesce, force the
 // log, and write the pending updates to the staging area. The current
 // stable state is not modified.
-func (d *Logical) StageCheckpoint() {
+func (d *Logical) stageCheckpoint() {
 	d.log.Flush()
 	for _, id := range d.cache.DirtyPages() {
 		d.shadow.StagePage(id, storage.Page{Data: d.cache.Read(id), LSN: d.cache.PageLSN(id)})
 	}
 }
 
-// CompleteCheckpoint performs the second phase: the atomic pointer swing
+// completeCheckpoint performs the second phase: the atomic pointer swing
 // plus the checkpoint record, which together install every operation
 // logged so far and remove it from redo_set in one step — the
 // invariant-preserving atomicity of Section 6.1. If an injected media
 // fault tears the swing, the checkpoint record is NOT written (the swing
 // never committed), the error is returned, and the previous checkpoint
 // remains the recovery base — exactly the System R abort path.
-func (d *Logical) CompleteCheckpoint() error {
+func (d *Logical) completeCheckpoint() error {
 	if err := d.shadow.Swing(); err != nil {
 		return err
 	}

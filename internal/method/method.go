@@ -334,10 +334,6 @@ func (b *base) SetInstallHook(f func(model.Var, core.LSN)) { b.cache.OnInstall =
 // FlushLog forces the log.
 func (b *base) FlushLog() { b.log.Flush() }
 
-// FlushLogTo forces the log through the given LSN, leaving later records
-// volatile — used to place crash points inside multi-operation actions.
-func (b *base) FlushLogTo(lsn core.LSN) { b.log.FlushTo(lsn) }
-
 // Log returns the full volatile log (test and experiment access).
 func (b *base) Log() *core.Log { return b.log.Log() }
 

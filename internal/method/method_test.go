@@ -11,10 +11,17 @@ import (
 // oracle applies the stable-logged operations in LSN order to the initial
 // state: the state determined by the surviving log's conflict graph,
 // which recovery must reconstruct.
+// mustApply applies an operation known to be well-formed.
+func mustApply(s *model.State, op *model.Op) {
+	if _, err := s.Apply(op); err != nil {
+		panic(err)
+	}
+}
+
 func oracle(db DB, initial *model.State) *model.State {
 	s := initial.Clone()
 	for _, op := range db.StableLog().Ops() {
-		s.MustApply(op)
+		mustApply(s, op)
 	}
 	return s
 }
@@ -152,7 +159,7 @@ func TestPhysicalAfterImageLogging(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := s0.Clone()
-	want.MustApply(op)
+	mustApply(want, op)
 	if !res.State.Equal(want) {
 		t.Errorf("recovered %v, want %v", res.State, want)
 	}

@@ -42,22 +42,22 @@ func TestRecoverParallelObservedCounters(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				examined := rec.CounterValue(obs.MRedoExamined)
-				admitted := rec.CounterValue(obs.MRedoAdmitted)
-				skipped := rec.CounterValue(obs.MRedoSkipped)
+				examined := rec.Snapshot().Counter(obs.MRedoExamined)
+				admitted := rec.Snapshot().Counter(obs.MRedoAdmitted)
+				skipped := rec.Snapshot().Counter(obs.MRedoSkipped)
 				if examined != admitted+skipped {
 					t.Errorf("handoff=%d: examined=%d != admitted=%d + skipped=%d", handoff, examined, admitted, skipped)
 				}
-				if got := rec.CounterValue(obs.MReplayRecords); got != admitted {
+				if got := rec.Snapshot().Counter(obs.MReplayRecords); got != admitted {
 					t.Errorf("handoff=%d: replay.records=%d, want admitted=%d", handoff, got, admitted)
 				}
-				if got := rec.CounterValue(obs.MPartitionPlans); got != 1 {
+				if got := rec.Snapshot().Counter(obs.MPartitionPlans); got != 1 {
 					t.Errorf("handoff=%d: partition.plans=%d, want 1", handoff, got)
 				}
 
 				snap := rec.Snapshot()
-				wh := snap.Sample(obs.MPartitionWidth)
-				comps := rec.CounterValue(obs.MReplayComponents)
+				wh := snap.Samples[obs.MPartitionWidth]
+				comps := rec.Snapshot().Counter(obs.MReplayComponents)
 				if handoff == 0 && (wh.Sum != admitted || int64(wh.Count) != comps) {
 					t.Errorf("handoff=0: width histogram of %d components summing to %d records, want replay.components=%d and admitted=%d",
 						wh.Count, wh.Sum, comps, admitted)
@@ -221,12 +221,12 @@ func TestRecoverObservedSequential(t *testing.T) {
 			skips++
 		}
 	}
-	if int64(admits) != rec.CounterValue(obs.MRedoAdmitted) {
-		t.Errorf("%d admit events, counter says %d", admits, rec.CounterValue(obs.MRedoAdmitted))
+	if int64(admits) != rec.Snapshot().Counter(obs.MRedoAdmitted) {
+		t.Errorf("%d admit events, counter says %d", admits, rec.Snapshot().Counter(obs.MRedoAdmitted))
 	}
-	if int64(skips) != rec.CounterValue(obs.MRedoSkipped)+rec.CounterValue(obs.MRedoCheckpointed) {
+	if int64(skips) != rec.Snapshot().Counter(obs.MRedoSkipped)+rec.Snapshot().Counter(obs.MRedoCheckpointed) {
 		t.Errorf("%d skip events, counters say %d skipped + %d checkpointed",
-			skips, rec.CounterValue(obs.MRedoSkipped), rec.CounterValue(obs.MRedoCheckpointed))
+			skips, rec.Snapshot().Counter(obs.MRedoSkipped), rec.Snapshot().Counter(obs.MRedoCheckpointed))
 	}
 	if err := obs.CheckSpanNesting(sink.Events()); err != nil {
 		t.Fatalf("span nesting: %v", err)
@@ -247,11 +247,11 @@ func TestRecoverObservedSequential(t *testing.T) {
 // replayed that was not admitted.
 func checkScanAccount(t *testing.T, engine string, rec *obs.Recorder) {
 	t.Helper()
-	examined, admitted, skipped := rec.CounterValue(obs.MRedoExamined), rec.CounterValue(obs.MRedoAdmitted), rec.CounterValue(obs.MRedoSkipped)
+	examined, admitted, skipped := rec.Snapshot().Counter(obs.MRedoExamined), rec.Snapshot().Counter(obs.MRedoAdmitted), rec.Snapshot().Counter(obs.MRedoSkipped)
 	if examined != admitted+skipped {
 		t.Errorf("%s: examined=%d != admitted=%d + skipped=%d", engine, examined, admitted, skipped)
 	}
-	if replayed := rec.CounterValue(obs.MReplayRecords); replayed > admitted {
+	if replayed := rec.Snapshot().Counter(obs.MReplayRecords); replayed > admitted {
 		t.Errorf("%s: replay.records=%d exceeds admitted=%d", engine, replayed, admitted)
 	}
 }
@@ -286,7 +286,7 @@ func TestScanUniformSchema(t *testing.T) {
 				// Last: it installs into the crashed DB's stable state.
 				engines = append(engines, engine{"installing", func(rec *obs.Recorder) error {
 					db.SetRecorder(rec)
-					_, _, err := RecoverInstalling(db.(Installer), -1)
+					_, _, err := recoverInstalling(db.(Installer), -1)
 					return err
 				}})
 			}
@@ -344,18 +344,18 @@ func TestRecoverDegradedObserved(t *testing.T) {
 	if !res.Degraded {
 		t.Fatalf("expected the conservative path, got %+v", res)
 	}
-	if got := rec.CounterValue(obs.MDetections); got != int64(len(res.Detections)) {
+	if got := rec.Snapshot().Counter(obs.MDetections); got != int64(len(res.Detections)) {
 		t.Errorf("detections counter %d, result lists %d", got, len(res.Detections))
 	}
-	if got := rec.CounterValue(obs.MDegradedRuns); got != 1 {
+	if got := rec.Snapshot().Counter(obs.MDegradedRuns); got != 1 {
 		t.Errorf("degraded.replays = %d, want 1", got)
 	}
 	// The conservative replay is the scan kernel with an always-true redo
 	// test: every surviving record examined, admitted, and replayed.
 	checkScanAccount(t, "degraded", rec)
-	if n := int64(db.StableLog().Len()); rec.CounterValue(obs.MRedoAdmitted) != n || rec.CounterValue(obs.MReplayRecords) != n {
+	if n := int64(db.StableLog().Len()); rec.Snapshot().Counter(obs.MRedoAdmitted) != n || rec.Snapshot().Counter(obs.MReplayRecords) != n {
 		t.Errorf("degraded replay admitted %d and replayed %d of %d records",
-			rec.CounterValue(obs.MRedoAdmitted), rec.CounterValue(obs.MReplayRecords), n)
+			rec.Snapshot().Counter(obs.MRedoAdmitted), rec.Snapshot().Counter(obs.MReplayRecords), n)
 	}
 	detEvents := 0
 	for _, e := range sink.Events() {

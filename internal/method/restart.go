@@ -23,20 +23,20 @@ import (
 // callers check that before installing.
 type Installer interface {
 	DB
-	// InstallPage writes a page with its LSN tag directly into stable
+	// installPage writes a page with its LSN tag directly into stable
 	// storage, as restart recovery does after redoing an operation.
-	InstallPage(x model.Var, v model.Value, lsn core.LSN)
+	installPage(x model.Var, v model.Value, lsn core.LSN)
 }
 
-// InstallPage writes through to the stable store.
-func (b *base) InstallPage(x model.Var, v model.Value, lsn core.LSN) {
+// installPage writes through to the stable store.
+func (b *base) installPage(x model.Var, v model.Value, lsn core.LSN) {
 	b.store.Write(x, v, lsn)
 }
 
-// RecoverInstalling runs the recovery procedure over the DB's survivors,
+// recoverInstalling runs the recovery procedure over the DB's survivors,
 // persisting every redone operation's writes (tagged with the
 // operation's LSN) into stable storage: the instantiation of core.Scan
-// whose step is apply + InstallPage. To simulate a crash mid-recovery it
+// whose step is apply + installPage. To simulate a crash mid-recovery it
 // stops before the next redo once stopAfter operations are redone
 // (stopAfter < 0 means run to completion) — the same stop rule as the
 // supervisor's crash points, so records the redo test skips never count
@@ -47,7 +47,7 @@ func (b *base) InstallPage(x model.Var, v model.Value, lsn core.LSN) {
 // write-order dependency (a read-write edge's prerequisite operation
 // always has the smaller LSN), and the write-ahead rule trivially (the
 // log being replayed is already stable).
-func RecoverInstalling(db Installer, stopAfter int) (int, bool, error) {
+func recoverInstalling(db Installer, stopAfter int) (int, bool, error) {
 	state := db.StableState()
 	redone := 0
 	_, done, err := core.Scan(db.Recorder(), state, db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze(), true,
@@ -69,7 +69,7 @@ func RecoverInstalling(db Installer, stopAfter int) (int, bool, error) {
 func InstallRedo(db Installer, state *model.State, r *core.Record) error {
 	ws, err := state.Apply(r.Op)
 	for x, v := range ws {
-		db.InstallPage(x, v, r.LSN)
+		db.installPage(x, v, r.LSN)
 	}
 	return err
 }

@@ -22,7 +22,7 @@ func TestRecoverInstallingCompletes(t *testing.T) {
 	}
 	db.FlushLog()
 	db.Crash()
-	n, done, err := RecoverInstalling(db, -1)
+	n, done, err := recoverInstalling(db, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestRecoverInstallingCompletes(t *testing.T) {
 		t.Error("installed recovery state diverges from oracle")
 	}
 	// A second recovery finds nothing to do: everything is installed.
-	n2, done2, err := RecoverInstalling(db, -1)
+	n2, done2, err := recoverInstalling(db, -1)
 	if err != nil || !done2 || n2 != 0 {
 		t.Errorf("second recovery redid %d ops (err=%v)", n2, err)
 	}
@@ -50,7 +50,7 @@ func crashingRecoveryToFixpoint(t testing.TB, db Installer, initial *model.State
 		// that restart replay from the top (physical: no LSN test) reach
 		// a run that completes.
 		stop := rng.Intn(4) + attempt
-		_, done, err := RecoverInstalling(db, stop)
+		_, done, err := recoverInstalling(db, stop)
 		if err != nil {
 			t.Fatalf("%s: restart recovery: %v", db.Name(), err)
 		}
@@ -174,7 +174,7 @@ func TestRecoverInstallingStopAfterZero(t *testing.T) {
 	db.FlushLog()
 	db.Crash()
 	before := db.StableState()
-	n, done, err := RecoverInstalling(db, 0)
+	n, done, err := recoverInstalling(db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestRecoverInstallingStopAfterZero(t *testing.T) {
 	// And an empty log's recovery is already done at stopAfter=0.
 	empty := NewPhysiological(s0)
 	empty.Crash()
-	if n, done, err := RecoverInstalling(empty, 0); err != nil || n != 0 || !done {
+	if n, done, err := recoverInstalling(empty, 0); err != nil || n != 0 || !done {
 		t.Errorf("empty log: redone=%d done=%v err=%v", n, done, err)
 	}
 }
@@ -237,7 +237,7 @@ func TestRecoverInstallingEveryIndex(t *testing.T) {
 			db.Crash()
 			attempts := 0
 			for ; attempts <= n+1; attempts++ {
-				redone, done, err := RecoverInstalling(db, 1)
+				redone, done, err := recoverInstalling(db, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -283,7 +283,7 @@ func TestRecoverInstallingEveryIndex(t *testing.T) {
 		db.FlushLog()
 		db.Crash()
 		for attempt, wantDone := range []bool{false, true} {
-			redone, done, err := RecoverInstalling(db, 1)
+			redone, done, err := recoverInstalling(db, 1)
 			if err != nil || redone != 1 || done != wantDone {
 				t.Fatalf("attempt %d: redone=%d done=%v err=%v, want 1 redo and done=%v", attempt, redone, done, err, wantDone)
 			}
@@ -295,7 +295,7 @@ func TestRecoverInstallingEveryIndex(t *testing.T) {
 }
 
 // flakyInstaller wraps an Installer with a transiently failing
-// InstallPage: the first `budget` installs are silently lost (the write
+// installPage: the first `budget` installs are silently lost (the write
 // never reaches stable storage). For page-LSN recovery a lost install
 // is indistinguishable from a crash just before it — the page keeps its
 // old LSN, the next recovery re-admits the operation, and the volatile
@@ -307,12 +307,12 @@ type flakyInstaller struct {
 	rng    *rand.Rand
 }
 
-func (f *flakyInstaller) InstallPage(x model.Var, v model.Value, lsn core.LSN) {
+func (f *flakyInstaller) installPage(x model.Var, v model.Value, lsn core.LSN) {
 	if f.budget > 0 && f.rng.Intn(2) == 0 {
 		f.budget--
 		return // dropped on the floor
 	}
-	f.Installer.InstallPage(x, v, lsn)
+	f.Installer.installPage(x, v, lsn)
 }
 
 // TestRecoverInstallingFlakyInstaller: restart recovery through a lossy
@@ -361,7 +361,7 @@ func mustCheckpointState(t *testing.T, db DB, s0 *model.State) *model.State {
 	ck := db.Checkpointed()
 	for _, op := range db.StableLog().Ops() {
 		if ck.Has(op.ID()) {
-			s.MustApply(op)
+			mustApply(s, op)
 		}
 	}
 	return s

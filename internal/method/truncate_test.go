@@ -36,7 +36,7 @@ func TestTruncateCheckpointedBasics(t *testing.T) {
 	// The base absorbed the truncated ops.
 	want := s0.Clone()
 	for _, op := range []*model.Op{} {
-		want.MustApply(op)
+		mustApply(want, op)
 	}
 	base := db.RecoveryBase()
 	if base.Equal(s0) {
@@ -51,7 +51,7 @@ func TestTruncateCheckpointedBasics(t *testing.T) {
 	}
 	oracle := db.RecoveryBase()
 	for _, op := range db.StableLog().Ops() {
-		oracle.MustApply(op)
+		mustApply(oracle, op)
 	}
 	if !res.State.Equal(oracle) {
 		t.Errorf("recovered %v, want %v", res.State, oracle)
@@ -123,7 +123,7 @@ func TestTruncationCrashSweepAllMethods(t *testing.T) {
 				if err := db.Exec(op); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				fullOracle.MustApply(op)
+				mustApply(fullOracle, op)
 				switch rng.Intn(5) {
 				case 0:
 					db.FlushOne()

@@ -171,13 +171,6 @@ func (o *Op) ReadsVar(x Var) bool { return containsVar(o.reads, x) }
 // WritesVar reports whether x is in the operation's write set.
 func (o *Op) WritesVar(x Var) bool { return containsVar(o.writes, x) }
 
-// Accesses reports whether the operation reads or writes x.
-func (o *Op) Accesses(x Var) bool { return o.ReadsVar(x) || o.WritesVar(x) }
-
-// BlindlyWrites reports whether the operation writes x without reading it.
-// Blind writes are what make a variable unexposed (Section 2.3).
-func (o *Op) BlindlyWrites(x Var) bool { return o.WritesVar(x) && !o.ReadsVar(x) }
-
 func containsVar(vs []Var, x Var) bool { return indexVar(vs, x) >= 0 }
 
 // indexVar returns x's position in the sorted set vs, or -1.

@@ -57,15 +57,6 @@ func TestOpPredicates(t *testing.T) {
 	if !o.WritesVar("x") || !o.WritesVar("y") || o.WritesVar("z") {
 		t.Error("WritesVar wrong")
 	}
-	if !o.Accesses("x") || !o.Accesses("y") || o.Accesses("z") {
-		t.Error("Accesses wrong")
-	}
-	if o.BlindlyWrites("x") {
-		t.Error("x is read, so not blindly written")
-	}
-	if !o.BlindlyWrites("y") {
-		t.Error("y is written without being read")
-	}
 }
 
 func TestComputeValidatesWriteSet(t *testing.T) {
@@ -84,12 +75,12 @@ func TestComputeValidatesWriteSet(t *testing.T) {
 func TestStateSetGetClone(t *testing.T) {
 	s := NewState()
 	s.SetInt("x", 3)
-	if s.GetInt("x") != 3 {
-		t.Fatalf("GetInt = %d", s.GetInt("x"))
+	if AsInt(s.Get("x")) != 3 {
+		t.Fatalf("x = %d", AsInt(s.Get("x")))
 	}
 	c := s.Clone()
 	c.SetInt("x", 9)
-	if s.GetInt("x") != 3 {
+	if AsInt(s.Get("x")) != 3 {
 		t.Error("Clone is not independent")
 	}
 }
@@ -117,12 +108,6 @@ func TestStateEqualAndDiff(t *testing.T) {
 	if len(d) != 2 || d[0] != "y" || d[1] != "z" {
 		t.Errorf("Diff = %v, want [y z]", d)
 	}
-	if !a.EqualOn(b, []Var{"x"}) {
-		t.Error("EqualOn x should hold")
-	}
-	if a.EqualOn(b, []Var{"x", "y"}) {
-		t.Error("EqualOn x,y should fail")
-	}
 }
 
 func TestStateApply(t *testing.T) {
@@ -133,8 +118,8 @@ func TestStateApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if AsInt(ws["x"]) != 3 || s.GetInt("x") != 3 {
-		t.Errorf("x = %d, want 3", s.GetInt("x"))
+	if AsInt(ws["x"]) != 3 || AsInt(s.Get("x")) != 3 {
+		t.Errorf("x = %d, want 3", AsInt(s.Get("x")))
 	}
 }
 
@@ -142,47 +127,19 @@ func TestSequencePaperScenario1(t *testing.T) {
 	// A: x<-y+1 then B: y<-2, from x=y=0 (Figure 1).
 	a := CopyPlus(1, "x", "y", 1)
 	b := AssignConst(2, "y", IntVal(2))
-	seq := SequenceOf(a, b)
-	states, err := seq.StateSequence(NewState())
-	if err != nil {
-		t.Fatal(err)
+	states := []*State{NewState()}
+	for _, o := range []*Op{a, b} {
+		s := states[len(states)-1].Clone()
+		if _, err := s.Apply(o); err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, s)
 	}
-	if len(states) != 3 {
-		t.Fatalf("state sequence length %d, want 3", len(states))
-	}
-	if states[1].GetInt("x") != 1 || states[1].GetInt("y") != 0 {
+	if AsInt(states[1].Get("x")) != 1 || AsInt(states[1].Get("y")) != 0 {
 		t.Errorf("S1 = %v, want x=1 y=0", states[1])
 	}
-	if states[2].GetInt("x") != 1 || states[2].GetInt("y") != 2 {
+	if AsInt(states[2].Get("x")) != 1 || AsInt(states[2].Get("y")) != 2 {
 		t.Errorf("S2 = %v, want x=1 y=2", states[2])
-	}
-	final, err := seq.FinalState(NewState())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !final.Equal(states[2]) {
-		t.Error("FinalState disagrees with last state of StateSequence")
-	}
-}
-
-func TestSequenceDuplicateIDPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Append did not panic on duplicate id")
-		}
-	}()
-	SequenceOf(Incr(1, "x", 1), Incr(1, "x", 1))
-}
-
-func TestSequenceLookup(t *testing.T) {
-	a := Incr(10, "x", 1)
-	b := Incr(20, "y", 1)
-	seq := SequenceOf(a, b)
-	if seq.Index(20) != 1 || seq.Index(99) != -1 {
-		t.Error("Index wrong")
-	}
-	if seq.Lookup(10) != a || seq.Lookup(99) != nil {
-		t.Error("Lookup wrong")
 	}
 }
 
@@ -227,8 +184,10 @@ func TestIncrBothAtomicUpdate(t *testing.T) {
 	s.SetInt("x", 1)
 	s.SetInt("y", 10)
 	c := IncrBoth(1, "x", 2, "y", -3)
-	s.MustApply(c)
-	if s.GetInt("x") != 3 || s.GetInt("y") != 7 {
+	if _, err := s.Apply(c); err != nil {
+		t.Fatal(err)
+	}
+	if AsInt(s.Get("x")) != 3 || AsInt(s.Get("y")) != 7 {
 		t.Errorf("state = %v, want x=3 y=7", s)
 	}
 }

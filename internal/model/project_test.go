@@ -22,14 +22,14 @@ func TestProjectSplitsWritesByShard(t *testing.T) {
 	if _, err := sA.Apply(projA); err != nil {
 		t.Fatal(err)
 	}
-	if got := sA.GetInt("a"); got != 95 {
+	if got := AsInt(sA.Get("a")); got != 95 {
 		t.Errorf("shard A: a = %d, want 95", got)
 	}
 	sB := StateOf(map[Var]Value{"b": IntVal(40)})
 	if _, err := sB.Apply(projB); err != nil {
 		t.Fatal(err)
 	}
-	if got := sB.GetInt("b"); got != 45 {
+	if got := AsInt(sB.Get("b")); got != 45 {
 		t.Errorf("shard B: b = %d, want 45", got)
 	}
 	if projA.ID() != 101 || projB.ID() != 102 {

@@ -29,9 +29,6 @@ func StateOf(assign map[Var]Value) *State {
 // Get returns the value of x. Unassigned variables have the zero Value.
 func (s *State) Get(x Var) Value { return s.m[x] }
 
-// GetInt returns the value of x decoded as an integer.
-func (s *State) GetInt(x Var) int64 { return AsInt(s.m[x]) }
-
 // Set assigns v to x. Assigning the zero Value erases the entry, so states
 // that agree on all variables compare Equal regardless of assignment
 // history.
@@ -63,16 +60,6 @@ func (s *State) Equal(t *State) bool {
 	}
 	for v, val := range s.m {
 		if t.m[v] != val {
-			return false
-		}
-	}
-	return true
-}
-
-// EqualOn reports whether the two states agree on every variable in vars.
-func (s *State) EqualOn(t *State, vars []Var) bool {
-	for _, v := range vars {
-		if s.m[v] != t.m[v] {
 			return false
 		}
 	}
@@ -126,16 +113,6 @@ func (s *State) Apply(o *Op) (WriteSet, error) {
 		s.Set(v, val)
 	}
 	return ws, nil
-}
-
-// MustApply is Apply for workloads whose operations are known well-formed;
-// it panics on error.
-func (s *State) MustApply(o *Op) WriteSet {
-	ws, err := s.Apply(o)
-	if err != nil {
-		panic(err)
-	}
-	return ws
 }
 
 // String renders the state as "{x=1 y=2}" with variables in sorted order.

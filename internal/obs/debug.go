@@ -13,21 +13,11 @@ import (
 // net/http/pprof (CPU/heap/goroutine profiling of recovery in flight),
 // expvar, and the current metrics snapshot as JSON.
 
-// Expvar publishes the recorder's live snapshot under the given expvar
-// name. Publishing the same name twice is a no-op (expvar panics on
-// duplicates; telemetry must not take the process down).
-func (r *Recorder) Expvar(name string) {
-	if r == nil || expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-}
-
-// NewDebugMux builds the debug HTTP handler: /debug/pprof/*,
+// newDebugMux builds the debug HTTP handler: /debug/pprof/*,
 // /debug/vars (expvar), and /metrics serving whatever the snapshot
 // function returns, as JSON. snap may be nil, in which case /metrics
 // serves an empty object.
-func NewDebugMux(snap func() any) *http.ServeMux {
+func newDebugMux(snap func() any) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -57,7 +47,7 @@ func ServeDebug(addr string, snap func() any) (*http.Server, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	srv := &http.Server{Handler: NewDebugMux(snap)}
+	srv := &http.Server{Handler: newDebugMux(snap)}
 	go func() { _ = srv.Serve(ln) }()
 	return srv, ln.Addr().String(), nil
 }

@@ -196,11 +196,3 @@ func (s *HistSnapshot) sanity() []string {
 	}
 	return probs
 }
-
-// Mean returns the histogram's mean (0 when empty).
-func (s *HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}

@@ -491,18 +491,6 @@ func (s *Span) End() time.Duration {
 	return d
 }
 
-// CounterValue returns the named counter's current value (0 when absent
-// or the recorder is nil).
-func (r *Recorder) CounterValue(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	if c, ok := r.counters.Load(name); ok {
-		return c.(*Counter).Load()
-	}
-	return 0
-}
-
 // Counter is a monotonically-increasing atomic counter.
 type Counter struct{ v atomic.Int64 }
 

@@ -75,7 +75,7 @@ func (r *Report) Validate() error {
 	if len(r.Methods) == 0 {
 		probs = append(probs, "no methods")
 	}
-	for _, name := range r.MethodNames() {
+	for _, name := range r.methodNames() {
 		s := r.Methods[name]
 		if s == nil {
 			probs = append(probs, fmt.Sprintf("method %q: nil snapshot", name))
@@ -151,8 +151,8 @@ func joinLines(ss []string) string {
 	return out
 }
 
-// MethodNames returns the report's method names, sorted.
-func (r *Report) MethodNames() []string {
+// methodNames returns the report's method names, sorted.
+func (r *Report) methodNames() []string {
 	out := make([]string, 0, len(r.Methods))
 	for m := range r.Methods {
 		out = append(out, m)
@@ -200,7 +200,7 @@ func ReadReportFile(path string) (*Report, error) {
 func (r *Report) RenderTable(out io.Writer) {
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "method\tscan\tanalysis\tdecide\tpartition\treplay\tmerge\tselectivity\tadmit/examined\twidth p50/p99/max")
-	for _, name := range r.MethodNames() {
+	for _, name := range r.methodNames() {
 		s := r.Methods[name]
 		if s == nil {
 			continue
@@ -266,7 +266,7 @@ type PhaseTotal struct {
 // slowest-first.
 func (r *Report) SlowestPhases() []PhaseTotal {
 	var rows []PhaseTotal
-	for _, name := range r.MethodNames() {
+	for _, name := range r.methodNames() {
 		s := r.Methods[name]
 		if s == nil {
 			continue

@@ -44,7 +44,7 @@ func TestReportRoundTripAndValidate(t *testing.T) {
 		t.Fatalf("round-tripped report rejected: %v", err)
 	}
 	if len(back.Methods) != 2 {
-		t.Fatalf("round trip lost methods: %v", back.MethodNames())
+		t.Fatalf("round trip lost methods: %v", back.methodNames())
 	}
 }
 

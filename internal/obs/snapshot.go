@@ -1,7 +1,5 @@
 package obs
 
-import "sort"
-
 // Snapshot is a frozen, JSON-ready view of a Recorder's metrics.
 // Snapshots merge (Merge) so per-cell recorders roll up into per-method
 // and campaign totals; all derived numbers (percentiles, selectivity)
@@ -92,9 +90,6 @@ func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 // Duration returns a duration histogram, zero when absent.
 func (s Snapshot) Duration(name string) HistSnapshot { return s.Durations[name] }
 
-// Sample returns a sample histogram, zero when absent.
-func (s Snapshot) Sample(name string) HistSnapshot { return s.Samples[name] }
-
 // RedoSelectivity is the fraction of examined records the redo test
 // admitted, 0 when nothing was examined.
 func (s Snapshot) RedoSelectivity() float64 {
@@ -103,14 +98,4 @@ func (s Snapshot) RedoSelectivity() float64 {
 		return 0
 	}
 	return float64(s.Counter(MRedoAdmitted)) / float64(ex)
-}
-
-// DurationNames returns the snapshot's duration keys, sorted.
-func (s Snapshot) DurationNames() []string {
-	out := make([]string, 0, len(s.Durations))
-	for k := range s.Durations {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

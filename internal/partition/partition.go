@@ -21,7 +21,8 @@
 // story as Section 6.4, where a reader's page must install before its
 // read page is overwritten. So the planner partitions by the conflict
 // graph, of which the installation graph's components are the blind-write
-// special case. ConflictComponents exposes that graph-theoretic view.
+// special case: the weak components of the restricted conflict graph
+// (graph.DAG.WeakComponents) are that graph-theoretic view.
 //
 // # The schedule the planner actually builds
 //
@@ -53,11 +54,7 @@ import (
 	"fmt"
 	"slices"
 
-	"redotheory/internal/conflict"
 	"redotheory/internal/core"
-	"redotheory/internal/graph"
-	"redotheory/internal/install"
-	"redotheory/internal/model"
 )
 
 // Component is one independently replayable unit: record indexes into a
@@ -187,7 +184,7 @@ func FromViews(views []core.RecordView, replayIdx []int, numIDs int) *Plan {
 	wcounts := make([]int32, n)
 	comps := 0
 	for i := 0; i < n; i++ {
-		root := uf.Find(i)
+		root := uf.find(i)
 		if counts[root] == 0 {
 			comps++
 		}
@@ -196,7 +193,7 @@ func FromViews(views []core.RecordView, replayIdx []int, numIDs int) *Plan {
 	totalWrites := 0
 	for _, w := range writerOf {
 		if w >= 0 {
-			wcounts[uf.Find(int(w))]++
+			wcounts[uf.find(int(w))]++
 			totalWrites++
 		}
 	}
@@ -209,7 +206,7 @@ func FromViews(views []core.RecordView, replayIdx []int, numIDs int) *Plan {
 	plan := &Plan{Ops: n, Components: make([]*Component, 0, comps), Idx: replayIdx, Of: make([]int32, n)}
 	idxOff, wOff := 0, 0
 	for i, vi := range replayIdx {
-		root := uf.Find(i)
+		root := uf.find(i)
 		if compAt[root] == 0 {
 			c := &backing[len(plan.Components)]
 			// Three-index sub-slices: appends fill the reserved region
@@ -232,7 +229,7 @@ func FromViews(views []core.RecordView, replayIdx []int, numIDs int) *Plan {
 	// into the writer table.
 	for x, w := range writerOf {
 		if w >= 0 {
-			ci := compAt[uf.Find(int(w))] - 1
+			ci := compAt[uf.find(int(w))] - 1
 			backing[ci].Writes = append(backing[ci].Writes, uint32(x))
 			writerOf[x] = ci
 		}
@@ -253,27 +250,6 @@ func FromViews(views []core.RecordView, replayIdx []int, numIDs int) *Plan {
 	}
 	plan.writer, plan.readers = writerOf, pending
 	return plan
-}
-
-// ConflictComponents returns the weakly-connected components of the
-// conflict graph restricted to the given operation set: the
-// graph-theoretic statement of which replayed operations may not be
-// reordered. Component members are sorted by operation id, components by
-// smallest member. The planner's interference components coincide with
-// these whenever the installed complement is an installation-graph
-// prefix (the Recovery Invariant); tests assert that agreement.
-func ConflictComponents(cg *conflict.Graph, within graph.Set[model.OpID]) [][]model.OpID {
-	return cg.DAG().WeakComponents(within)
-}
-
-// InstallComponents is ConflictComponents on the installation graph: the
-// partition Theorem 3 licenses for blind-write histories, where no
-// write-read edges exist to drop. For histories with readers it may
-// split a replayed reader from its replayed writer and is therefore not
-// a valid replay partition on its own; it exists to measure (and let
-// tests demonstrate) exactly that gap.
-func InstallComponents(ig *install.Graph, within graph.Set[model.OpID]) [][]model.OpID {
-	return ig.DAG().WeakComponents(within)
 }
 
 // Stats summarizes a plan for reporting.
@@ -312,8 +288,8 @@ func NewUnionFind(n int) *UnionFind {
 	return uf
 }
 
-// Find returns the canonical representative of i's set.
-func (uf *UnionFind) Find(i int) int {
+// find returns the canonical representative of i's set.
+func (uf *UnionFind) find(i int) int {
 	for uf.parent[i] != i {
 		uf.parent[i] = uf.parent[uf.parent[i]]
 		i = uf.parent[i]
@@ -323,7 +299,7 @@ func (uf *UnionFind) Find(i int) int {
 
 // Union merges the sets containing a and b.
 func (uf *UnionFind) Union(a, b int) {
-	ra, rb := uf.Find(a), uf.Find(b)
+	ra, rb := uf.find(a), uf.find(b)
 	if ra == rb {
 		return
 	}
@@ -338,7 +314,7 @@ func (uf *UnionFind) Union(a, b int) {
 func (uf *UnionFind) Sets() int {
 	n := 0
 	for i := range uf.parent {
-		if uf.Find(i) == i {
+		if uf.find(i) == i {
 			n++
 		}
 	}

@@ -45,7 +45,7 @@ func planOf(l *core.Log, redo graph.Set[model.OpID]) (*core.LogView, *partition.
 	return lv, partition.FromViews(lv.Views, replayIdx, lv.In.Len())
 }
 
-// componentIDs renders a plan in ConflictComponents' shape: members
+// componentIDs renders a plan in WeakComponents' shape: members
 // sorted by operation id, components by smallest member.
 func componentIDs(lv *core.LogView, p *partition.Plan) [][]model.OpID {
 	out := make([][]model.OpID, len(p.Components))
@@ -258,7 +258,7 @@ func TestPlanMatchesConflictComponents(t *testing.T) {
 		l := randomLog(rng, 5+rng.Intn(30), 2+rng.Intn(6))
 		redo := installedPrefixRedo(t, l, rng)
 		got := componentIDs(planOf(l, redo))
-		want := partition.ConflictComponents(l.ConflictGraph(), redo)
+		want := l.ConflictGraph().DAG().WeakComponents(redo)
 		if len(want) == 0 {
 			want = [][]model.OpID{}
 		}
@@ -285,7 +285,7 @@ func TestFromViewsMatchesConflictComponents(t *testing.T) {
 		}
 		lv, got := planOf(l, redo)
 
-		want := partition.ConflictComponents(l.ConflictGraph(), redo)
+		want := l.ConflictGraph().DAG().WeakComponents(redo)
 		if len(want) == 0 {
 			want = [][]model.OpID{}
 		}
@@ -370,7 +370,7 @@ func TestPlanCoarsensConflictComponentsOutOfContract(t *testing.T) {
 				}
 			}
 		}
-		for _, cc := range partition.ConflictComponents(cg, redo) {
+		for _, cc := range cg.DAG().WeakComponents(redo) {
 			for _, id := range cc[1:] {
 				if compOf[id] != compOf[cc[0]] {
 					t.Fatalf("trial %d: conflict component %v split across plan components", trial, cc)
@@ -391,9 +391,9 @@ func TestPlanCoarserThanInstallOnChainGap(t *testing.T) {
 		rw(3, nil, []model.Var{v("x")}),
 	)
 	redo := graph.NewSet[model.OpID](1, 3)
-	conf := partition.ConflictComponents(l.ConflictGraph(), redo)
+	conf := l.ConflictGraph().DAG().WeakComponents(redo)
 	if want := [][]model.OpID{{1}, {3}}; !reflect.DeepEqual(conf, want) {
-		t.Errorf("ConflictComponents = %v, want %v", conf, want)
+		t.Errorf("conflict components = %v, want %v", conf, want)
 	}
 	got := componentIDs(planOf(l, redo))
 	if want := [][]model.OpID{{1, 3}}; !reflect.DeepEqual(got, want) {
@@ -415,13 +415,13 @@ func TestInstallComponentsDropReadDependencies(t *testing.T) {
 	cg := l.ConflictGraph()
 	ig := install.FromConflict(cg)
 
-	conf := partition.ConflictComponents(cg, redo)
+	conf := cg.DAG().WeakComponents(redo)
 	if want := [][]model.OpID{{1, 2}}; !reflect.DeepEqual(conf, want) {
-		t.Errorf("ConflictComponents = %v, want %v", conf, want)
+		t.Errorf("conflict components = %v, want %v", conf, want)
 	}
-	inst := partition.InstallComponents(ig, redo)
+	inst := ig.DAG().WeakComponents(redo)
 	if want := [][]model.OpID{{1}, {2}}; !reflect.DeepEqual(inst, want) {
-		t.Errorf("InstallComponents = %v, want %v (the dropped WR edge)", inst, want)
+		t.Errorf("installation components = %v, want %v (the dropped WR edge)", inst, want)
 	}
 	if got, want := componentIDs(planOf(l, redo)), [][]model.OpID{{1, 2}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("plan components = %v, want %v", got, want)
@@ -441,8 +441,8 @@ func TestInstallComponentsMatchForBlindWrites(t *testing.T) {
 	redo := allOps(l)
 	cg := l.ConflictGraph()
 	ig := install.FromConflict(cg)
-	conf := partition.ConflictComponents(cg, redo)
-	inst := partition.InstallComponents(ig, redo)
+	conf := cg.DAG().WeakComponents(redo)
+	inst := ig.DAG().WeakComponents(redo)
 	if !reflect.DeepEqual(conf, inst) {
 		t.Errorf("blind-write components differ: conflict %v, install %v", conf, inst)
 	}

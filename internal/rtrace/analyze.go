@@ -34,9 +34,9 @@ func CriticalPath(root *Node) []*Node {
 	return path
 }
 
-// Stragglers returns the recovery's component spans sorted
+// stragglers returns the recovery's component spans sorted
 // slowest-first — the parallel replay straggler table.
-func Stragglers(rec *Recovery) []*Node {
+func stragglers(rec *Recovery) []*Node {
 	var comps []*Node
 	rec.Walk(func(n *Node, _ int) {
 		if n.Phase == obs.PhaseComponent {
@@ -96,7 +96,7 @@ func RenderCriticalPath(w io.Writer, path []*Node) {
 // RenderStragglers writes the top-K component table: label, worker,
 // records, write width, duration, and share of the replay phase.
 func RenderStragglers(w io.Writer, rec *Recovery, k int) {
-	comps := Stragglers(rec)
+	comps := stragglers(rec)
 	if len(comps) == 0 {
 		fmt.Fprintln(w, "stragglers: (no component spans — sequential recovery?)")
 		return

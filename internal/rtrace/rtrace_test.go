@@ -172,7 +172,7 @@ func TestStragglersSortSlowestFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comps := Stragglers(Main(recs))
+	comps := stragglers(Main(recs))
 	if len(comps) != 2 {
 		t.Fatalf("%d stragglers, want 2", len(comps))
 	}

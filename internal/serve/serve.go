@@ -33,8 +33,8 @@
 // cursor, so the sweep may start a component and a touch finish it.
 //
 // Availability is the point: time-to-first-successful-read is the
-// latency of recovering one component, not the whole log, and the
-// bench harness (RunBench) measures exactly that gap.
+// latency of recovering one component, not the whole log; cmd/redoserve
+// -bench measures exactly that gap.
 package serve
 
 import (
@@ -475,8 +475,8 @@ func (e *Engine) sweep(delay time.Duration) {
 // full recovery, reached lazily, by sweep, or both.
 func (e *Engine) Done() <-chan struct{} { return e.done }
 
-// FullyRecovered reports whether every component has replayed.
-func (e *Engine) FullyRecovered() bool {
+// fullyRecovered reports whether every component has replayed.
+func (e *Engine) fullyRecovered() bool {
 	return e.recovered.Load() == int64(len(e.plan.Components))
 }
 
@@ -495,7 +495,7 @@ func (e *Engine) Close() {
 // orders; with Execs the state additionally carries the committed
 // writes in commit order (see Commits).
 func (e *Engine) Result() (*core.Result, error) {
-	if !e.FullyRecovered() {
+	if !e.fullyRecovered() {
 		return nil, fmt.Errorf("serve: %d of %d components still unrecovered", int64(len(e.plan.Components))-e.recovered.Load(), len(e.plan.Components))
 	}
 	if err := e.firstErr(); err != nil {

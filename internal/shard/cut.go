@@ -210,12 +210,12 @@ func (t *Txn) stableUnder(frontiers []core.LSN) bool {
 	return false
 }
 
-// Consistent reports whether an arbitrary vector is a consistent cut
+// consistent reports whether an arbitrary vector is a consistent cut
 // for the input: bounded by the frontiers, not excluding installed
 // records, and atomic (every transaction wholly inside — dependencies
 // included — or wholly outside). The maximality property test advances
 // the computed cut one record at a time and watches this fail.
-func Consistent(in CutInput, cut []core.LSN) bool {
+func consistent(in CutInput, cut []core.LSN) bool {
 	for i, f := range in.Frontiers {
 		if cut[i] > f || cut[i] < in.LowWater[i]-1 {
 			return false

@@ -212,7 +212,7 @@ func TestComputeCutMaximality(t *testing.T) {
 				// Random inputs never place records below low water 1.
 				t.Fatalf("trial %d (%s): %v", trial, way, err)
 			}
-			if !Consistent(in, cut.Frontier) {
+			if !consistent(in, cut.Frontier) {
 				t.Fatalf("trial %d (%s): computed cut %v not consistent for %+v", trial, way, cut.Frontier, in)
 			}
 			for i := range cut.Frontier {
@@ -222,7 +222,7 @@ func TestComputeCutMaximality(t *testing.T) {
 				adv := make([]core.LSN, len(cut.Frontier))
 				copy(adv, cut.Frontier)
 				adv[i]++
-				if Consistent(in, adv) {
+				if consistent(in, adv) {
 					t.Fatalf("trial %d (%s): cut %v not maximal: advancing shard %d to %d stays consistent (input %+v)",
 						trial, way, cut.Frontier, i, adv[i], in)
 				}

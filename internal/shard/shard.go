@@ -80,8 +80,8 @@ var ErrShardDown = errors.New("shard: participant shard is down")
 // Router deterministically assigns variables to shards (FNV-1a mod N).
 type Router struct{ n int }
 
-// NewRouter returns a router over n shards.
-func NewRouter(n int) *Router {
+// newRouter returns a router over n shards.
+func newRouter(n int) *Router {
 	if n < 1 {
 		panic(fmt.Sprintf("shard: router over %d shards", n))
 	}
@@ -146,7 +146,7 @@ type DB struct {
 // router and giving every shard its own substrate (store, WAL, cache)
 // via the factory.
 func New(mk Factory, n int, initial *model.State) *DB {
-	router := NewRouter(n)
+	router := newRouter(n)
 	parts := router.Split(initial)
 	d := &DB{
 		router:    router,
@@ -192,9 +192,9 @@ func (d *DB) Read(x model.Var) model.Value {
 	return d.shards[d.router.Shard(x)].Read(x)
 }
 
-// Participants returns the sorted shard indexes an operation touches
+// participants returns the sorted shard indexes an operation touches
 // (reads or writes).
-func (d *DB) Participants(op *model.Op) []int {
+func (d *DB) participants(op *model.Op) []int {
 	// An operation touches a handful of shards: a sorted slice with
 	// linear insertion beats a set plus a sort.
 	out := make([]int, 0, 2)
@@ -231,7 +231,7 @@ func (d *DB) Participants(op *model.Op) []int {
 // never reach this — every projection is legal for the method — so it
 // marks a workload bug, and the error says which projection broke.
 func (d *DB) Exec(op *model.Op) error {
-	parts := d.Participants(op)
+	parts := d.participants(op)
 	for _, i := range parts {
 		if d.frozen[i] {
 			return fmt.Errorf("%w (shard %d, op %s)", ErrShardDown, i, op)
@@ -442,9 +442,6 @@ func (d *DB) Truncate(i int) (int, error) {
 // Cross-shard transactions touching it are refused from now on, and
 // certification naturally stalls for transactions involving it.
 func (d *DB) Freeze(i int) { d.frozen[i] = true }
-
-// Frozen reports whether shard i has failed.
-func (d *DB) Frozen(i int) bool { return d.frozen[i] }
 
 // Crash fails every shard and the coordinator: caches, unflushed log
 // tails and the uncertified-transaction table are lost, only stable

@@ -43,7 +43,7 @@ func TestEligible(t *testing.T) {
 func TestRouterSplitPartitionsState(t *testing.T) {
 	pages := workload.Pages(16)
 	initial := workload.InitialState(pages)
-	r := NewRouter(4)
+	r := newRouter(4)
 	parts := r.Split(initial)
 	seen := make(map[model.Var]int)
 	for i, part := range parts {
@@ -74,7 +74,7 @@ func TestRouterAssignmentsGolden(t *testing.T) {
 		4: "0321032103123012301221032103213012301230032103210312301230122103",
 		7: "5316420505024661352464310542166124501346420553162035024613132064",
 	} {
-		r := NewRouter(n)
+		r := newRouter(n)
 		for k, p := range workload.Pages(64) {
 			if got := r.Shard(p); got != int(want[k]-'0') {
 				t.Errorf("router ×%d: %q on shard %d, golden says %c", n, p, got, want[k])
@@ -88,7 +88,7 @@ func TestRouterAssignmentsGolden(t *testing.T) {
 	}
 }
 
-// TestParticipantsSortedAndDistinct holds Participants to the set-and-
+// TestParticipantsSortedAndDistinct holds participants to the set-and-
 // sort it replaced, over operations touching one to three shards.
 func TestParticipantsSortedAndDistinct(t *testing.T) {
 	pages := workload.Pages(24)
@@ -108,8 +108,8 @@ func TestParticipantsSortedAndDistinct(t *testing.T) {
 			want = append(want, i)
 		}
 		sort.Ints(want)
-		if got := d.Participants(op); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("Participants(%s) = %v, want %v", op, got, want)
+		if got := d.participants(op); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("participants(%s) = %v, want %v", op, got, want)
 		}
 	}
 }
@@ -304,7 +304,7 @@ func TestCertifyLeavesTornTxnUncertified(t *testing.T) {
 }
 
 func TestCrossHistoryShapes(t *testing.T) {
-	router := NewRouter(2)
+	router := newRouter(2)
 	pages := workload.Pages(12)
 	for _, m := range eligibleMethods {
 		ops, err := CrossHistory(m.name, 40, pages, router, 4, 7)

@@ -255,13 +255,13 @@ func (c campaignCell) run(initial *model.State, truncateProb float64, metrics *C
 		return nil, fmt.Errorf("sim: campaign %s/%s/crash=%d/seed=%d: %w", c.method.Name, c.kind, c.crash, c.seed, err)
 	}
 	// Report the cell's grid seed, not the derived stream seed: canonical
-	// ordering (SortResults) and human diffing key on the campaign grid.
+	// ordering (sortResults) and human diffing key on the campaign grid.
 	r.Seed = c.seed
 	return r, nil
 }
 
 // Campaign sweeps the whole matrix and returns every run's result in
-// canonical order (SortResults: method, fault kind, crash point, seed).
+// canonical order (sortResults: method, fault kind, crash point, seed).
 // With cfg.Workers > 1 the runs execute on a bounded worker pool; the
 // returned results are byte-for-byte the same as a sequential sweep.
 func Campaign(cfg CampaignConfig) ([]*FaultResult, error) {
@@ -312,7 +312,7 @@ func Campaign(cfg CampaignConfig) ([]*FaultResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	SortResults(out)
+	sortResults(out)
 	return out, nil
 }
 
@@ -348,7 +348,7 @@ func runCells[T any](n, workers int, run func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// SortResults puts fault results into canonical order: method, fault
+// sortResults puts fault results into canonical order: method, fault
 // kind, crash point, seed. Campaign output is already sorted; the
 // function is exported so any aggregator can normalize results produced
 // in completion order.
@@ -359,8 +359,8 @@ func runCells[T any](n, workers int, run func(i int) (T, error)) ([]T, error) {
 // equal — and sorting is therefore a canonical form independent of
 // completion order. The differential fuzzer (internal/fuzz) and any
 // cross-run diffing rely on this: two result sets from the same grid can
-// be compared element-wise after SortResults.
-func SortResults(rs []*FaultResult) {
+// be compared element-wise after sortResults.
+func sortResults(rs []*FaultResult) {
 	sort.SliceStable(rs, func(i, j int) bool {
 		a, b := rs[i], rs[j]
 		if a.Method != b.Method {

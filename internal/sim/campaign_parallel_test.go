@@ -115,12 +115,12 @@ func TestSortResultsNormalizesAnyOrder(t *testing.T) {
 		}
 	}
 	want := append([]*FaultResult(nil), rs...)
-	SortResults(want)
+	sortResults(want)
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 5; trial++ {
 		shuffled := append([]*FaultResult(nil), rs...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		SortResults(shuffled)
+		sortResults(shuffled)
 		for i := range want {
 			if shuffled[i] != want[i] {
 				t.Fatalf("trial %d: position %d holds %s/%s/%d/%d, want %s/%s/%d/%d", trial, i,

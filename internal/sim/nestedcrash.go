@@ -37,7 +37,7 @@ type NestedCrashConfig struct {
 	// {NumOps/2, NumOps}: mid-run and end-of-run system crashes).
 	CrashPoints []int
 	// Schedules are the nested-crash schedules (defaults
-	// DefaultNestedSchedules()).
+	// defaultNestedSchedules()).
 	Schedules [][]int
 	// MaxAttempts bounds each cell's supervised attempt loop (default:
 	// schedule length + 8, enough for the full ladder after the last
@@ -57,10 +57,10 @@ type NestedCrashConfig struct {
 	Metrics *CampaignMetrics
 }
 
-// DefaultNestedSchedules is the default crash-schedule axis: no crash,
+// defaultNestedSchedules is the default crash-schedule axis: no crash,
 // single crashes at increasing depths, and descending multi-crash
 // storms (the worst case: each retry is killed earlier than the last).
-func DefaultNestedSchedules() [][]int {
+func defaultNestedSchedules() [][]int {
 	return [][]int{
 		nil,
 		{0},
@@ -220,7 +220,7 @@ func NestedCrashCampaign(cfg NestedCrashConfig) ([]*NestedCrashResult, error) {
 	}
 	schedules := cfg.Schedules
 	if len(schedules) == 0 {
-		schedules = DefaultNestedSchedules()
+		schedules = defaultNestedSchedules()
 	}
 
 	pages := workload.Pages(numPages)
@@ -247,14 +247,14 @@ func NestedCrashCampaign(cfg NestedCrashConfig) ([]*NestedCrashResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	SortNestedResults(out)
+	sortNestedResults(out)
 	return out, nil
 }
 
-// SortNestedResults puts nested-crash results into canonical order:
+// sortNestedResults puts nested-crash results into canonical order:
 // method, crash point, seed, schedule index — a total order over any one
 // campaign's grid.
-func SortNestedResults(rs []*NestedCrashResult) {
+func sortNestedResults(rs []*NestedCrashResult) {
 	sort.SliceStable(rs, func(i, j int) bool {
 		a, b := rs[i], rs[j]
 		if a.Method != b.Method {

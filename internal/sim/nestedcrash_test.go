@@ -25,7 +25,7 @@ func TestNestedCrashCampaignConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := SummarizeNestedCrash(results)
-	wantRuns := 7 * 2 * 2 * len(DefaultNestedSchedules())
+	wantRuns := 7 * 2 * 2 * len(defaultNestedSchedules())
 	if sum.Runs != wantRuns {
 		t.Errorf("runs = %d, want %d", sum.Runs, wantRuns)
 	}

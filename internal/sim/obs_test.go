@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 
 	"redotheory/internal/fault"
@@ -17,14 +18,8 @@ func TestSummarizeEmpty(t *testing.T) {
 	if s.Runs != 0 {
 		t.Fatalf("Runs = %d, want 0", s.Runs)
 	}
-	for name, got := range map[string]float64{
-		"RecoveredRate":   s.RecoveredRate(),
-		"InvariantRate":   s.InvariantRate(),
-		"RedoSelectivity": s.RedoSelectivity(),
-	} {
-		if got != 0 {
-			t.Errorf("%s on an empty sweep = %v, want 0", name, got)
-		}
+	if got := s.RedoSelectivity(); got != 0 {
+		t.Errorf("RedoSelectivity on an empty sweep = %v, want 0", got)
 	}
 	if s.ReplayedP50 != 0 || s.ReplayedP99 != 0 || s.WallP50 != 0 || s.WallP99 != 0 || s.Wall != 0 {
 		t.Errorf("empty-sweep percentiles nonzero: %+v", s)
@@ -79,12 +74,12 @@ func TestSweepObservedSummary(t *testing.T) {
 	// Both the sequential and parallel pass examine every record, so the
 	// recorder holds twice the summary's totals; selectivity is invariant
 	// under that doubling.
-	if got := rec.CounterValue(obs.MRedoExamined); got != 2*int64(s.Examined) {
+	if got := rec.Snapshot().Counter(obs.MRedoExamined); got != 2*int64(s.Examined) {
 		t.Errorf("recorder examined %d, summary %d (want 2x: both passes)", got, s.Examined)
 	}
 	// Crash points 0..len(ops) execute 0+1+...+len(ops) operations.
 	want := int64(len(ops) * (len(ops) + 1) / 2)
-	if got := rec.CounterValue(obs.MDBExec); got != want {
+	if got := rec.Snapshot().Counter(obs.MDBExec); got != want {
 		t.Errorf("db.exec = %d, want %d", got, want)
 	}
 }
@@ -115,7 +110,11 @@ func TestCampaignMetricsRollup(t *testing.T) {
 	if err := rep.Validate(); err != nil {
 		t.Fatalf("campaign metrics report: %v", err)
 	}
-	names := rep.MethodNames()
+	var names []string
+	for name := range rep.Methods {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	if len(names) != 2 || names[0] != "logical" || names[1] != "physiological" {
 		t.Fatalf("report methods = %v", names)
 	}
@@ -128,7 +127,7 @@ func TestCampaignMetricsRollup(t *testing.T) {
 			t.Errorf("%s: no examined records recorded", name)
 		}
 	}
-	if rep.Totals.Sample(obs.MPartitionWidth).Count == 0 {
+	if rep.Totals.Samples[obs.MPartitionWidth].Count == 0 {
 		t.Error("no partition widths observed across the campaign")
 	}
 }

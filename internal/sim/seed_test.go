@@ -79,7 +79,7 @@ func TestMixSeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestSortResultsIsTotalCanonicalOrder asserts the documented SortResults
+// TestSortResultsIsTotalCanonicalOrder asserts the documented sortResults
 // invariant: over one campaign's results the (Method, Kind, CrashAfter,
 // Seed) key is a strict total order — no two cells compare equal — so
 // sorting any shuffle reproduces the byte-identical canonical sequence.
@@ -126,7 +126,7 @@ func TestSortResultsIsTotalCanonicalOrder(t *testing.T) {
 	copy(shuffled, results)
 	rng := rand.New(rand.NewSource(42))
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	SortResults(shuffled)
+	sortResults(shuffled)
 	for i := range results {
 		if shuffled[i] != results[i] {
 			t.Fatalf("sorting a shuffle diverges from canonical order at %d: %v vs %v",

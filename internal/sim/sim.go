@@ -286,11 +286,5 @@ func rate(num, den int) float64 {
 	return float64(num) / float64(den)
 }
 
-// RecoveredRate is the fraction of runs that recovered (0 for no runs).
-func (s Summary) RecoveredRate() float64 { return rate(s.Recovered, s.Runs) }
-
-// InvariantRate is the fraction of runs whose invariant check passed.
-func (s Summary) InvariantRate() float64 { return rate(s.InvariantOK, s.Runs) }
-
 // RedoSelectivity is the fraction of examined records actually replayed.
 func (s Summary) RedoSelectivity() float64 { return rate(s.Replayed, s.Examined) }

@@ -239,7 +239,7 @@ func TestBankTransfersConserveMoney(t *testing.T) {
 	s0 := workload.InitialState(pages)
 	var total int64
 	for _, p := range pages {
-		total += s0.GetInt(p)
+		total += model.AsInt(s0.Get(p))
 	}
 	ops := workload.BankTransfers(12, pages, 21)
 	for crash := 0; crash <= len(ops); crash++ {
@@ -254,11 +254,13 @@ func TestBankTransfersConserveMoney(t *testing.T) {
 	// Verify conservation on a full no-crash run's oracle.
 	final := s0.Clone()
 	for _, op := range ops {
-		final.MustApply(op)
+		if _, err := final.Apply(op); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var got int64
 	for _, p := range pages {
-		got += final.GetInt(p)
+		got += model.AsInt(final.Get(p))
 	}
 	if got != total {
 		t.Errorf("total = %d, want %d", got, total)

@@ -69,7 +69,7 @@ func TestDeterminedStatesFigure4(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if s.GetInt("x") != c.x || s.GetInt("y") != c.y {
+		if model.AsInt(s.Get("x")) != c.x || model.AsInt(s.Get("y")) != c.y {
 			t.Errorf("%s: state = %v, want x=%d y=%d", c.name, s, c.x, c.y)
 		}
 	}
@@ -90,13 +90,16 @@ func TestLemma2PrefixStatesMatchStateSequence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ops := randomOps(rng, 12, 4)
-		seq := model.SequenceOf(ops...)
 		s0 := randomState(rng, 4)
-		states, err := seq.StateSequence(s0)
-		if err != nil {
-			return false
+		states := []*model.State{s0.Clone()}
+		for _, o := range ops {
+			s := states[len(states)-1].Clone()
+			if _, err := s.Apply(o); err != nil {
+				return false
+			}
+			states = append(states, s)
 		}
-		cg := conflict.FromSequence(seq)
+		cg := conflict.FromOps(ops...)
 		g, err := FromConflict(cg, s0)
 		if err != nil {
 			return false
@@ -256,7 +259,7 @@ func TestFinalStateMatchesSequenceFinal(t *testing.T) {
 	cg, s0 := figure4()
 	g, _ := FromConflict(cg, s0)
 	fin := g.FinalState()
-	if fin.GetInt("x") != 3 || fin.GetInt("y") != 3 {
+	if model.AsInt(fin.Get("x")) != 3 || model.AsInt(fin.Get("y")) != 3 {
 		t.Errorf("final = %v, want x=3 y=3", fin)
 	}
 }

@@ -9,16 +9,16 @@ import (
 )
 
 func TestArmedFaultQueryAndDisarm(t *testing.T) {
-	s := NewStore()
-	if _, armed := s.ArmedFault(); armed {
+	s := newStore()
+	if _, armed := s.armedFault(); armed {
 		t.Fatal("fresh store reports an armed fault")
 	}
-	s.TearNextGroup(1)
-	if desc, armed := s.ArmedFault(); !armed || !strings.Contains(desc, "tear-next-group") {
-		t.Fatalf("ArmedFault after TearNextGroup = %q, %v", desc, armed)
+	s.tearNextGroup(1)
+	if desc, armed := s.armedFault(); !armed || !strings.Contains(desc, "tear-next-group") {
+		t.Fatalf("armedFault after tearNextGroup = %q, %v", desc, armed)
 	}
 	s.DisarmFaults()
-	if _, armed := s.ArmedFault(); armed {
+	if _, armed := s.armedFault(); armed {
 		t.Fatal("fault still armed after DisarmFaults")
 	}
 	// Disarmed: the next group must apply cleanly.
@@ -29,21 +29,21 @@ func TestArmedFaultQueryAndDisarm(t *testing.T) {
 		t.Fatalf("disarmed group write failed: %v", err)
 	}
 
-	s.SetInjector(fault.NewInjector(1, fault.LostWrite))
-	if desc, armed := s.ArmedFault(); !armed || desc != string(fault.LostWrite) {
-		t.Fatalf("ArmedFault with injector = %q, %v", desc, armed)
+	s.SetInjector(fault.Plan{Seed: 1, Kind: fault.LostWrite}.New())
+	if desc, armed := s.armedFault(); !armed || desc != string(fault.LostWrite) {
+		t.Fatalf("armedFault with injector = %q, %v", desc, armed)
 	}
 	s.DisarmFaults()
-	if _, armed := s.ArmedFault(); armed {
+	if _, armed := s.armedFault(); armed {
 		t.Fatal("injector still armed after DisarmFaults")
 	}
 }
 
 func TestDoubleArmThenNormalWrite(t *testing.T) {
-	s := NewStore()
+	s := newStore()
 	// Double-arm: the second arm wins (last writer), still one-shot.
-	s.TearNextGroup(0)
-	s.TearNextGroup(1)
+	s.tearNextGroup(0)
+	s.tearNextGroup(1)
 	err := s.WriteGroup(map[model.Var]Page{
 		"a": {Data: "1", LSN: 1},
 		"b": {Data: "2", LSN: 2},
@@ -58,7 +58,7 @@ func TestDoubleArmThenNormalWrite(t *testing.T) {
 		t.Error("page past the tear applied")
 	}
 	// One-shot: arm consumed, plain single-page writes unaffected.
-	if _, armed := s.ArmedFault(); armed {
+	if _, armed := s.armedFault(); armed {
 		t.Fatal("tear still armed after firing")
 	}
 	s.Write("c", "3", 3)
@@ -79,13 +79,13 @@ func TestChecksumSealAndVerify(t *testing.T) {
 	if bad := s.VerifyAll(); len(bad) != 0 {
 		t.Fatalf("clean store verifies corrupt: %v", bad)
 	}
-	if err := s.VerifyPage("missing"); err != nil {
+	if err := s.verifyPage("missing"); err != nil {
 		t.Fatalf("missing page reported corrupt: %v", err)
 	}
 	if !s.CorruptPage("b") {
 		t.Fatal("CorruptPage on present page returned false")
 	}
-	if err := s.VerifyPage("b"); err == nil {
+	if err := s.verifyPage("b"); err == nil {
 		t.Fatal("bit-rotted page passed verification")
 	} else if _, ok := err.(*CorruptPageError); !ok {
 		t.Fatalf("wrong error type: %T", err)
@@ -99,9 +99,9 @@ func TestChecksumSealAndVerify(t *testing.T) {
 }
 
 func TestLostWriteRealization(t *testing.T) {
-	s := NewStore()
+	s := newStore()
 	// loseAt draws from [0,6); with seed 1 find the dead page by writing.
-	s.SetInjector(fault.NewInjector(1, fault.LostWrite))
+	s.SetInjector(fault.Plan{Seed: 1, Kind: fault.LostWrite}.New())
 	for i := 0; i < 8; i++ {
 		s.Write("p", model.Value(strings.Repeat("x", i+1)), 0)
 	}
@@ -121,7 +121,7 @@ func TestLostWriteRealization(t *testing.T) {
 	}
 	// The stale version is checksum-valid: lost writes are NOT detectable
 	// by page checksums, only by LSN reasoning.
-	if err := s.VerifyPage("p"); err != nil {
+	if err := s.verifyPage("p"); err != nil {
 		t.Fatalf("stale page should be checksum-valid: %v", err)
 	}
 	if q, _ := s.Read("q"); q.Data != "safe" {
@@ -131,13 +131,13 @@ func TestLostWriteRealization(t *testing.T) {
 	if got := s.RealizeCrashFaults(); len(got) != 0 {
 		t.Fatalf("second realization reverted %v", got)
 	}
-	if _, armed := s.ArmedFault(); armed {
+	if _, armed := s.armedFault(); armed {
 		t.Fatal("injector still attached after realization")
 	}
 }
 
 func TestGroupIntentJournal(t *testing.T) {
-	s := NewStore()
+	s := newStore()
 	if s.PendingGroupIntent() != nil {
 		t.Fatal("fresh store has a pending intent")
 	}
@@ -147,7 +147,7 @@ func TestGroupIntentJournal(t *testing.T) {
 	if s.PendingGroupIntent() != nil {
 		t.Fatal("completed group left its intent pending")
 	}
-	s.TearNextGroup(1)
+	s.tearNextGroup(1)
 	err := s.WriteGroup(map[model.Var]Page{
 		"a": {Data: "1", LSN: 2},
 		"b": {Data: "2", LSN: 2},
@@ -166,16 +166,16 @@ func TestGroupIntentJournal(t *testing.T) {
 }
 
 func TestInjectorTearsSwing(t *testing.T) {
-	st := NewStore()
+	st := newStore()
 	sh := NewShadowTable(st)
 	sh.StagePage("a", Page{Data: "1", LSN: 1})
 	sh.StagePage("b", Page{Data: "2", LSN: 1})
-	st.SetInjector(fault.NewInjector(42, fault.TornGroup))
+	st.SetInjector(fault.Plan{Seed: 42, Kind: fault.TornGroup}.New())
 	err := sh.Swing()
 	if !IsTorn(err) {
 		t.Fatalf("armed torn-group injector did not tear the swing: %v", err)
 	}
-	if sh.Staged() != 2 {
+	if sh.staged() != 2 {
 		t.Fatal("staging cleared despite torn swing")
 	}
 	if st.PendingGroupIntent() == nil {
@@ -185,7 +185,7 @@ func TestInjectorTearsSwing(t *testing.T) {
 	if err := sh.Swing(); err != nil {
 		t.Fatalf("retried swing failed: %v", err)
 	}
-	if sh.Staged() != 0 || st.PendingGroupIntent() != nil {
+	if sh.staged() != 0 || st.PendingGroupIntent() != nil {
 		t.Fatal("successful retry did not settle staging/intent")
 	}
 }

@@ -32,8 +32,8 @@ func (s *ShadowTable) StagePage(id model.Var, p Page) {
 	s.staging[id] = p
 }
 
-// Staged returns the number of pages waiting for the swing.
-func (s *ShadowTable) Staged() int { return len(s.staging) }
+// staged returns the number of pages waiting for the swing.
+func (s *ShadowTable) staged() int { return len(s.staging) }
 
 // Swing atomically replaces the current versions of every staged page
 // and empties the staging area. Under an armed torn-group fault the

@@ -3,20 +3,20 @@ package storage
 import "testing"
 
 func TestShadowStageDoesNotTouchStore(t *testing.T) {
-	st := NewStore()
+	st := newStore()
 	st.Write("p", "old", 1)
 	sh := NewShadowTable(st)
 	sh.StagePage("p", Page{Data: "new", LSN: 5})
 	if got, _ := st.Read("p"); got.Data != "old" {
 		t.Error("staging modified the current state")
 	}
-	if sh.Staged() != 1 {
-		t.Errorf("Staged = %d", sh.Staged())
+	if sh.staged() != 1 {
+		t.Errorf("Staged = %d", sh.staged())
 	}
 }
 
 func TestShadowSwing(t *testing.T) {
-	st := NewStore()
+	st := newStore()
 	st.Write("p", "old", 1)
 	sh := NewShadowTable(st)
 	sh.StagePage("p", Page{Data: "new", LSN: 5})
@@ -28,8 +28,8 @@ func TestShadowSwing(t *testing.T) {
 	if got, _ := st.Read("q"); got.Data != "fresh" {
 		t.Errorf("q = %+v", got)
 	}
-	if sh.Staged() != 0 || sh.Swings != 1 {
-		t.Errorf("staged=%d swings=%d", sh.Staged(), sh.Swings)
+	if sh.staged() != 0 || sh.Swings != 1 {
+		t.Errorf("staged=%d swings=%d", sh.staged(), sh.Swings)
 	}
 	if st.GroupWrites != 1 {
 		t.Errorf("GroupWrites = %d", st.GroupWrites)
@@ -37,7 +37,7 @@ func TestShadowSwing(t *testing.T) {
 }
 
 func TestShadowDiscard(t *testing.T) {
-	st := NewStore()
+	st := newStore()
 	sh := NewShadowTable(st)
 	sh.StagePage("p", Page{Data: "new", LSN: 5})
 	sh.Discard()

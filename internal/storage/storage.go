@@ -116,14 +116,14 @@ type Store struct {
 	GroupWrites int
 }
 
-// NewStore returns an empty store.
-func NewStore() *Store {
+// newStore returns an empty store.
+func newStore() *Store {
 	return &Store{pages: make(map[model.Var]Page), tearAfter: -1}
 }
 
 // FromState initializes a store from a state, with all pages tagged LSN 0.
 func FromState(s *model.State) *Store {
-	st := NewStore()
+	st := newStore()
 	for _, x := range s.Vars() {
 		st.pages[x] = Page{Data: s.Get(x), LSN: 0, Sum: pageSum(x, s.Get(x), 0)}
 	}
@@ -200,15 +200,15 @@ func (s *Store) WriteGroup(pages map[model.Var]Page) error {
 	return nil
 }
 
-// TearNextGroup arms fault injection: the next WriteGroup applies only n
+// tearNextGroup arms fault injection: the next WriteGroup applies only n
 // pages and then fails, leaving the group half-written.
-func (s *Store) TearNextGroup(n int) { s.tearAfter = n }
+func (s *Store) tearNextGroup(n int) { s.tearAfter = n }
 
 // SetInjector attaches a media-fault injector; its armed faults apply to
 // subsequent writes. Pass nil to detach.
 func (s *Store) SetInjector(inj *fault.Injector) { s.inj = inj }
 
-// DisarmFaults clears every armed fault: the pending TearNextGroup and
+// DisarmFaults clears every armed fault: the pending tearNextGroup and
 // the attached injector. Already-swallowed lost writes stay swallowed —
 // disarming stops future faults, it does not repair the platter.
 func (s *Store) DisarmFaults() {
@@ -216,9 +216,9 @@ func (s *Store) DisarmFaults() {
 	s.inj = nil
 }
 
-// ArmedFault describes the fault currently armed against the store, if
-// any: a pending TearNextGroup or an attached injector's kind.
-func (s *Store) ArmedFault() (string, bool) {
+// armedFault describes the fault currently armed against the store, if
+// any: a pending tearNextGroup or an attached injector's kind.
+func (s *Store) armedFault() (string, bool) {
 	if s.tearAfter >= 0 {
 		return fmt.Sprintf("tear-next-group(keep %d)", s.tearAfter), true
 	}
@@ -268,10 +268,10 @@ func (s *Store) CorruptPage(id model.Var) bool {
 	return true
 }
 
-// VerifyPage recomputes a page's checksum and returns a
+// verifyPage recomputes a page's checksum and returns a
 // CorruptPageError on mismatch (nil for missing pages: absence is not
 // corruption in the total-state model).
-func (s *Store) VerifyPage(id model.Var) error {
+func (s *Store) verifyPage(id model.Var) error {
 	p, ok := s.pages[id]
 	if !ok {
 		return nil
@@ -287,7 +287,7 @@ func (s *Store) VerifyPage(id model.Var) error {
 func (s *Store) VerifyAll() []model.Var {
 	var bad []model.Var
 	for id := range s.pages {
-		if s.VerifyPage(id) != nil {
+		if s.verifyPage(id) != nil {
 			bad = append(bad, id)
 		}
 	}
@@ -353,7 +353,7 @@ func (s *Store) LSNs() map[model.Var]core.LSN {
 // the stable state for checkers without letting recovery mutate the
 // original). Armed faults and journals are not cloned.
 func (s *Store) Clone() *Store {
-	c := NewStore()
+	c := newStore()
 	for id, p := range s.pages {
 		c.pages[id] = p
 	}

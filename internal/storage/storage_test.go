@@ -7,7 +7,7 @@ import (
 )
 
 func TestReadWrite(t *testing.T) {
-	s := NewStore()
+	s := newStore()
 	if _, ok := s.Read("p1"); ok {
 		t.Error("missing page reported present")
 	}
@@ -39,7 +39,7 @@ func TestFromStateAndState(t *testing.T) {
 }
 
 func TestWriteGroupAtomic(t *testing.T) {
-	s := NewStore()
+	s := newStore()
 	err := s.WriteGroup(map[model.Var]Page{
 		"a": {Data: "1", LSN: 1},
 		"b": {Data: "2", LSN: 2},
@@ -56,8 +56,8 @@ func TestWriteGroupAtomic(t *testing.T) {
 }
 
 func TestWriteGroupTearing(t *testing.T) {
-	s := NewStore()
-	s.TearNextGroup(1)
+	s := newStore()
+	s.tearNextGroup(1)
 	err := s.WriteGroup(map[model.Var]Page{
 		"a": {Data: "1", LSN: 1},
 		"b": {Data: "2", LSN: 2},
@@ -79,7 +79,7 @@ func TestWriteGroupTearing(t *testing.T) {
 }
 
 func TestLSNs(t *testing.T) {
-	s := NewStore()
+	s := newStore()
 	s.Write("a", "1", 3)
 	s.Write("b", "2", 0)
 	lsns := s.LSNs()
@@ -89,7 +89,7 @@ func TestLSNs(t *testing.T) {
 }
 
 func TestClone(t *testing.T) {
-	s := NewStore()
+	s := newStore()
 	s.Write("a", "1", 1)
 	c := s.Clone()
 	c.Write("a", "2", 2)

@@ -583,7 +583,7 @@ func (s *session) runDegraded(crashAfter int, a *Attempt) (*model.State, error) 
 // runInstalling is the supervised installing pass: the instantiation of
 // core.Scan whose step layers the supervisor's deadline, crash point and
 // transient-fault stream in front of method.InstallRedo, and periodic
-// progress checkpoints behind it. Like method.RecoverInstalling it stops
+// progress checkpoints behind it. Like method's recoverInstalling it stops
 // before the next redo, so the deadline is checked per admitted record
 // and once more when the scan ends. Installs happen at whole-record
 // granularity — a faulted install aborts before any of the record's

@@ -36,7 +36,9 @@ func initialState(ps []model.Var) *model.State {
 func oracle(db method.DB) *model.State {
 	s := db.RecoveryBase().Clone()
 	for _, op := range db.StableLog().Ops() {
-		s.MustApply(op)
+		if _, err := s.Apply(op); err != nil {
+			panic(err)
+		}
 	}
 	return s
 }
@@ -505,19 +507,19 @@ func TestSuperviseTelemetry(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("did not converge: %+v", res.Attempts)
 	}
-	if got := rec.CounterValue(obs.MSupAttempts); got != int64(len(res.Attempts)) {
+	if got := rec.Snapshot().Counter(obs.MSupAttempts); got != int64(len(res.Attempts)) {
 		t.Errorf("attempts counter = %d, want %d", got, len(res.Attempts))
 	}
-	if got := rec.CounterValue(obs.MSupCrashes); got != int64(res.CrashesInjected) {
+	if got := rec.Snapshot().Counter(obs.MSupCrashes); got != int64(res.CrashesInjected) {
 		t.Errorf("crash counter = %d, want %d", got, res.CrashesInjected)
 	}
-	if got := rec.CounterValue(obs.MSupInstalls); got != int64(res.TotalInstalls) {
+	if got := rec.Snapshot().Counter(obs.MSupInstalls); got != int64(res.TotalInstalls) {
 		t.Errorf("installs counter = %d, want %d", got, res.TotalInstalls)
 	}
-	if got := rec.CounterValue(obs.MSupConverged); got != 1 {
+	if got := rec.Snapshot().Counter(obs.MSupConverged); got != 1 {
 		t.Errorf("converged counter = %d", got)
 	}
-	if got := rec.CounterValue(obs.MSupEscalations); got != int64(res.Escalations) {
+	if got := rec.Snapshot().Counter(obs.MSupEscalations); got != int64(res.Escalations) {
 		t.Errorf("escalations counter = %d, want %d", got, res.Escalations)
 	}
 	var attempts, rungs int

@@ -62,11 +62,11 @@ func (m *Manager) TearStableTail(k int) int {
 	return k
 }
 
-// VerifyRecord recomputes a record's checksum against the one sealed at
+// verifyRecord recomputes a record's checksum against the one sealed at
 // append time, returning a CorruptRecordError on mismatch. Records not
 // present in the log verify clean (absence is the tear detector's job,
 // not the checksum's).
-func (m *Manager) VerifyRecord(lsn core.LSN) error {
+func (m *Manager) verifyRecord(lsn core.LSN) error {
 	r := m.log.RecordOfLSN(lsn)
 	if r == nil {
 		return nil
@@ -97,8 +97,8 @@ type TailRepair struct {
 	Detections []fault.Detection
 }
 
-// Damaged reports whether the repair found anything wrong.
-func (r TailRepair) Damaged() bool { return len(r.Detections) > 0 }
+// damaged reports whether the repair found anything wrong.
+func (r TailRepair) damaged() bool { return len(r.Detections) > 0 }
 
 // RepairTail validates the stable log after a crash and repairs it:
 // every record is checksummed, the chained tail anchor is compared
@@ -115,7 +115,7 @@ func (m *Manager) RepairTail() TailRepair {
 	// Per-record checksums, in order; trust nothing past the first bad one.
 	corruptIdx := -1
 	for i, r := range recs {
-		if m.VerifyRecord(r.LSN) != nil {
+		if m.verifyRecord(r.LSN) != nil {
 			corruptIdx = i
 			rep.CorruptLSN = r.LSN
 			rep.Detections = append(rep.Detections, fault.Detection{
@@ -135,7 +135,7 @@ func (m *Manager) RepairTail() TailRepair {
 			validThrough = recs[corruptIdx-1].LSN
 		}
 		for _, r := range recs[corruptIdx+1:] {
-			if m.VerifyRecord(r.LSN) == nil {
+			if m.verifyRecord(r.LSN) == nil {
 				rep.DroppedValid++
 			}
 		}
@@ -186,7 +186,7 @@ func (m *Manager) RepairTail() TailRepair {
 		validThrough = m.truncatedBefore - 1
 	}
 	rep.ValidThrough = validThrough
-	if !rep.Damaged() {
+	if !rep.damaged() {
 		return rep
 	}
 

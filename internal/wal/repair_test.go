@@ -16,7 +16,7 @@ func TestRepairTailCleanCrash(t *testing.T) {
 	m.Append(model.Incr(3, "x", 1), 1) // volatile, lost at crash
 	m.Crash()
 	rep := m.RepairTail()
-	if rep.Damaged() {
+	if rep.damaged() {
 		t.Fatalf("clean crash reported damage: %+v", rep)
 	}
 	if rep.ValidThrough != 2 {
@@ -52,7 +52,7 @@ func TestRepairTornTail(t *testing.T) {
 		t.Errorf("surviving record not stable after repair: %v", err)
 	}
 	// Idempotent: a second pass (crash during degraded recovery) is clean.
-	if again := m.RepairTail(); again.Damaged() {
+	if again := m.RepairTail(); again.damaged() {
 		t.Fatalf("second repair found damage: %+v", again)
 	}
 }
@@ -67,7 +67,7 @@ func TestRepairCorruptRecord(t *testing.T) {
 	if !m.CorruptRecord(3) {
 		t.Fatal("CorruptRecord(3) found no record")
 	}
-	if err := m.VerifyRecord(3); err == nil {
+	if err := m.verifyRecord(3); err == nil {
 		t.Fatal("corrupt record verified clean")
 	} else if !strings.Contains(err.Error(), "record 3") {
 		t.Errorf("error = %v", err)
@@ -84,7 +84,7 @@ func TestRepairCorruptRecord(t *testing.T) {
 	if m.Log().MaxLSN() != 2 || m.StableLSN() != 2 {
 		t.Errorf("log ends at %d stable %d, want 2/2", m.Log().MaxLSN(), m.StableLSN())
 	}
-	if again := m.RepairTail(); again.Damaged() {
+	if again := m.RepairTail(); again.damaged() {
 		t.Fatalf("second repair found damage: %+v", again)
 	}
 }
@@ -100,7 +100,7 @@ func TestRepairAfterTruncation(t *testing.T) {
 	}
 	// Fully truncated log: absence of records 1–2 is legitimate, not a tear.
 	m.Crash()
-	if rep := m.RepairTail(); rep.Damaged() {
+	if rep := m.RepairTail(); rep.damaged() {
 		t.Fatalf("truncated log reported damage: %+v", rep)
 	}
 	// New records past the truncation point still validate and tear-detect.
@@ -211,7 +211,7 @@ func TestTruncateThenCrashStable(t *testing.T) {
 	if _, ok := m.StableCheckpoint(); !ok {
 		t.Error("stable checkpoint lost across truncate+crash")
 	}
-	if rep := m.RepairTail(); rep.Damaged() {
+	if rep := m.RepairTail(); rep.damaged() {
 		t.Errorf("truncate+crash log reported damage: %+v", rep)
 	}
 }

@@ -100,9 +100,9 @@ func Figure4() Scenario {
 	}
 }
 
-// Section5EFG is the Section 5 example requiring an atomic multi-variable
+// section5EFG is the Section 5 example requiring an atomic multi-variable
 // install: E: x←y+1, F: y←x+1, G: x←x+1.
-func Section5EFG() Scenario {
+func section5EFG() Scenario {
 	return Scenario{
 		Name: "Section 5 (E,F,G)",
 		Note: "x and y must be installed atomically: E,F,G collapse to one write graph node",
@@ -116,9 +116,9 @@ func Section5EFG() Scenario {
 	}
 }
 
-// Section5HJ is the Section 5 unexposed-variable example: H: ⟨x++;y++⟩
+// section5HJ is the Section 5 unexposed-variable example: H: ⟨x++;y++⟩
 // then J: y←0.
-func Section5HJ() Scenario {
+func section5HJ() Scenario {
 	return Scenario{
 		Name: "Section 5 (H,J)",
 		Note: "J's blind write leaves y unexposed: H installs by writing x alone",
@@ -133,12 +133,12 @@ func Section5HJ() Scenario {
 	}
 }
 
-// Figure8 is the generalized B-tree split shape: O updates old page x
+// figure8 is the generalized B-tree split shape: O updates old page x
 // (filling it), P reads x and writes the new page y with the moved half,
 // Q truncates x. Collapsing the x-writers O and Q reproduces the
 // figure's write graph, whose edge from P's node forces the cache
 // manager to install y before x.
-func Figure8() Scenario {
+func figure8() Scenario {
 	return Scenario{
 		Name: "Figure 8",
 		Note: "generalized split: new page y must be written before old page x",
@@ -156,6 +156,6 @@ func Figure8() Scenario {
 func All() []Scenario {
 	return []Scenario{
 		Scenario1(), Scenario2(), Scenario3(),
-		Figure4(), Section5EFG(), Section5HJ(), Figure8(),
+		Figure4(), section5EFG(), section5HJ(), figure8(),
 	}
 }

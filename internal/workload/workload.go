@@ -9,8 +9,10 @@
 //   - SinglePage: read page p, write page p — physiological-legal.
 //   - ReadManyWriteOne: read several pages, write one — generalized-LSN
 //     legal (the B-tree split shape).
-//   - AnyShape: arbitrary read and write sets — logical/physical only.
-//   - BlindWrites: write-only operations — the pure physical shape.
+//   - "any" (anyShape): arbitrary read and write sets — logical/physical
+//     only.
+//   - "blind" (blindWrites): write-only operations — the pure physical
+//     shape.
 package workload
 
 import (
@@ -38,7 +40,7 @@ func InitialState(pages []model.Var) *model.State {
 	return s
 }
 
-// Zipf returns a Zipf-distributed page picker (hot pages first) with
+// zipf returns a Zipf-distributed page picker (hot pages first) with
 // the given skew parameters. rand.NewZipf's imax argument would be
 // uint64(len(pages)-1), which collapses to imax=0 for a single page and
 // underflows to ^uint64(0) for an empty slice — NewZipf then returns
@@ -46,7 +48,7 @@ func InitialState(pages []model.Var) *model.State {
 // here instead: one page is always picked, and zero pages panics with a
 // diagnosable message (callers that tolerate empty fixtures must return
 // an empty history before picking).
-func Zipf(rng *rand.Rand, s, v float64, pages []model.Var) func() model.Var {
+func zipf(rng *rand.Rand, s, v float64, pages []model.Var) func() model.Var {
 	switch len(pages) {
 	case 0:
 		panic("workload: Zipf picker over zero pages")
@@ -64,7 +66,7 @@ func Zipf(rng *rand.Rand, s, v float64, pages []model.Var) func() model.Var {
 // HotPage/HeavyHotPage so post-crash traffic hits the pages the crashed
 // history was hot on.
 func HotZipf(rng *rand.Rand, pages []model.Var) func() model.Var {
-	return Zipf(rng, 1.2, 16, pages)
+	return zipf(rng, 1.2, 16, pages)
 }
 
 // zipfPick selects a page with a Zipf-ish skew (hot pages first) when
@@ -73,7 +75,7 @@ func zipfPick(rng *rand.Rand, pages []model.Var, skew bool) model.Var {
 	if !skew {
 		return pages[rng.Intn(len(pages))]
 	}
-	return Zipf(rng, 1.3, 1, pages)()
+	return zipf(rng, 1.3, 1, pages)()
 }
 
 // SinglePage generates n read-modify-write operations, each touching
@@ -112,8 +114,8 @@ func ReadManyWriteOne(n int, pages []model.Var, maxReads int, seed int64) []*mod
 	return ops
 }
 
-// AnyShape generates n operations with arbitrary read and write sets.
-func AnyShape(n int, pages []model.Var, seed int64) []*model.Op {
+// anyShape generates n operations with arbitrary read and write sets.
+func anyShape(n int, pages []model.Var, seed int64) []*model.Op {
 	if len(pages) == 0 {
 		return nil
 	}
@@ -137,8 +139,8 @@ func AnyShape(n int, pages []model.Var, seed int64) []*model.Op {
 	return ops
 }
 
-// BlindWrites generates n write-only operations.
-func BlindWrites(n int, pages []model.Var, seed int64) []*model.Op {
+// blindWrites generates n write-only operations.
+func blindWrites(n int, pages []model.Var, seed int64) []*model.Op {
 	if len(pages) == 0 {
 		return nil
 	}
@@ -315,8 +317,8 @@ func ShapesFor(name string) ([]Shape, error) {
 	rmwWide := Shape{"rmw/wide", func(n int, pages []model.Var, seed int64) []*model.Op {
 		return ReadManyWriteOne(n, pages, 5, seed)
 	}}
-	anyShape := Shape{"any", AnyShape}
-	blind := Shape{"blind", BlindWrites}
+	arbitrary := Shape{"any", anyShape}
+	blind := Shape{"blind", blindWrites}
 	// hotPage is single-page RMW, so it is legal for every method.
 	hotPage := Shape{"hot-page/zipf", HotPage}
 	switch name {
@@ -325,7 +327,7 @@ func ShapesFor(name string) ([]Shape, error) {
 	case "genlsn", "genlsn+mv":
 		return []Shape{rmwNarrow, rmwWide, singleUniform, hotPage}, nil
 	case "physical", "grouplsn", "logical":
-		return []Shape{anyShape, blind, singleUniform, hotPage}, nil
+		return []Shape{arbitrary, blind, singleUniform, hotPage}, nil
 	default:
 		return nil, fmt.Errorf("workload: unknown method %q", name)
 	}
@@ -339,9 +341,9 @@ func ForMethod(name string, n int, pages []model.Var, seed int64) ([]*model.Op, 
 	case "genlsn", "genlsn+mv":
 		return ReadManyWriteOne(n, pages, 3, seed), nil
 	case "physical", "grouplsn":
-		return AnyShape(n, pages, seed), nil
+		return anyShape(n, pages, seed), nil
 	case "logical":
-		return AnyShape(n, pages, seed), nil
+		return anyShape(n, pages, seed), nil
 	default:
 		return nil, fmt.Errorf("workload: unknown method %q", name)
 	}

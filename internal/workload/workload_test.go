@@ -11,14 +11,21 @@ import (
 	"redotheory/internal/stategraph"
 )
 
+// mustApply applies an operation known to be well-formed.
+func mustApply(s *model.State, op *model.Op) {
+	if _, err := s.Apply(op); err != nil {
+		panic(err)
+	}
+}
+
 func TestPagesAndInitialState(t *testing.T) {
 	ps := Pages(3)
 	if len(ps) != 3 || ps[0] != "pg00" || ps[2] != "pg02" {
 		t.Errorf("Pages = %v", ps)
 	}
 	s := InitialState(ps)
-	if s.GetInt(ps[1]) != 1001 {
-		t.Errorf("initial value = %d", s.GetInt(ps[1]))
+	if model.AsInt(s.Get(ps[1])) != 1001 {
+		t.Errorf("initial value = %d", model.AsInt(s.Get(ps[1])))
 	}
 }
 
@@ -48,7 +55,7 @@ func TestReadManyWriteOneShape(t *testing.T) {
 }
 
 func TestBlindWritesShape(t *testing.T) {
-	for _, op := range BlindWrites(20, Pages(3), 3) {
+	for _, op := range blindWrites(20, Pages(3), 3) {
 		if len(op.Reads()) != 0 || len(op.Writes()) != 1 {
 			t.Fatalf("op %s is not a blind single-page write", op)
 		}
@@ -56,7 +63,7 @@ func TestBlindWritesShape(t *testing.T) {
 }
 
 func TestAnyShapeWritesNonEmpty(t *testing.T) {
-	for _, op := range AnyShape(50, Pages(4), 4) {
+	for _, op := range anyShape(50, Pages(4), 4) {
 		if len(op.Writes()) == 0 {
 			t.Fatal("empty write set")
 		}
@@ -69,14 +76,14 @@ func TestBankTransfersDeterministicAndConserving(t *testing.T) {
 	s := InitialState(ps)
 	var before int64
 	for _, p := range ps {
-		before += s.GetInt(p)
+		before += model.AsInt(s.Get(p))
 	}
 	for _, op := range ops {
-		s.MustApply(op)
+		mustApply(s, op)
 	}
 	var after int64
 	for _, p := range ps {
-		after += s.GetInt(p)
+		after += model.AsInt(s.Get(p))
 	}
 	if before != after {
 		t.Errorf("transfers do not conserve: %d -> %d", before, after)
@@ -84,7 +91,7 @@ func TestBankTransfersDeterministicAndConserving(t *testing.T) {
 	// Determinism: same seed, same ops, same result.
 	s2 := InitialState(ps)
 	for _, op := range BankTransfers(15, ps, 9) {
-		s2.MustApply(op)
+		mustApply(s2, op)
 	}
 	if !s.Equal(s2) {
 		t.Error("generator not deterministic")
@@ -201,10 +208,10 @@ func TestHeavyHotPageTracksHotPageSequence(t *testing.T) {
 	// The heavy compute is deterministic per seed.
 	s1, s2 := InitialState(ps), InitialState(ps)
 	for _, op := range heavy {
-		s1.MustApply(op)
+		mustApply(s1, op)
 	}
 	for _, op := range HeavyHotPage(100, ps, 3, 9) {
-		s2.MustApply(op)
+		mustApply(s2, op)
 	}
 	if !s1.Equal(s2) {
 		t.Error("heavy generator not deterministic")
@@ -224,8 +231,8 @@ func TestGeneratorsOnDegenerateFixtures(t *testing.T) {
 		{"single-page/uniform", func(n int, ps []model.Var, seed int64) []*model.Op { return SinglePage(n, ps, seed, false) }},
 		{"single-page/skew", func(n int, ps []model.Var, seed int64) []*model.Op { return SinglePage(n, ps, seed, true) }},
 		{"rmw", func(n int, ps []model.Var, seed int64) []*model.Op { return ReadManyWriteOne(n, ps, 3, seed) }},
-		{"any", AnyShape},
-		{"blind", BlindWrites},
+		{"any", anyShape},
+		{"blind", blindWrites},
 		{"heavy-single", func(n int, ps []model.Var, seed int64) []*model.Op { return HeavySinglePage(n, ps, 2, seed) }},
 		{"hot-page", HotPage},
 		{"heavy-hot", func(n int, ps []model.Var, seed int64) []*model.Op { return HeavyHotPage(n, ps, 2, seed) }},
@@ -269,7 +276,7 @@ func TestGeneratorsOnDegenerateFixtures(t *testing.T) {
 func TestZipfPickerDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	one := Pages(1)
-	pick := Zipf(rng, 1.3, 1, one)
+	pick := zipf(rng, 1.3, 1, one)
 	for i := 0; i < 5; i++ {
 		if p := pick(); p != one[0] {
 			t.Fatalf("single-page Zipf picked %s", p)
@@ -280,7 +287,7 @@ func TestZipfPickerDegenerate(t *testing.T) {
 			t.Error("Zipf over zero pages did not panic")
 		}
 	}()
-	Zipf(rng, 1.3, 1, nil)
+	zipf(rng, 1.3, 1, nil)
 }
 
 func TestShapesForIncludeHotPage(t *testing.T) {

@@ -76,7 +76,7 @@ func TestInstallRespectsPrefix(t *testing.T) {
 		t.Error(err)
 	}
 	s := g.DeterminedState()
-	if s.GetInt("x") != 3 || s.GetInt("y") != 3 {
+	if model.AsInt(s.Get("x")) != 3 || model.AsInt(s.Get("y")) != 3 {
 		t.Errorf("fully installed state = %v, want x=3 y=3", s)
 	}
 }
@@ -154,7 +154,7 @@ func TestSection5EFGAtomicInstall(t *testing.T) {
 		t.Error(err)
 	}
 	s := g.DeterminedState()
-	if s.GetInt("x") != 2 || s.GetInt("y") != 2 {
+	if model.AsInt(s.Get("x")) != 2 || model.AsInt(s.Get("y")) != 2 {
 		t.Errorf("state = %v", s)
 	}
 }
@@ -179,7 +179,7 @@ func TestSection5HJRemoveWrite(t *testing.T) {
 		t.Errorf("after installing H without y: %v", err)
 	}
 	s := g.DeterminedState()
-	if s.GetInt("x") != 1 || s.GetInt("y") != 0 {
+	if model.AsInt(s.Get("x")) != 1 || model.AsInt(s.Get("y")) != 0 {
 		t.Errorf("state = %v, want x=1 y untouched", s)
 	}
 	if err := g.Install(nJ); err != nil {
@@ -188,7 +188,7 @@ func TestSection5HJRemoveWrite(t *testing.T) {
 	if err := g.CheckExplainable(); err != nil {
 		t.Error(err)
 	}
-	if got := g.DeterminedState().GetInt("y"); got != 0 {
+	if got := model.AsInt(g.DeterminedState().Get("y")); got != 0 {
 		t.Errorf("y = %d, want 0 (J's value)", got)
 	}
 }
@@ -302,7 +302,7 @@ func TestCollapseWithInitialNodeInstalls(t *testing.T) {
 		t.Errorf("after installing P via collapse: %v", err)
 	}
 	s := g.DeterminedState()
-	if s.GetInt("y") != 3 || s.GetInt("x") != 1 {
+	if model.AsInt(s.Get("y")) != 3 || model.AsInt(s.Get("x")) != 1 {
 		t.Errorf("state = %v, want x=1 y=3", s)
 	}
 	// Installing Q's node by collapse must fail while O's is outside.

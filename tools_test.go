@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -25,7 +26,7 @@ func builtTool(t *testing.T, name string) string {
 		if buildErr != nil {
 			return
 		}
-		for _, tool := range []string{"redograph", "redosim", "redocheck", "redofuzz", "redotrace", "redostats"} {
+		for _, tool := range []string{"redograph", "redosim", "redocheck", "redofuzz", "redotrace", "redostats", "redoserve"} {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, tool), "./cmd/"+tool)
 			out, err := cmd.CombinedOutput()
 			if err != nil {
@@ -333,6 +334,113 @@ func TestRedostatsTopRoutesOnSchema(t *testing.T) {
 	out, code = runTool(t, "redostats", "", "-top", "5", bad)
 	if code == 0 {
 		t.Errorf("unknown schema accepted:\n%s", out)
+	}
+}
+
+// TestRedoserveBenchReport drives the availability benchmark twice on a
+// tiny fixture: the report carries BENCH_serve.json's key set, the
+// second run inherits exactly the first run's trend, and the exit code
+// follows the verdict.
+func TestRedoserveBenchReport(t *testing.T) {
+	keys := func(path string) (map[string]json.RawMessage, []string) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		var ks []string
+		for k := range m {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return m, ks
+	}
+	_, want := keys("BENCH_serve.json")
+
+	dir := t.TempDir()
+	run := func(name string, extra ...string) map[string]json.RawMessage {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		args := append([]string{"-bench", "-ops", "120", "-pages", "16", "-rounds", "4",
+			"-clients", "2", "-requests", "12", "-trials", "2", "-out", path}, extra...)
+		out, code := runTool(t, "redoserve", "", args...)
+		rep, got := keys(path)
+		var verdict string
+		if err := json.Unmarshal(rep["verdict"], &verdict); err != nil {
+			t.Fatal(err)
+		}
+		if ok := strings.HasPrefix(verdict, "ok"); ok != (code == 0) {
+			t.Errorf("exit %d with verdict %q:\n%s", code, verdict, out)
+		}
+		if len(extra) == 0 {
+			got = append(got, "history") // omitted when nothing is carried forward
+			sort.Strings(got)
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s keys %v, want BENCH_serve.json's %v", name, got, want)
+		}
+		return rep
+	}
+	first := run("first.json")
+	if _, ok := first["history"]; ok {
+		t.Errorf("first run without -baseline carries a history")
+	}
+	second := run("second.json", "-baseline", filepath.Join(dir, "first.json"))
+
+	type trend struct {
+		GeneratedAt string  `json:"generated_at"`
+		NumCPU      int     `json:"num_cpu"`
+		GoMaxProcs  int     `json:"gomaxprocs"`
+		TTFRP99Ns   int64   `json:"ttfr_p99_ns"`
+		OfflineNs   int64   `json:"offline_recovery_ns"`
+		Ratio       float64 `json:"ratio_p99_vs_offline"`
+	}
+	var history []trend
+	if err := json.Unmarshal(second["history"], &history); err != nil {
+		t.Fatal(err)
+	}
+	var firstRep struct {
+		trend
+		TTFR struct {
+			P99Ns int64 `json:"p99_ns"`
+		} `json:"ttfr"`
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "first.json"))
+	if err == nil {
+		err = json.Unmarshal(data, &firstRep)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTrend := firstRep.trend
+	wantTrend.TTFRP99Ns = firstRep.TTFR.P99Ns
+	if len(history) != 1 || history[0] != wantTrend {
+		t.Errorf("second run history = %+v, want exactly the first run's trend %+v", history, wantTrend)
+	}
+}
+
+// TestToolsRejectNonPositiveCounts: a count below 1 is a usage error
+// reported before any fixture is built, not a panic or a silent default.
+func TestToolsRejectNonPositiveCounts(t *testing.T) {
+	for _, flag := range []string{"-ops", "-pages", "-clients", "-requests", "-trials"} {
+		for _, v := range []string{"0", "-1"} {
+			out, code := runTool(t, "redoserve", "", "-bench", "-out", filepath.Join(t.TempDir(), "r.json"), flag, v)
+			if code != 1 || strings.Contains(out, "goroutine") || !strings.Contains(out, "at least 1") {
+				t.Errorf("redoserve -bench %s %s: exit %d:\n%s", flag, v, code, out)
+			}
+		}
+	}
+	for _, mode := range [][]string{{"-campaign"}, {"-nested-crash"}, {"-shards", "2"}} {
+		for _, v := range []string{"0", "-1"} {
+			args := append(append([]string{}, mode...), "-seeds", v)
+			if out, code := runTool(t, "redosim", "", args...); code != 2 || !strings.Contains(out, "at least 1") {
+				t.Errorf("redosim %v: exit %d:\n%s", args, code, out)
+			}
+		}
 	}
 }
 
