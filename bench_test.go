@@ -141,10 +141,9 @@ func BenchmarkFig6Recover(b *testing.B) {
 				lg.Append(op)
 			}
 			redo := func(*core.Record, core.Analysis) bool { return true }
-			none := graph.NewSet[model.OpID]()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Recover(s0.Clone(), lg, none, redo, nil); err != nil {
+				if _, err := core.Recover(core.Survivors{State: s0.Clone(), Log: lg, Redo: redo}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -320,8 +319,9 @@ func heavyCrashedDB(tb testing.TB, nOps, nPages, rounds int) method.DB {
 
 // BenchmarkRecoveryParallel compares sequential Recover against
 // RecoverParallel at increasing worker counts on a multi-component
-// fixture. Recovery reads only fresh projections of the crashed DB
-// (StableState, StableLog), so one fixture serves every sub-benchmark.
+// fixture. Each recovery consumes its own method.Survivors value, a
+// fresh projection of the crashed DB, so one fixture serves every
+// sub-benchmark.
 func BenchmarkRecoveryParallel(b *testing.B) {
 	db := heavyCrashedDB(b, 512, 16, 400)
 	b.Run("sequential", func(b *testing.B) {

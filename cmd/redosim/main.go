@@ -24,7 +24,6 @@ import (
 	"redotheory/internal/core"
 	"redotheory/internal/fault"
 	"redotheory/internal/fuzz"
-	"redotheory/internal/graph"
 	"redotheory/internal/method"
 	"redotheory/internal/model"
 	"redotheory/internal/obs"
@@ -741,18 +740,15 @@ func emitCrashTrace(name string, nOps, nPages, crash int, seed int64) {
 	if err != nil {
 		fatal(err)
 	}
-	stableLog := db.StableLog()
-	redoSet, err := core.PredictRedoSet(db.StableState(), stableLog, db.Checkpointed(), db.RedoTest(), db.Analyze())
+	// The trace carries the stable state, which recovery consumes: keep
+	// a copy, then learn the installed set from the recovery procedure.
+	sv := method.Survivors(db)
+	stable := sv.State.Clone()
+	res, err := core.Recover(sv)
 	if err != nil {
 		fatal(err)
 	}
-	installed := graph.NewSet[model.OpID]()
-	for _, op := range stableLog.Ops() {
-		if !redoSet.Has(op.ID()) {
-			installed.Add(op.ID())
-		}
-	}
-	tr, err := trace.Capture(stableLog.Ops(), db.RecoveryBase(), db.StableState(), installed)
+	tr, err := trace.Capture(sv.Log.Ops(), db.RecoveryBase(), stable, res.Installed())
 	if err != nil {
 		fatal(err)
 	}

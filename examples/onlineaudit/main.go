@@ -77,11 +77,12 @@ func walFaultRun() {
 	// contains effects of operations the surviving log has never heard
 	// of. Audit against what actually survived.
 	db.Crash()
-	survivors, err := core.NewChecker(db.StableLog(), s0)
+	sv := method.Survivors(db)
+	checker, err := core.NewChecker(sv.Log, s0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep := survivors.Check(db.StableState(), db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze(), true)
+	rep := checker.Check(sv.State, sv.Log, sv.Checkpoint, sv.Redo, sv.Analyze, true)
 	fmt.Println(rep.Summary())
 	if rep.OK {
 		log.Fatal("WAL violation went undetected")

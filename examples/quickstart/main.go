@@ -67,7 +67,7 @@ func main() {
 	fmt.Println(rep.Summary())
 
 	// Run recovery (Figure 6) and verify.
-	res, err := core.Recover(stable.Clone(), lg, graph.NewSet[model.OpID](), redo, nil)
+	res, err := core.Recover(core.Survivors{State: stable.Clone(), Log: lg, Redo: redo})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -462,7 +462,7 @@ func TestExperimentE17InvariantNecessity(t *testing.T) {
 			return !installed.Has(r.Op.ID())
 		}
 		rep := ck.CheckInstalled(state, installed)
-		res, err := core.Recover(state.Clone(), lg, graph.NewSet[model.OpID](), redo, nil)
+		res, err := core.Recover(core.Survivors{State: state.Clone(), Log: lg, Redo: redo})
 		if err != nil {
 			continue
 		}

@@ -191,7 +191,7 @@ func (c *Checker) Check(state *model.State, log *Log, checkpoint graph.Set[model
 	if err := log.ValidateAgainst(c.cg); err != nil {
 		return &Report{Violations: []Violation{{Kind: LogInconsistent, Detail: err.Error()}}}
 	}
-	res, err := Recover(state.Clone(), log, checkpoint, redo, analyze)
+	res, err := Recover(Survivors{state.Clone(), log, checkpoint, redo, analyze})
 	if err != nil {
 		return &Report{Violations: []Violation{{Kind: RecoveryDiverged, Detail: err.Error()}}}
 	}

@@ -103,7 +103,7 @@ func TestRecoverFigure6Shape(t *testing.T) {
 	l := logOf(o, p, q)
 	installed := graph.NewSet[model.OpID](2)
 	state := model.StateOf(map[model.Var]model.Value{"x": model.IntVal(1), "y": model.IntVal(3)})
-	res, err := Recover(state, l, graph.NewSet[model.OpID](), oracleRedo(installed), nil)
+	res, err := Recover(Survivors{State: state, Log: l, Redo: oracleRedo(installed)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +127,8 @@ func TestRecoverHonorsCheckpoint(t *testing.T) {
 	l := logOf(o, p)
 	// Checkpoint covers O: recovery must not even examine it.
 	state := model.StateOf(map[model.Var]model.Value{"x": model.IntVal(1)})
-	res, err := Recover(state, l, graph.NewSet[model.OpID](1),
-		func(*Record, Analysis) bool { return true }, nil)
+	res, err := Recover(Survivors{State: state, Log: l, Checkpoint: graph.NewSet[model.OpID](1),
+		Redo: func(*Record, Analysis) bool { return true }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +152,12 @@ func TestAnalysisPhaseThreading(t *testing.T) {
 	checkpoint := graph.NewSet[model.OpID](1)
 	loops := map[string]func(RedoTest, AnalyzeFunc){
 		"Recover": func(redo RedoTest, analyze AnalyzeFunc) {
-			if _, err := Recover(model.NewState(), l, checkpoint, redo, analyze); err != nil {
+			if _, err := Recover(Survivors{model.NewState(), l, checkpoint, redo, analyze}); err != nil {
 				t.Fatal(err)
 			}
 		},
 		"RecoverDense": func(redo RedoTest, analyze AnalyzeFunc) {
-			if _, err := RecoverDense(nil, model.NewState(), l, checkpoint, redo, analyze); err != nil {
+			if _, err := RecoverDense(nil, Survivors{model.NewState(), l, checkpoint, redo, analyze}); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -234,7 +234,7 @@ func TestCorollary4Property(t *testing.T) {
 				checkpoint.Add(id)
 			}
 		}
-		res, err := Recover(state, l, checkpoint, oracleRedo(installed), nil)
+		res, err := Recover(Survivors{State: state, Log: l, Checkpoint: checkpoint, Redo: oracleRedo(installed)})
 		if err != nil {
 			return false
 		}

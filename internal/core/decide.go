@@ -27,22 +27,16 @@ type RedoDecision struct {
 }
 
 // DecideRedo runs the decision phase of the recovery procedure of
-// Figure 6 without applying any operation: the same analysis phase, the
-// same scan, the same redo test invocations, against the given state.
-//
-// Separating decision from application is what makes partitioned replay
-// possible, and it is faithful to sequential Recover because the redo
-// test cannot see the state being rebuilt: its type hands it only the
-// record and the analysis value, plus whatever it captured at
-// construction (the page-LSN tables every Section 6 method uses). The
-// analysis function runs once, before any replay, so it sees the same
-// state here as in Recover. The property tests in internal/method assert
-// the resulting equivalence against sequential Recover for every method.
+// Figure 6 without applying any operation: DecideRedoEach, untraced and
+// unhooked, over the survivors its arguments spell. Deciding apart from
+// applying is faithful to Recover by the kernel contract's first clause
+// (DESIGN.md §1.1.1): the redo test cannot see the state being rebuilt.
 func DecideRedo(state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) *RedoDecision {
-	return DecideRedoEach(nil, state, log, checkpoint, redo, analyze, nil)
+	return DecideRedoEach(nil, Survivors{state, log, checkpoint, redo, analyze}, nil)
 }
 
-// DecideRedoEach is DecideRedo with telemetry and a hook. rec gets a
+// DecideRedoEach is DecideRedo on a survivors value, with telemetry
+// and a hook; it reads sv.State only through the analysis. rec gets a
 // "decide" span over Scan's account (nothing is timed as replay: the
 // step only notes the index); a nil recorder disables it. each serves
 // an engine that consumes the decision while it is being made
@@ -51,16 +45,16 @@ func DecideRedo(state *model.State, log *Log, checkpoint graph.Set[model.OpID], 
 // ReplayIdx, so ReplayIdx then holds exactly the admitted records
 // before i. Returning true ends the scan there, leaving i out; the
 // decision is then a prefix.
-func DecideRedoEach(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc, each func(d *RedoDecision, i int) (stop bool)) *RedoDecision {
+func DecideRedoEach(rec *obs.Recorder, sv Survivors, each func(d *RedoDecision, i int) (stop bool)) *RedoDecision {
 	d := &RedoDecision{
 		// Presized for the worst case (every record admitted): append
 		// growth on a long replay list is pure reallocation overhead,
 		// and a consumer may hold sub-slices of it while it grows.
-		ReplayIdx: make([]int, 0, log.Len()),
-		log:       log,
+		ReplayIdx: make([]int, 0, sv.Log.Len()),
+		log:       sv.Log,
 	}
 	span := rec.StartSpan(obs.PhaseDecide)
-	d.Examined, _, _ = Scan(rec, state, log, checkpoint, redo, analyze, false, func(i int, _ *Record) (bool, error) {
+	d.Examined, _, _ = Scan(rec, sv, false, func(i int, _ *Record) (bool, error) {
 		if each != nil && each(d, i) {
 			return true, nil
 		}
@@ -79,10 +73,10 @@ func DecideRedoEach(rec *obs.Recorder, state *model.State, log *Log, checkpoint 
 // and interns their variables — so they overlap, and the caller gets
 // both once the slower finishes. The view build records only its cache hit
 // or miss on rec, never a span, so the decide span tree is unchanged.
-func DecideAndView(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) (*RedoDecision, *LogView) {
+func DecideAndView(rec *obs.Recorder, sv Survivors) (*RedoDecision, *LogView) {
 	view := make(chan *LogView, 1)
-	go func() { view <- DefaultViews.ViewOf(log, rec) }()
-	d := DecideRedoEach(rec, state, log, checkpoint, redo, analyze, nil)
+	go func() { view <- DefaultViews.ViewOf(sv.Log, rec) }()
+	d := DecideRedoEach(rec, sv, nil)
 	return d, <-view
 }
 

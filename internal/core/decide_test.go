@@ -59,7 +59,7 @@ func TestDecideRedoMatchesRecoverDecisions(t *testing.T) {
 
 	// The same scan drives Recover: same sets, same analysis call count.
 	recCalls := *decideCalls
-	rec, err := Recover(s.Clone(), l, cp, redo, analyze)
+	rec, err := Recover(Survivors{s.Clone(), l, cp, redo, analyze})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func TestDecideRedoDoesNotTouchState(t *testing.T) {
 
 func TestSameOutcomeAcceptsIdenticalResults(t *testing.T) {
 	s, l, cp, redo, analyze, _ := decideFixture()
-	a, err := Recover(s.Clone(), l, cp, redo, analyze)
+	a, err := Recover(Survivors{s.Clone(), l, cp, redo, analyze})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Recover(s.Clone(), l, cp, redo, analyze)
+	b, err := Recover(Survivors{s.Clone(), l, cp, redo, analyze})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSameOutcomeAcceptsIdenticalResults(t *testing.T) {
 func TestSameOutcomeDetectsEveryDivergence(t *testing.T) {
 	s, l, cp, redo, analyze, _ := decideFixture()
 	mk := func() *Result {
-		r, err := Recover(s.Clone(), l, cp, redo, analyze)
+		r, err := Recover(Survivors{s.Clone(), l, cp, redo, analyze})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func ExampleRecover() {
 	redo := func(r *core.Record, _ core.Analysis) bool {
 		return !installed.Has(r.Op.ID())
 	}
-	res, err := core.Recover(state, log, graph.NewSet[model.OpID](), redo, nil)
+	res, err := core.Recover(core.Survivors{State: state, Log: log, Redo: redo})
 	if err != nil {
 		panic(err)
 	}

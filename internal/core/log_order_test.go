@@ -54,7 +54,7 @@ func TestLogNeedsOnlyConflictOrder(t *testing.T) {
 			return false
 		}
 		replayAll := func(*Record, Analysis) bool { return true }
-		res, err := Recover(s0.Clone(), shuffled, graph.NewSet[model.OpID](), replayAll, nil)
+		res, err := Recover(Survivors{State: s0.Clone(), Log: shuffled, Redo: replayAll})
 		if err != nil {
 			return false
 		}
@@ -85,7 +85,7 @@ func TestCheckpointNeedNotBePrefix(t *testing.T) {
 	if !rep.OK {
 		t.Fatalf("non-prefix checkpoint rejected: %s", rep.Summary())
 	}
-	res, err := Recover(state.Clone(), l, checkpoint, replayRest, nil)
+	res, err := Recover(Survivors{State: state.Clone(), Log: l, Checkpoint: checkpoint, Redo: replayRest})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,29 @@ type AnalyzeFunc func(state *model.State, log *Log, checkpoint graph.Set[model.O
 // pure predicate — reentrant, order-free, and shareable across goroutines.
 type RedoTest func(r *Record, analysis Analysis) bool
 
+// Survivors is one crash, the input of the recovery procedure of
+// Figure 6: the stable state, stable log and checkpoint a crash left
+// (Section 4), plus the method's redo test and analysis bound to them.
+// State is a fresh projection that the engine it is handed to consumes
+// (Recover and RecoverDense write the recovered state back into it), so
+// a caller that runs two engines takes two values; the other fields are
+// only read.
+type Survivors struct {
+	State      *model.State
+	Log        *Log
+	Checkpoint graph.Set[model.OpID]
+	Redo       RedoTest
+	Analyze    AnalyzeFunc
+}
+
+// Prefix narrows the survivors to the log records with LSN ≤ lsn, a
+// shard's certified cut (DESIGN.md §15); the other fields ride along.
+// Prefix(0) keeps no record, so recovery from it replays nothing.
+func (s Survivors) Prefix(lsn LSN) Survivors {
+	s.Log = s.Log.Prefix(lsn)
+	return s
+}
+
 // Result reports what an execution of the recovery procedure did.
 type Result struct {
 	// State is the rebuilt system state at termination.
@@ -68,32 +91,32 @@ func (r *Result) installedGiven(redo graph.Set[model.OpID]) graph.Set[model.OpID
 	return out
 }
 
-// runAnalysis is the analysis phase Scan starts with: it runs analyze
-// once inside a PhaseAnalysis span and returns its value and the time it
-// took. A nil analyze yields a nil analysis, no span, and a zero phase
-// observation, so rollups carry a uniform schema.
-func runAnalysis(rec *obs.Recorder, analyze AnalyzeFunc, state *model.State, log *Log, checkpoint graph.Set[model.OpID]) (Analysis, time.Duration) {
-	if analyze == nil {
+// runAnalysis is the analysis phase Scan starts with: it runs
+// sv.Analyze once inside a PhaseAnalysis span and returns its value and
+// the time it took. A nil Analyze yields a nil analysis, no span, and a
+// zero phase observation, so rollups carry a uniform schema.
+func runAnalysis(rec *obs.Recorder, sv Survivors) (Analysis, time.Duration) {
+	if sv.Analyze == nil {
 		rec.ObserveDuration("phase."+string(obs.PhaseAnalysis), 0)
 		return nil, 0
 	}
 	span := rec.StartSpan(obs.PhaseAnalysis)
-	analysis := analyze(state, log, checkpoint)
+	analysis := sv.Analyze(sv.State, sv.Log, sv.Checkpoint)
 	return analysis, span.End()
 }
 
 // Step is the one thing the recovery engines differ in: what to do with
 // a record the redo test admitted. i is the record's index in
-// log.Records(). Returning stop ends the scan cleanly before r is redone
+// sv.Log.Records(). Returning stop ends the scan cleanly before r is redone
 // (a simulated crash point); an error ends it as a failure to replay r.
 type Step func(i int, r *Record) (stop bool, err error)
 
 // Scan is the loop of Figure 6, written once; every recovery engine is
-// an instantiation of it (DESIGN.md §1.1.1). It runs the analysis phase,
-// visits the unrecovered records — the logged operations outside the
-// checkpoint — in log order, which is consistent with the conflict
-// order, applies the redo test to each, and hands every admitted record
-// to step. It returns how many records the redo test examined and
+// an instantiation of it (DESIGN.md §1.1.1). Over the survivors sv it
+// runs the analysis phase, visits the unrecovered records — the logged
+// operations outside the checkpoint — in log order, which is consistent
+// with the conflict order, applies the redo test to each, and hands
+// every admitted record to step. It returns how many records the redo test examined and
 // whether the scan reached the end of the log.
 //
 // Scan owns the telemetry every engine reports: the redo.* counters, the
@@ -105,7 +128,7 @@ type Step func(i int, r *Record) (stop bool, err error)
 // emission lock and clock are paid once per record, which keeps full
 // tracing inside the redobench overhead tolerance. A nil recorder costs
 // a nil check per counter and nothing else.
-func Scan(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc, replays bool, step Step) (examined int, done bool, err error) {
+func Scan(rec *obs.Recorder, sv Survivors, replays bool, step Step) (examined int, done bool, err error) {
 	rec.Touch(obs.MRedoExamined, obs.MRedoAdmitted, obs.MRedoSkipped)
 	// Hot path: resolved counter handles (one atomic add each), raw
 	// clock reads accumulated locally, and event payloads built only
@@ -121,11 +144,11 @@ func Scan(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[
 		start = time.Now()
 	}
 	var replayTotal time.Duration
-	analysis, analysisTotal := runAnalysis(rec, analyze, state, log, checkpoint)
+	analysis, analysisTotal := runAnalysis(rec, sv)
 	var evbuf [3]obs.Event
 	done = true
-	for i, r := range log.Records() {
-		if checkpoint.Has(r.Op.ID()) {
+	for i, r := range sv.Log.Records() {
+		if sv.Checkpoint.Has(r.Op.ID()) {
 			cCheckpointed.Add(1)
 			if sinking {
 				rec.Emit(verdict(obs.EvSkip, r, "checkpointed"))
@@ -134,7 +157,7 @@ func Scan(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[
 		}
 		examined++
 		cExamined.Add(1)
-		if !redo(r, analysis) {
+		if !sv.Redo(r, analysis) {
 			cSkipped.Add(1)
 			if sinking {
 				rec.Emit(verdict(obs.EvSkip, r, "redo-test-false"))
@@ -192,38 +215,30 @@ func verdict(t obs.EventType, r *Record, v string) obs.Event {
 
 // Recover is the redo recovery procedure of Figure 6 on the map-backed
 // state: the reference instantiation of Scan, whose step applies the
-// operation in place. The state is mutated and also returned in the
-// Result. The checker and the differential tests run it; the shipped
-// path is RecoverDense.
+// operation in place. It consumes sv.State, which it mutates and returns
+// in the Result. The checker and the differential tests run it; the
+// shipped path is RecoverDense.
 //
 // Correctness is the Recovery Corollary (Corollary 4): if the installed
 // set operations(log) − redo_set induces a prefix of the installation
 // graph that explains the pre-recovery state, Recover terminates with the
 // state determined by the conflict graph.
-func Recover(state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) (*Result, error) {
-	res := &Result{State: state, log: log}
+//
+// Run on a fresh value, it is also the hypothetical the Recovery
+// Invariant (Section 4.5) quantifies over — "if, at any time, the
+// recovery procedure would choose to redo some set of operations…" —
+// and the Result's RedoSet is that choice: the supervisor's progress
+// measure audits a live system this way without disturbing it.
+func Recover(sv Survivors) (*Result, error) {
+	res := &Result{State: sv.State, log: sv.Log}
 	var err error
-	res.Examined, _, err = Scan(nil, state, log, checkpoint, redo, analyze, true, func(_ int, r *Record) (bool, error) {
+	res.Examined, _, err = Scan(nil, sv, true, func(_ int, r *Record) (bool, error) {
 		res.Replayed = append(res.Replayed, r.Op.ID())
-		_, err := state.Apply(r.Op)
+		_, err := sv.State.Apply(r.Op)
 		return false, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-// PredictRedoSet runs the recovery procedure against a clone of the state
-// and returns the redo set it would choose, leaving the real state
-// untouched. The Recovery Invariant (Section 4.5) quantifies over exactly
-// this hypothetical: "if, at any time, the recovery procedure would
-// choose to redo some set of operations…"; the supervisor's progress
-// measure uses this to audit a live system without disturbing it.
-func PredictRedoSet(state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) (graph.Set[model.OpID], error) {
-	res, err := Recover(state.Clone(), log, checkpoint, redo, analyze)
-	if err != nil {
-		return nil, err
-	}
-	return res.RedoSet(), nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"redotheory/internal/dense"
-	"redotheory/internal/graph"
 	"redotheory/internal/model"
 	"redotheory/internal/obs"
 )
@@ -13,26 +12,20 @@ import (
 // invocations, and the same final state as Recover, but the step
 // recomputes against an interned, slice-backed state instead of the
 // map-backed one, through RecordView.Replay's positional value buffers.
-// The map/string API is preserved at the edges: state is read up front,
-// mutated only by the final write-back of replayed variables, and
+// The map/string API is preserved at the edges: sv.State is read up
+// front, mutated only by the final write-back of replayed variables, and
 // returned in the Result exactly as Recover would have left it.
 //
-// Faithfulness rests on the kernel contract (DESIGN.md §1.1.1):
-// the redo test never sees the state (its type says so) and the analysis
-// function is state-blind, so handing analysis the pre-replay state
-// (which the dense path never mutates mid-scan) makes the same decisions
-// sequential Recover makes, and deterministic
-// operations replayed in the same order against the same read values
-// write the same values. The differential tests in internal/method
-// assert state-for-state equality against map-based Recover for every
-// method and workload shape.
+// By the kernel contract (DESIGN.md §1.1.1) it makes Recover's
+// decisions and writes Recover's values; TestDenseRecoverMatchesMapRecover
+// holds it to Recover for every method and workload shape.
 //
 // rec (nil disables telemetry) receives Scan's account under an umbrella
 // "recover" span; a top-level recovery begins its own trace, one nested
 // inside a supervised attempt joins the attempt's tree.
-func RecoverDense(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) (*Result, error) {
-	lv := DefaultViews.ViewOf(log, rec)
-	ds := dense.FromState(lv.In, state)
+func RecoverDense(rec *obs.Recorder, sv Survivors) (*Result, error) {
+	lv := DefaultViews.ViewOf(sv.Log, rec)
+	ds := dense.FromState(lv.In, sv.State)
 	// ds is private to this recovery and only its value slots are read
 	// back (WriteBack), so the presence bits Replay skips are never
 	// consulted.
@@ -43,16 +36,16 @@ func RecoverDense(rec *obs.Recorder, state *model.State, log *Log, checkpoint gr
 	touched := make([]uint32, 0, 16)
 
 	res := &Result{
-		State: state,
-		log:   log,
+		State: sv.State,
+		log:   sv.Log,
 		// Presized for the worst case (every record admitted): append
 		// growth on a 512-record replay costs ~9 reallocations.
-		Replayed: make([]model.OpID, 0, log.Len()),
+		Replayed: make([]model.OpID, 0, sv.Log.Len()),
 	}
 	span := rec.StartRootSpan(obs.PhaseRecover, "sequential dense recovery")
 	defer span.End()
 	var err error
-	res.Examined, _, err = Scan(rec, state, log, checkpoint, redo, analyze, true, func(i int, r *Record) (bool, error) {
+	res.Examined, _, err = Scan(rec, sv, true, func(i int, r *Record) (bool, error) {
 		v := &lv.Views[i]
 		if err := v.Replay(ds, &buf); err != nil {
 			return false, err
@@ -69,6 +62,6 @@ func RecoverDense(rec *obs.Recorder, state *model.State, log *Log, checkpoint gr
 	if err != nil {
 		return nil, err
 	}
-	ds.WriteBack(state, touched)
+	ds.WriteBack(sv.State, touched)
 	return res, nil
 }

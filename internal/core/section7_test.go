@@ -37,7 +37,7 @@ func TestRedoSetLargerThanNecessary(t *testing.T) {
 	if !rep.OK {
 		t.Fatalf("over-eager redo set rejected: %s", rep.Summary())
 	}
-	res, err := Recover(final.Clone(), l, graph.NewSet[model.OpID](), overEager, nil)
+	res, err := Recover(Survivors{State: final.Clone(), Log: l, Redo: overEager})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestPhysicalStyleFullReplayAlwaysSafe(t *testing.T) {
 	// From the final state (everything installed) and from the initial
 	// state (nothing installed), full replay lands on the final state.
 	for _, start := range []*model.State{final.Clone(), model.NewState()} {
-		res, err := Recover(start, l, graph.NewSet[model.OpID](), replayAll, nil)
+		res, err := Recover(Survivors{State: start, Log: l, Redo: replayAll})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,9 +65,9 @@ type coverage struct {
 //     leg 4), then with a seeded mixed client schedule of reads and
 //     post-crash writes checked against the oracle state plus those
 //     writes in commit order. Despite the numbering it executes before
-//     the supervised leg — the serve engine works on fresh projections
-//     and a private WAL, while supervised attempts persist redone work
-//     into the stable state.
+//     the supervised leg — the serve engine consumes its own survivors
+//     value and a private WAL, while supervised attempts persist redone
+//     work into the stable state.
 //
 // A non-nil disagreement identifies the first leg that dissented. The
 // error return is reserved for harness breakage.
@@ -108,8 +108,7 @@ func checkCellRun(m sim.NamedFactory, cell Cell, rec *obs.Recorder, flight *obs.
 		return nil, nil, err
 	}
 
-	stableLog := db.StableLog()
-	base := db.RecoveryBase()
+	sv := method.Survivors(db)
 
 	// Leg 1: the oracle state.
 	oracle, err := sim.Determined(db)
@@ -125,11 +124,11 @@ func checkCellRun(m sim.NamedFactory, cell Cell, rec *obs.Recorder, flight *obs.
 	}
 
 	// Legs 2 and 3: explainability and the determined state.
-	checker, err := core.NewCheckerObserved(stableLog, base, rec)
+	checker, err := core.NewCheckerObserved(sv.Log, db.RecoveryBase(), rec)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fuzz: building checker: %w", err)
 	}
-	if chk := checker.Check(db.StableState(), stableLog, db.Checkpointed(), db.RedoTest(), db.Analyze(), false); !chk.OK {
+	if chk := checker.Check(sv.State, sv.Log, sv.Checkpoint, sv.Redo, sv.Analyze, false); !chk.OK {
 		return &disagreement{check: "invariant", detail: fmt.Sprintf("%v", chk.Violations)}, nil, nil
 	}
 	if !checker.FinalState().Equal(oracle) {
@@ -145,7 +144,7 @@ func checkCellRun(m sim.NamedFactory, cell Cell, rec *obs.Recorder, flight *obs.
 	if !seq.State.Equal(oracle) {
 		return &disagreement{check: "sequential-oracle",
 			detail: fmt.Sprintf("recovered state diverges from oracle (replayed %d of %d stable ops)",
-				len(seq.Replayed), stableLog.Len())}, nil, nil
+				len(seq.Replayed), sv.Log.Len())}, nil, nil
 	}
 
 	// Leg 5: partitioned parallel recovery.

@@ -113,11 +113,12 @@ func TestAnalysisRunsOncePerRecovery(t *testing.T) {
 // false recovery-diverged.)
 func TestCheckerVerifyEndStatefulRedoTest(t *testing.T) {
 	db := hotPageCrashed(t, func(s *model.State) DB { return NewPhysiological(s) }, 200)
-	checker, err := core.NewChecker(db.StableLog(), db.RecoveryBase())
+	sv := Survivors(db)
+	checker, err := core.NewChecker(sv.Log, db.RecoveryBase())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := checker.Check(db.StableState(), db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze(), true)
+	rep := checker.Check(sv.State, sv.Log, sv.Checkpoint, sv.Redo, sv.Analyze, true)
 	if len(rep.RedoSet) == 0 {
 		t.Fatal("fixture redoes nothing; the defect needs at least one redone record")
 	}

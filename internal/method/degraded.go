@@ -116,7 +116,10 @@ func RecoverDegraded(db DB, opts DegradedOptions) (*DegradedResult, error) {
 		}
 	}
 
-	log := db.StableLog()
+	// The repaired log's survivors: the phases read it, the fast path
+	// recovers from it.
+	sv := Survivors(db)
+	log := sv.Log
 	bound, hasCk := db.CheckpointBound()
 
 	// Phase 4 — stale pages: the checkpoint contract says operations
@@ -265,7 +268,7 @@ func RecoverDegraded(db DB, opts DegradedOptions) (*DegradedResult, error) {
 		// Fast path: both substrates verified clean, so the clean-crash
 		// contract holds and the method's own recovery is trusted —
 		// audited end-to-end by the invariant checker.
-		r, err := Recover(db)
+		r, err := core.RecoverDense(nil, sv)
 		if err != nil {
 			return nil, err
 		}
@@ -274,21 +277,24 @@ func RecoverDegraded(db DB, opts DegradedOptions) (*DegradedResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("method: building degraded-recovery checker: %w", err)
 		}
-		// verifyEnd is off: end-state equality is the caller's oracle
+		// The audit takes a second value (recovery consumed sv.State)
+		// with verifyEnd off: end-state equality is the caller's oracle
 		// check, against the determined state rather than this replay.
-		res.Audit = checker.Check(db.StableState(), log, db.Checkpointed(), db.RedoTest(), db.Analyze(), false)
+		av := Survivors(db)
+		res.Audit = checker.Check(av.State, av.Log, av.Checkpoint, av.Redo, av.Analyze, false)
 		return res, nil
 	}
 
 	// Conservative path: replay the whole surviving log from the
-	// recovery base — the scan kernel under a different decide policy: an
-	// empty checkpoint and an always-true redo test, because the method's
-	// own may be poisoned by exactly the faults just detected.
+	// recovery base — the scan kernel run on different survivors: the
+	// base for the state, no checkpoint, no analysis and an always-true
+	// redo test, because the method's own may be poisoned by exactly the
+	// faults just detected.
 	res.Degraded = true
 	rec.Inc(obs.MDegradedRuns)
 	state := db.RecoveryBase()
 	lsns := db.RecoveryBaseLSNs()
-	_, _, err := core.Scan(rec, state, log, nil, redoAll, nil, true, func(_ int, r *core.Record) (bool, error) {
+	_, _, err := core.Scan(rec, core.Survivors{State: state, Log: log, Redo: redoAll}, true, func(_ int, r *core.Record) (bool, error) {
 		_, err := state.Apply(r.Op)
 		for _, x := range r.Op.Writes() {
 			lsns[x] = r.LSN

@@ -42,7 +42,7 @@ func TestDenseRecoverMatchesMapRecover(t *testing.T) {
 					for crash := 0; crash <= len(ops); crash += 2 + int(seed) {
 						db := method.CrashedDB(t, mk, ops, initial, crash, seed*37+int64(crash))
 
-						ref, err := core.Recover(db.StableState(), db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze())
+						ref, err := core.Recover(method.Survivors(db))
 						if err != nil {
 							t.Fatalf("crash=%d seed=%d: map-based recovery: %v", crash, seed, err)
 						}
@@ -103,7 +103,7 @@ func TestDenseRecoverEmptyLog(t *testing.T) {
 	pages := workload.Pages(3)
 	db := method.NewPhysiological(workload.InitialState(pages))
 	db.Crash()
-	ref, err := core.Recover(db.StableState(), db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze())
+	ref, err := core.Recover(method.Survivors(db))
 	if err != nil {
 		t.Fatal(err)
 	}

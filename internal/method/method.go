@@ -48,7 +48,7 @@ type DB interface {
 	// Crash discards all volatile state (cache and unflushed log tail).
 	Crash()
 
-	// The recovery surface, valid after Crash:
+	// The recovery surface, valid after Crash, read by Survivors:
 
 	// StableState returns the surviving page contents.
 	StableState() *model.State
@@ -126,11 +126,19 @@ type Stats struct {
 	StablePages int
 }
 
+// Survivors reads a crashed DB's recovery surface into the value every
+// recovery engine and oracle runs on, projecting the state afresh. It is
+// the one place the surface is read, and a function over DB rather than
+// a base method, so it binds the RedoTest and Analyze a method overrides.
+func Survivors(db DB) core.Survivors {
+	return core.Survivors{State: db.StableState(), Log: db.StableLog(), Checkpoint: db.Checkpointed(), Redo: db.RedoTest(), Analyze: db.Analyze()}
+}
+
 // Recover runs the paper's abstract recovery procedure (Figure 6) over a
 // crashed DB's survivors and returns the rebuilt state together with the
-// procedure's Result. The DB itself is not modified; recovery runs on a
-// clone of the stable state, exactly as the Recovery Invariant's
-// hypothetical does.
+// procedure's Result. The DB itself is not modified: recovery consumes
+// a fresh Survivors value, whose state is a projection of the stable
+// store, exactly as the Recovery Invariant's hypothetical does.
 //
 // This is the shipped path: core.RecoverDense, the instantiation of the
 // scan kernel (core.Scan) whose step replays interned record views
@@ -145,7 +153,7 @@ func Recover(db DB) (*core.Result, error) {
 // verdict events, and replay timing flow to the recorder. A nil recorder
 // makes it exactly Recover.
 func RecoverObserved(db DB, rec *obs.Recorder) (*core.Result, error) {
-	return core.RecoverDense(rec, db.StableState(), db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze())
+	return core.RecoverDense(rec, Survivors(db))
 }
 
 // base carries the substrate wiring shared by all methods.

@@ -278,7 +278,7 @@ func TestScanUniformSchema(t *testing.T) {
 			engines := []engine{
 				{"sequential", func(rec *obs.Recorder) error { _, err := RecoverObserved(db, rec); return err }},
 				{"decide-only", func(rec *obs.Recorder) error {
-					core.DecideRedoEach(rec, db.StableState(), db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze(), nil)
+					core.DecideRedoEach(rec, Survivors(db), nil)
 					return nil
 				}},
 			}

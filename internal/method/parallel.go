@@ -25,8 +25,9 @@ type ParallelOptions struct {
 	Workers int
 	// Recorder, when non-nil, receives phase spans (decide, replay,
 	// partition, merge), per-record redo verdicts, the tail's partition
-	// width histogram, and replay counters. Falls back to the DB's
-	// attached recorder when nil.
+	// width histogram, and replay counters. RecoverParallel falls back
+	// to the DB's attached recorder when nil; RecoverParallelFrom takes
+	// it as given.
 	Recorder *obs.Recorder
 }
 
@@ -57,57 +58,38 @@ func (r *ParallelResult) Plan() partition.Stats {
 
 // RecoverParallel runs redo recovery as a two-stage pipeline with a
 // pooled tail and produces the same outcome as sequential Recover
-// (Figure 6):
+// (Figure 6); DESIGN.md §8 gives the schedule and why it is sound:
 //
-//  1. Decide (the caller's goroutine): scan the log exactly as Recover
-//     does, running the method's analysis function and redo test but
-//     applying nothing, and build the log's dense view one chunk of
-//     records ahead of the scan. Sound because every method's redo test
-//     is state-blind — it decides from LSNs and the log, never from the
-//     state replay is rebuilding (core.DecideRedo documents the
-//     contract). Each decided chunk's admitted records, and the
-//     variables its views newly interned, are published to stage 2.
-//  2. Replay (one goroutine): grow the dense state by the published
-//     variables' stable values and replay the published records in log
-//     order — sequential Recover's order, one chunk behind the
-//     decision.
-//  3. Handoff: when the scan ends, the admitted records the replayer has
-//     not reached are planned into interference components
-//     (internal/partition) while it keeps going; then it stops at the
-//     next record boundary and a pool replays the rest of the plan: each
-//     component goes whole to one worker, and every worker sweeps the
-//     tail once in log order, replaying the records it owns. Components
-//     write disjoint variables and read none another writes, so they
-//     commute, and every conflict between the tail and the replayed
-//     prefix runs forward in log order, so the pool starts from the state
-//     sequential replay had reached at the same record (DESIGN.md §8).
-//     The merge then installs every written variable into the map-backed
-//     state.
+//  1. Decide (the caller's goroutine): core.DecideRedoEach, with the
+//     log's dense view built a chunk of records ahead of the scan and
+//     each decided chunk's admitted records published to stage 2.
+//  2. Replay (one goroutine): replay the published records in log
+//     order, sequential Recover's order, one chunk behind the decision.
+//  3. Handoff: when the scan ends, plan the admitted records the
+//     replayer has not reached into interference components
+//     (internal/partition), stop it at the next record boundary, and
+//     let a pool replay the rest, each component whole on one worker;
+//     then merge every written variable into the map-backed state.
 //
 // Light replay keeps pace with the decision and leaves the pool a chunk
 // or so; heavy replay falls behind, and the pool takes most of the log.
-//
-// Like Recover via the DB surface, it does not modify the crashed DB:
-// it works on the fresh projections StableState and StableLog, and on the
-// pure test RedoTest returns.
+// Like Recover, it does not modify the crashed DB: it is
+// RecoverParallelFrom over a fresh Survivors value.
 func RecoverParallel(db DB, opts ParallelOptions) (*ParallelResult, error) {
-	return RecoverParallelLog(db, db.StableLog(), opts)
+	if opts.Recorder == nil {
+		opts.Recorder = db.Recorder()
+	}
+	return RecoverParallelFrom(Survivors(db), opts)
 }
 
-// RecoverParallelLog is RecoverParallel over an explicit stable-log
-// prefix instead of db.StableLog(). Sharded recovery (internal/shard)
-// replays each shard from its certified-cut prefix, which may be
-// strictly shorter than the shard's surviving log; every method's redo
+// RecoverParallelFrom is RecoverParallel's pipeline over a survivors
+// value, which it consumes. Sharded recovery (internal/shard) hands it
+// a shard's certified-cut prefix, sv.Prefix(cut): every method's redo
 // test and checkpoint set remain sound on a prefix because both are
 // bounded by installed work, and the certification gate keeps installed
-// work inside the cut. The log must be a prefix of (or equal to)
-// db.StableLog().
-func RecoverParallelLog(db DB, log *core.Log, opts ParallelOptions) (*ParallelResult, error) {
-	rec := opts.Recorder
-	if rec == nil {
-		rec = db.Recorder()
-	}
-	state := db.StableState()
+// work inside the cut.
+func RecoverParallelFrom(sv core.Survivors, opts ParallelOptions) (*ParallelResult, error) {
+	rec, state, log := opts.Recorder, sv.State, sv.Log
 	// Root span: a top-level parallel recovery begins its own trace; the
 	// decide/partition/replay/merge spans nest under it, the pipeline's
 	// replay span by explicit parent, and each pool worker's span nests
@@ -121,7 +103,7 @@ func RecoverParallelLog(db DB, log *core.Log, opts ParallelOptions) (*ParallelRe
 	}
 	p := startPipeline(rec, root.SpanID(), state, core.DefaultViews.Builder(log, rec), log.Len())
 	defer p.stop()
-	decision := core.DecideRedoEach(rec, state, log, db.Checkpointed(), db.RedoTest(), db.Analyze(), p.admit)
+	decision := core.DecideRedoEach(rec, sv, p.admit)
 	lv, from := p.handoff(decision.ReplayIdx, workers == 1)
 
 	// The tail is planned from where the replayer was when the decision
@@ -278,7 +260,7 @@ func (p *pipeline) handoff(admitted []int, drain bool) (*core.LogView, int) {
 }
 
 // stop stops the replayer at its next record boundary and waits for
-// it; its replayed count is then final. RecoverParallelLog also defers
+// it; its replayed count is then final. RecoverParallelFrom also defers
 // it, so a decision that panics (a redo test asserting an invariant)
 // does not leave the replayer waiting for a batch.
 func (p *pipeline) stop() {

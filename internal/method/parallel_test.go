@@ -120,12 +120,12 @@ func TestRecoverParallelMatchesSequential(t *testing.T) {
 					db := crashedDB(t, f.mk, ops, initial, crash, seed*100+int64(crash))
 
 					// Crash-state invariant audit, as in the simulator.
-					stableLog := db.StableLog()
-					checker, err := core.NewChecker(stableLog, db.RecoveryBase())
+					sv := Survivors(db)
+					checker, err := core.NewChecker(sv.Log, db.RecoveryBase())
 					if err != nil {
 						t.Fatal(err)
 					}
-					rep := checker.Check(db.StableState(), stableLog, db.Checkpointed(), db.RedoTest(), db.Analyze(), false)
+					rep := checker.Check(sv.State, sv.Log, sv.Checkpoint, sv.Redo, sv.Analyze, false)
 					if !rep.OK {
 						t.Fatalf("crash=%d seed=%d: invariant violated: %v", crash, seed, rep.Violations)
 					}

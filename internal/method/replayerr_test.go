@@ -92,7 +92,7 @@ func TestReplayFailure(t *testing.T) {
 		run  func(db method.DB, rec *obs.Recorder) (partial string, err error)
 	}{
 		{"core.Recover", func(db method.DB, _ *obs.Recorder) (string, error) {
-			return noResult(core.Recover(db.StableState(), db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze()))
+			return noResult(core.Recover(method.Survivors(db)))
 		}},
 		{"Recover", func(db method.DB, rec *obs.Recorder) (string, error) {
 			return noResult(method.RecoverObserved(db, rec))

@@ -48,14 +48,14 @@ func (b *base) installPage(x model.Var, v model.Value, lsn core.LSN) {
 // always has the smaller LSN), and the write-ahead rule trivially (the
 // log being replayed is already stable).
 func recoverInstalling(db Installer, stopAfter int) (int, bool, error) {
-	state := db.StableState()
+	sv := Survivors(db)
 	redone := 0
-	_, done, err := core.Scan(db.Recorder(), state, db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze(), true,
+	_, done, err := core.Scan(db.Recorder(), sv, true,
 		func(_ int, r *core.Record) (bool, error) {
 			if stopAfter >= 0 && redone >= stopAfter {
 				return true, nil
 			}
-			if err := InstallRedo(db, state, r); err != nil {
+			if err := InstallRedo(db, sv.State, r); err != nil {
 				return false, err
 			}
 			redone++

@@ -55,11 +55,12 @@ func crashingRecoveryToFixpoint(t testing.TB, db Installer, initial *model.State
 			t.Fatalf("%s: restart recovery: %v", db.Name(), err)
 		}
 		// Audit the invariant at the intermediate crash state.
-		checker, err := core.NewChecker(db.StableLog(), initial)
+		sv := Survivors(db)
+		checker, err := core.NewChecker(sv.Log, initial)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := checker.Check(db.StableState(), db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze(), false)
+		rep := checker.Check(sv.State, sv.Log, sv.Checkpoint, sv.Redo, sv.Analyze, false)
 		if !rep.OK {
 			t.Fatalf("%s: invariant violated mid-recovery: %s", db.Name(), rep.Summary())
 		}
@@ -184,11 +185,12 @@ func TestRecoverInstallingStopAfterZero(t *testing.T) {
 	if !db.StableState().Equal(before) {
 		t.Error("stopAfter=0 recovery mutated the stable state")
 	}
-	checker, err := core.NewChecker(db.StableLog(), s0)
+	sv := Survivors(db)
+	checker, err := core.NewChecker(sv.Log, s0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := checker.Check(db.StableState(), db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze(), false)
+	rep := checker.Check(sv.State, sv.Log, sv.Checkpoint, sv.Redo, sv.Analyze, false)
 	if !rep.OK {
 		t.Fatalf("invariant violated at the zero-install crash: %s", rep.Summary())
 	}
@@ -241,11 +243,12 @@ func TestRecoverInstallingEveryIndex(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checker, err := core.NewChecker(db.StableLog(), s0)
+				sv := Survivors(db)
+				checker, err := core.NewChecker(sv.Log, s0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep := checker.Check(db.StableState(), db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze(), false)
+				rep := checker.Check(sv.State, sv.Log, sv.Checkpoint, sv.Redo, sv.Analyze, false)
 				if !rep.OK {
 					t.Fatalf("invariant violated after crash at index %d: %s", attempts, rep.Summary())
 				}

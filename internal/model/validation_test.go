@@ -53,7 +53,7 @@ func TestMapOpWriteSetValidatedThroughReplay(t *testing.T) {
 		}
 
 		db := crashed()
-		_, err := core.RecoverDense(nil, db.StableState(), db.StableLog(), db.Checkpointed(), db.RedoTest(), db.Analyze())
+		_, err := core.RecoverDense(nil, method.Survivors(db))
 		check("core.RecoverDense", err)
 
 		_, err = method.RecoverParallel(crashed(), method.ParallelOptions{Workers: 2})

@@ -142,13 +142,12 @@ type Engine struct {
 // New builds an engine over a crashed DB's survivors and starts serving
 // immediately. Only the decision phase runs here — no record is
 // replayed until a touch (or the sweeper) demands it. The DB itself is
-// not modified: the engine works on the fresh StableState/StableLog
-// projections, like every other recovery entry point.
+// not modified: like every other recovery entry point, the engine
+// consumes a fresh method.Survivors value.
 func New(db method.DB, opts Options) (*Engine, error) {
 	rec := opts.Recorder
-	state := db.StableState()
-	log := db.StableLog()
-	decision, lv := core.DecideAndView(rec, state, log, db.Checkpointed(), db.RedoTest(), db.Analyze())
+	sv := method.Survivors(db)
+	decision, lv := core.DecideAndView(rec, sv)
 	ps := rec.StartSpan(obs.PhasePartition)
 	plan := partition.FromViews(lv.Views, decision.ReplayIdx, lv.In.Len())
 	ps.End()
@@ -163,10 +162,10 @@ func New(db method.DB, opts Options) (*Engine, error) {
 		lv:          lv,
 		decision:    decision,
 		plan:        plan,
-		ds:          dense.FromState(lv.In, state),
+		ds:          dense.FromState(lv.In, sv.State),
 		writer:      plan.WriterIndex(lv.In.Len()),
 		readers:     plan.ReaderIndex(lv.Views, lv.In.Len()),
-		state:       state,
+		state:       sv.State,
 		wal:         wm,
 		comps:       make([]compState, len(plan.Components)),
 		start:       time.Now(),

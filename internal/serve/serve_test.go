@@ -128,10 +128,11 @@ func TestDerivedSetsAcrossEngines(t *testing.T) {
 				for crash := 0; crash <= len(ops); crash += 2 + int(seed) {
 					sched := sim.Sched{Seed: seed*37 + int64(crash), FlushProb: 0.3, ForceProb: 0.2, CheckpointProb: 0.1}
 					db := crashed(t, nf, pages, ops, crash, sched)
-					log := db.StableLog()
+					sv := method.Survivors(db)
+					log := sv.Log
 					at := fmt.Sprintf("%s/%s seed=%d crash=%d", nf.Name, sh.Name, seed, crash)
 
-					ref, err := core.Recover(db.StableState(), log, db.Checkpointed(), db.RedoTest(), db.Analyze())
+					ref, err := core.Recover(sv)
 					if err != nil {
 						t.Fatalf("%s: core.Recover: %v", at, err)
 					}

@@ -15,7 +15,7 @@ import (
 // RecoverOptions configures sharded recovery.
 type RecoverOptions struct {
 	// Parallel replays each shard with the partitioned parallel engine
-	// (method.RecoverParallelLog) instead of sequential dense replay.
+	// (method.RecoverParallelFrom) instead of sequential dense replay.
 	Parallel bool
 	// Workers is the per-shard worker-pool size when Parallel is set
 	// (0 = GOMAXPROCS shared among the shards, which recover
@@ -125,46 +125,46 @@ func (d *DB) Recover(opts RecoverOptions) (*Outcome, error) {
 		go func(i int) {
 			defer wg.Done()
 			db := d.shards[i]
-			slog := db.StableLog()
-			prefix := slog.Prefix(cut.Frontier[i])
+			sv := method.Survivors(db)
+			prefix := sv.Prefix(cut.Frontier[i])
 			so := &out.Shards[i]
 			so.Shard = i
 			so.CutLSN = cut.Frontier[i]
-			so.StableRecords = slog.Len()
-			so.CutRecords = prefix.Len()
+			so.StableRecords = sv.Log.Len()
+			so.CutRecords = prefix.Log.Len()
 
 			var span *obs.Span
 			if rec.Sinking() {
 				span = rec.StartSpanWith(obs.PhaseShardReplay, rootID, obs.SpanInfo{
 					Comp: fmt.Sprintf("s%d", i),
-					Size: prefix.Len(),
+					Size: prefix.Log.Len(),
 				})
 			}
 			defer span.End()
 
+			var err error
 			if opts.Parallel {
-				res, err := method.RecoverParallelLog(db, prefix, method.ParallelOptions{Workers: workers})
-				if err != nil {
-					errs[i] = fmt.Errorf("shard %d: %w", i, err)
-					return
+				var par *method.ParallelResult
+				if par, err = method.RecoverParallelFrom(prefix, method.ParallelOptions{Workers: workers, Recorder: db.Recorder()}); err == nil {
+					so.Result = par.Result
 				}
-				so.Result = res.Result
 			} else {
-				res, err := core.RecoverDense(nil, db.StableState(), prefix, db.Checkpointed(), db.RedoTest(), db.Analyze())
-				if err != nil {
-					errs[i] = fmt.Errorf("shard %d: %w", i, err)
-					return
-				}
-				so.Result = res
+				so.Result, err = core.RecoverDense(nil, prefix)
+			}
+			if err != nil {
+				errs[i] = fmt.Errorf("shard %d: %w", i, err)
+				return
 			}
 
 			if opts.CheckInvariant {
-				checker, err := core.NewChecker(prefix, db.RecoveryBase())
+				// A second value: recovery consumed the first one's state.
+				av := method.Survivors(db).Prefix(cut.Frontier[i])
+				checker, err := core.NewChecker(av.Log, db.RecoveryBase())
 				if err != nil {
 					errs[i] = fmt.Errorf("shard %d: building checker: %w", i, err)
 					return
 				}
-				so.Invariant = checker.Check(db.StableState(), prefix, db.Checkpointed(), db.RedoTest(), db.Analyze(), false)
+				so.Invariant = checker.Check(av.State, av.Log, av.Checkpoint, av.Redo, av.Analyze, false)
 			}
 		}(i)
 	}

@@ -96,6 +96,21 @@ type Result struct {
 	Wall time.Duration
 }
 
+// onlineAuditStep is Run's step under the live auditor: a crash after
+// any operation must leave an explainable stable state, so it audits the
+// store after each one. A failed audit clears *ok.
+func onlineAuditStep(db method.DB, auditor *core.Auditor, ops []*model.Op, ok *bool) func(i int) error {
+	return func(i int) error {
+		if _, err := auditor.Logged(ops[i]); err != nil {
+			return fmt.Errorf("sim: online auditor: %w", err)
+		}
+		if rep := auditor.Audit(db.StableState()); !rep.OK {
+			*ok = false
+		}
+		return nil
+	}
+}
+
 // Run executes one simulation.
 func Run(mk Factory, cfg Config) (*Result, error) {
 	if cfg.Initial == nil {
@@ -112,17 +127,7 @@ func Run(mk Factory, cfg Config) (*Result, error) {
 	if cfg.OnlineAudit {
 		auditor = core.NewAuditor(cfg.Initial)
 		db.SetInstallHook(auditor.PageInstalled)
-		step = func(i int) error {
-			if _, err := auditor.Logged(cfg.Ops[i]); err != nil {
-				return fmt.Errorf("sim: online auditor: %w", err)
-			}
-			// Continuous auditing: a crash after this step must leave an
-			// explainable stable state.
-			if rep := auditor.Audit(db.StableState()); !rep.OK {
-				onlineOK = false
-			}
-			return nil
-		}
+		step = onlineAuditStep(db, auditor, cfg.Ops, &onlineOK)
 	}
 	truncated, err := cfg.Sched.run(db, cfg.Ops, cfg.CrashAfter, step)
 	if err != nil {
@@ -135,8 +140,8 @@ func Run(mk Factory, cfg Config) (*Result, error) {
 	if auditor != nil {
 		res.OnlineAudits = auditor.Audits
 	}
-	stableLog := db.StableLog()
-	res.StableOps = stableLog.Len()
+	sv := method.Survivors(db)
+	res.StableOps = sv.Log.Len()
 
 	oracle, err := Determined(db)
 	if err != nil {
@@ -145,11 +150,11 @@ func Run(mk Factory, cfg Config) (*Result, error) {
 
 	// Invariant audit at the crash point.
 	if !cfg.SkipChecker {
-		checker, err := core.NewChecker(stableLog, db.RecoveryBase())
+		checker, err := core.NewChecker(sv.Log, db.RecoveryBase())
 		if err != nil {
 			return nil, fmt.Errorf("sim: building checker: %w", err)
 		}
-		rep := checker.Check(db.StableState(), stableLog, db.Checkpointed(), db.RedoTest(), db.Analyze(), false)
+		rep := checker.Check(sv.State, sv.Log, sv.Checkpoint, sv.Redo, sv.Analyze, false)
 		res.InvariantOK = rep.OK
 		res.Violations = rep.Violations
 	}

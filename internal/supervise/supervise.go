@@ -595,7 +595,7 @@ func (s *session) runInstalling(crashAfter int, a *Attempt) error {
 		return fmt.Errorf("supervise: %s does not support installing recovery", s.db.Name())
 	}
 	pc, _ := s.db.(method.ProgressCheckpointer)
-	state := s.db.StableState()
+	sv := method.Survivors(s.db)
 
 	// One span per fuzzy-checkpointed install batch: opened lazily at
 	// the batch's first install, closed when its progress checkpoint is
@@ -608,7 +608,7 @@ func (s *session) runInstalling(crashAfter int, a *Attempt) error {
 
 	// interrupted is why the step stopped the scan, when it did.
 	var interrupted error
-	_, _, err := core.Scan(s.rec, state, s.db.StableLog(), s.db.Checkpointed(), s.db.RedoTest(), s.db.Analyze(), true,
+	_, _, err := core.Scan(s.rec, sv, true,
 		func(_ int, r *core.Record) (bool, error) {
 			switch {
 			case s.checkDeadline() != nil:
@@ -626,7 +626,7 @@ func (s *session) runInstalling(crashAfter int, a *Attempt) error {
 				bs = s.rec.StartSpanInfo(obs.PhaseInstall, obs.SpanInfo{
 					Comp: fmt.Sprintf("batch%d", batch), Size: s.o.ProgressEvery})
 			}
-			if err := method.InstallRedo(inst, state, r); err != nil {
+			if err := method.InstallRedo(inst, sv.State, r); err != nil {
 				return false, err
 			}
 			a.Installed++
@@ -664,32 +664,31 @@ func (s *session) audit() (ok bool, err error) {
 			ok, err = false, nil
 		}
 	}()
-	log := s.db.StableLog()
-	checker, cerr := core.NewCheckerObserved(log, s.db.RecoveryBase(), s.rec)
+	sv := method.Survivors(s.db)
+	checker, cerr := core.NewCheckerObserved(sv.Log, s.db.RecoveryBase(), s.rec)
 	if cerr != nil {
 		return false, cerr
 	}
-	rep := checker.Check(s.db.StableState(), log, s.db.Checkpointed(), s.db.RedoTest(), s.db.Analyze(), false)
+	rep := checker.Check(sv.State, sv.Log, sv.Checkpoint, sv.Redo, sv.Analyze, false)
 	return rep.OK, nil
 }
 
 // installedCount is the monotone-progress measure: the stable-logged
 // operations the method's redo machinery (checkpoint set plus redo
-// test) now considers installed. It can only grow — page LSNs and
-// checkpoint bounds advance, never retreat. A panicking redo test is
-// surfaced as a media fault.
+// test) now considers installed, as core.Recover on a fresh value
+// decides. It can only grow — page LSNs and checkpoint bounds advance,
+// never retreat. A panicking redo test is surfaced as a media fault.
 func installedCount(db method.DB) (n int, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			n, err = 0, &mediaFaultError{reason: fmt.Sprintf("progress measurement panicked: %v", p)}
 		}
 	}()
-	log := db.StableLog()
-	redoSet, rerr := core.PredictRedoSet(db.StableState(), log, db.Checkpointed(), db.RedoTest(), db.Analyze())
+	res, rerr := core.Recover(method.Survivors(db))
 	if rerr != nil {
 		return 0, rerr
 	}
-	return log.Len() - len(redoSet), nil
+	return len(res.Installed()), nil
 }
 
 // mediaFaultError marks attempt failures that should route straight to

@@ -231,3 +231,96 @@ func funcKey(fn *ast.FuncDecl) string {
 	}
 	return name + "." + fn.Name.Name
 }
+
+// crashSurface are the DB methods that read what a crash left. One
+// constructor, method.Survivors, reads them into the core.Survivors
+// value every recovery engine and oracle runs on (DESIGN.md §1.1.1).
+var crashSurface = map[string]bool{"StableLog": true, "StableState": true, "Checkpointed": true, "RedoTest": true, "Analyze": true}
+
+// surfacePkgs are the packages whose types may read the surface through
+// their own receiver: the DB types and the log manager they wrap.
+var surfacePkgs = map[string]bool{"method": true, "wal": true}
+
+// allowedSurfaceReads are the other functions that call the crash
+// surface, keyed "package.Func" (cmd/ and examples/ by directory), each
+// with its reason.
+var allowedSurfaceReads = map[string]string{
+	"method.Survivors":                      "the one constructor of the value",
+	"sim.Determined":                        "the brute-force oracle replays the stable log over the recovery base and runs no redo test, so a value would project a state it never reads",
+	"shard.(*DB).MergedOracle":              "the merged brute-force oracle, sim.Determined across shards",
+	"shard.(*DB).stableBounds":              "the certified cut is computed from the logs alone, before any shard's value is taken",
+	"shard.(*DB).StableTxns":                "the certified cut's transaction table, read from the logs alone",
+	"sim.onlineAuditStep":                   "the online auditor audits the stable store during normal operation, not after a crash",
+	"sim.realizeAtCrash":                    "fault injection picks a stable log record to rot before recovery runs",
+	"supervise.(*session).runAttempt":       "reads back what the installing pass wrote, to cross-check stable storage itself",
+	"examples/onlineaudit.healthyRun":       "the online auditor audits the stable store during normal operation, not after a crash",
+	"examples/btreesplit.carefulWriteOrder": "watches pages reach the stable store during normal operation",
+	"examples/mediafault.tornTail":          "reports the repaired log's length after degraded recovery",
+}
+
+// TestCrashSurfaceReadOnce: no non-test file outside bench/ calls a
+// crash-surface method except method.Survivors, a DB type or the log
+// manager reading itself through its receiver, and an allowlisted
+// function. bench/ changes only with the benchmark.
+func TestCrashSurfaceReadOnce(t *testing.T) {
+	seen := map[string]bool{}
+	for _, f := range parseTree(t) {
+		if strings.HasPrefix(f.path, "bench/") {
+			continue
+		}
+		dir := pkgOf(f.path)
+		if dir == "" {
+			dir = filepath.ToSlash(filepath.Dir(f.path))
+		}
+		for _, decl := range f.ast.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			key := dir + "." + funcKey(fn)
+			recv := ""
+			if fn.Recv != nil && len(fn.Recv.List) == 1 && len(fn.Recv.List[0].Names) == 1 && surfacePkgs[dir] {
+				recv = fn.Recv.List[0].Names[0].Name
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) != 0 {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || !crashSurface[sel.Sel.Name] {
+					return true
+				}
+				if recv != "" && rootIdent(sel.X) == recv {
+					return true
+				}
+				if _, ok := allowedSurfaceReads[key]; ok {
+					seen[key] = true
+					return true
+				}
+				t.Errorf("%s: %s calls %s(): read the crash through method.Survivors, or allowlist the function with a reason", f.path, key, sel.Sel.Name)
+				return true
+			})
+		}
+	}
+	for k := range allowedSurfaceReads {
+		if !seen[k] {
+			t.Errorf("allowlisted crash-surface reader %s no longer reads the surface or is gone: delete its entry", k)
+		}
+	}
+}
+
+// rootIdent is the identifier a selector chain starts from ("b" for
+// b.log.StableLog), or "" when it starts from anything else.
+func rootIdent(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x.Name
+		case *ast.SelectorExpr:
+			e = x.X
+		default:
+			return ""
+		}
+	}
+}
