@@ -38,16 +38,6 @@ func NewMVManager(store *storage.Store, log *wal.Manager) *Manager {
 // MultiVersion reports whether the cache retains older page versions.
 func (m *Manager) MultiVersion() bool { return m.multiVersion }
 
-// versions returns how many unflushed versions of the page the cache
-// holds (0 when clean or absent).
-func (m *Manager) versions(id model.Var) int {
-	p, ok := m.pages[id]
-	if !ok || !p.dirty {
-		return 0
-	}
-	return len(p.older) + 1
-}
-
 // candidates lists the page's unflushed versions, newest first.
 func (p *page) candidates() []pageVersion {
 	out := make([]pageVersion, 0, len(p.older)+1)
@@ -149,27 +139,4 @@ func (m *Manager) FlushFirstBest() bool {
 		}
 	}
 	return false
-}
-
-// flushAllBest drains the cache version-at-a-time, iterating to a fixed
-// point. Unlike FlushAll it succeeds even when the newest versions form
-// a dependency cycle, as long as older versions break it.
-func (m *Manager) flushAllBest() error {
-	for {
-		progressed := false
-		for _, id := range m.DirtyPages() {
-			if m.canFlushBest(id) {
-				if err := m.flushBest(id); err != nil {
-					return err
-				}
-				progressed = true
-			}
-		}
-		if len(m.dirty) == 0 {
-			return nil
-		}
-		if !progressed {
-			return fmt.Errorf("cache: %d dirty pages blocked even version-at-a-time", len(m.dirty))
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"redotheory/internal/model"
@@ -128,5 +129,38 @@ func TestMVCrashDropsVersions(t *testing.T) {
 	c.Crash()
 	if c.versions("p") != 0 {
 		t.Error("versions survived the crash")
+	}
+}
+
+// versions returns how many unflushed versions of the page the cache
+// holds (0 when clean or absent).
+func (m *Manager) versions(id model.Var) int {
+	p, ok := m.pages[id]
+	if !ok || !p.dirty {
+		return 0
+	}
+	return len(p.older) + 1
+}
+
+// flushAllBest drains the cache version-at-a-time, iterating to a fixed
+// point. Unlike FlushAll it succeeds even when the newest versions form
+// a dependency cycle, as long as older versions break it.
+func (m *Manager) flushAllBest() error {
+	for {
+		progressed := false
+		for _, id := range m.DirtyPages() {
+			if m.canFlushBest(id) {
+				if err := m.flushBest(id); err != nil {
+					return err
+				}
+				progressed = true
+			}
+		}
+		if len(m.dirty) == 0 {
+			return nil
+		}
+		if !progressed {
+			return fmt.Errorf("cache: %d dirty pages blocked even version-at-a-time", len(m.dirty))
+		}
 	}
 }

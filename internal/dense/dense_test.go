@@ -138,3 +138,9 @@ func TestStateWriteBack(t *testing.T) {
 		t.Fatalf("after WriteBack: %v, want %v (z untouched, y erased, w preserved)", dst, want)
 	}
 }
+
+// present reports whether the variable is assigned (non-zero value),
+// per the presence bitmap.
+func (d *State) present(id uint32) bool {
+	return d.dirty[id>>6]&(1<<(id&63)) != 0
+}

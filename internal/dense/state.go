@@ -57,12 +57,6 @@ func (d *State) Interner() *Interner { return d.in }
 // Value returns the value of the variable with the given id.
 func (d *State) Value(id uint32) model.Value { return d.values[id] }
 
-// present reports whether the variable is assigned (non-zero value),
-// per the presence bitmap.
-func (d *State) present(id uint32) bool {
-	return d.dirty[id>>6]&(1<<(id&63)) != 0
-}
-
 // Set assigns v to the variable with the given id, maintaining the
 // presence bitmap: assigning the zero Value clears the bit, mirroring
 // model.State.Set's erase-on-zero rule.

@@ -101,3 +101,24 @@ func TestTopoWithinAbsentNode(t *testing.T) {
 		t.Errorf("TopoWithin = %v, want [2 7]", order)
 	}
 }
+
+// topoWithin returns a topological order of the subgraph induced by the
+// node set, smallest key first among ready nodes (the same canonical
+// tie-break as TopoOrder). Edges with an endpoint outside the set are
+// ignored. Nodes in the set that are absent from the graph participate
+// with no edges.
+func (g *Graph[K]) topoWithin(within Set[K]) ([]K, error) {
+	restricted := New[K]()
+	for n := range within {
+		restricted.AddNode(n)
+		if !g.HasNode(n) {
+			continue
+		}
+		for v := range g.succs[n] {
+			if within.Has(v) {
+				restricted.AddEdge(n, v)
+			}
+		}
+	}
+	return restricted.TopoOrder()
+}

@@ -68,16 +68,6 @@ func (g *Graph[K]) AddEdge(u, v K) {
 	g.edges++
 }
 
-// removeEdge deletes the edge u→v if present.
-func (g *Graph[K]) removeEdge(u, v K) {
-	if _, ok := g.succs[u][v]; !ok {
-		return
-	}
-	delete(g.succs[u], v)
-	delete(g.preds[v], u)
-	g.edges--
-}
-
 // RemoveNode deletes a node and all its incident edges.
 func (g *Graph[K]) RemoveNode(k K) {
 	if !g.HasNode(k) {

@@ -336,3 +336,13 @@ func TestSetOperations(t *testing.T) {
 		t.Error("Clone not independent")
 	}
 }
+
+// removeEdge deletes the edge u→v if present.
+func (g *Graph[K]) removeEdge(u, v K) {
+	if _, ok := g.succs[u][v]; !ok {
+		return
+	}
+	delete(g.succs[u], v)
+	delete(g.preds[v], u)
+	g.edges--
+}

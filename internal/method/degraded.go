@@ -116,10 +116,9 @@ func RecoverDegraded(db DB, opts DegradedOptions) (*DegradedResult, error) {
 		}
 	}
 
-	// The repaired log's survivors: the phases read it, the fast path
-	// recovers from it.
-	sv := Survivors(db)
-	log := sv.Log
+	// The repaired log: the phases and the conservative path read it
+	// alone, so the full survivors value is taken on the fast path only.
+	log := db.StableLog()
 	bound, hasCk := db.CheckpointBound()
 
 	// Phase 4 — stale pages: the checkpoint contract says operations
@@ -268,7 +267,7 @@ func RecoverDegraded(db DB, opts DegradedOptions) (*DegradedResult, error) {
 		// Fast path: both substrates verified clean, so the clean-crash
 		// contract holds and the method's own recovery is trusted —
 		// audited end-to-end by the invariant checker.
-		r, err := core.RecoverDense(nil, sv)
+		r, err := core.RecoverDense(nil, Survivors(db))
 		if err != nil {
 			return nil, err
 		}

@@ -369,3 +369,34 @@ func mustCheckpointState(t *testing.T, db DB, s0 *model.State) *model.State {
 	}
 	return s
 }
+
+// recoverInstalling runs the recovery procedure over the DB's survivors,
+// persisting every redone operation's writes (tagged with the
+// operation's LSN) into stable storage: the instantiation of core.Scan
+// whose step is apply + installPage. To simulate a crash mid-recovery it
+// stops before the next redo once stopAfter operations are redone
+// (stopAfter < 0 means run to completion) — the same stop rule as the
+// supervisor's crash points, so records the redo test skips never count
+// as remaining work. It returns how many operations it redid and whether
+// it reached the end of the log. Telemetry flows to the DB's recorder.
+//
+// Redone pages are installed in log order, which satisfies every careful
+// write-order dependency (a read-write edge's prerequisite operation
+// always has the smaller LSN), and the write-ahead rule trivially (the
+// log being replayed is already stable).
+func recoverInstalling(db Installer, stopAfter int) (int, bool, error) {
+	sv := Survivors(db)
+	redone := 0
+	_, done, err := core.Scan(db.Recorder(), sv, true,
+		func(_ int, r *core.Record) (bool, error) {
+			if stopAfter >= 0 && redone >= stopAfter {
+				return true, nil
+			}
+			if err := InstallRedo(db, sv.State, r); err != nil {
+				return false, err
+			}
+			redone++
+			return false, nil
+		})
+	return redone, done, err
+}

@@ -275,3 +275,29 @@ func TestComputeCutDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// consistent reports whether an arbitrary vector is a consistent cut
+// for the input: bounded by the frontiers, not excluding installed
+// records, and atomic (every transaction wholly inside — dependencies
+// included — or wholly outside). The maximality property test advances
+// the computed cut one record at a time and watches this fail.
+func consistent(in CutInput, cut []core.LSN) bool {
+	for i, f := range in.Frontiers {
+		if cut[i] > f || cut[i] < in.LowWater[i]-1 {
+			return false
+		}
+	}
+	for ti := range in.Txns {
+		t := &in.Txns[ti]
+		if txnInside(t, cut) {
+			continue
+		}
+		// Not wholly inside: then no record may be inside.
+		for i, lsn := range t.Vec {
+			if lsn <= cut[i] {
+				return false
+			}
+		}
+	}
+	return true
+}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -188,4 +189,20 @@ func TestInjectorTearsSwing(t *testing.T) {
 	if sh.staged() != 0 || st.PendingGroupIntent() != nil {
 		t.Fatal("successful retry did not settle staging/intent")
 	}
+}
+
+// tearNextGroup arms fault injection: the next WriteGroup applies only n
+// pages and then fails, leaving the group half-written.
+func (s *Store) tearNextGroup(n int) { s.tearAfter = n }
+
+// armedFault describes the fault currently armed against the store, if
+// any: a pending tearNextGroup or an attached injector's kind.
+func (s *Store) armedFault() (string, bool) {
+	if s.tearAfter >= 0 {
+		return fmt.Sprintf("tear-next-group(keep %d)", s.tearAfter), true
+	}
+	if s.inj != nil && s.inj.Kind() != fault.None {
+		return string(s.inj.Kind()), true
+	}
+	return "", false
 }

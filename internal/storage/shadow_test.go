@@ -46,3 +46,6 @@ func TestShadowDiscard(t *testing.T) {
 		t.Error("discarded page reached the store")
 	}
 }
+
+// staged returns the number of pages waiting for the swing.
+func (s *ShadowTable) staged() int { return len(s.staging) }

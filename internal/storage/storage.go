@@ -200,10 +200,6 @@ func (s *Store) WriteGroup(pages map[model.Var]Page) error {
 	return nil
 }
 
-// tearNextGroup arms fault injection: the next WriteGroup applies only n
-// pages and then fails, leaving the group half-written.
-func (s *Store) tearNextGroup(n int) { s.tearAfter = n }
-
 // SetInjector attaches a media-fault injector; its armed faults apply to
 // subsequent writes. Pass nil to detach.
 func (s *Store) SetInjector(inj *fault.Injector) { s.inj = inj }
@@ -214,18 +210,6 @@ func (s *Store) SetInjector(inj *fault.Injector) { s.inj = inj }
 func (s *Store) DisarmFaults() {
 	s.tearAfter = -1
 	s.inj = nil
-}
-
-// armedFault describes the fault currently armed against the store, if
-// any: a pending tearNextGroup or an attached injector's kind.
-func (s *Store) armedFault() (string, bool) {
-	if s.tearAfter >= 0 {
-		return fmt.Sprintf("tear-next-group(keep %d)", s.tearAfter), true
-	}
-	if s.inj != nil && s.inj.Kind() != fault.None {
-		return string(s.inj.Kind()), true
-	}
-	return "", false
 }
 
 // RealizeCrashFaults applies the media decay a crash reveals: pages with
