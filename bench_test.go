@@ -14,6 +14,7 @@ import (
 	"redotheory/internal/btree"
 	"redotheory/internal/conflict"
 	"redotheory/internal/core"
+	"redotheory/internal/fault"
 	"redotheory/internal/graph"
 	"redotheory/internal/install"
 	"redotheory/internal/method"
@@ -251,16 +252,15 @@ func BenchmarkFig8BTreeSplitGeneralized(b *testing.B) {
 
 func benchMethodRecovery(b *testing.B, name string, mk sim.Factory) {
 	pages := workload.Pages(16)
-	s0 := workload.InitialState(pages)
 	ops, err := workload.ForMethod(name, 200, pages, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(mk, sim.Config{
-			Ops: ops, Initial: s0, CrashAfter: 150, Sched: sim.DefaultSched(int64(i)), SkipChecker: true,
-		})
+		res, err := sim.Run(sim.Cell{Method: sim.NamedFactory{Name: name, New: mk},
+			Ops: ops, Pages: len(pages), Crash: 150, Sched: sim.DefaultSched(int64(i)),
+		}, sim.LegSequential)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -376,17 +376,17 @@ func BenchmarkRecoveryParallelSkewed(b *testing.B) {
 // BenchmarkCampaignParallel measures the fault campaign on a worker pool
 // against the sequential sweep of the same matrix.
 func BenchmarkCampaignParallel(b *testing.B) {
-	mkConfig := func(workers int) sim.CampaignConfig {
-		return sim.CampaignConfig{
+	grid := func(workers int) sim.Grid {
+		return sim.Grid{
 			Methods: []sim.NamedFactory{
 				{Name: "physiological", New: func(s *model.State) method.DB { return method.NewPhysiological(s) }},
 				{Name: "genlsn", New: func(s *model.State) method.DB { return method.NewGenLSN(s) }},
 			},
-			NumOps:       10,
-			NumPages:     4,
-			Seeds:        []int64{1, 2},
-			TruncateProb: 0.5,
-			Workers:      workers,
+			Ops:         10,
+			Pages:       4,
+			CrashPoints: []int{0, 5, 10},
+			Seeds:       []int64{1, 2},
+			Workers:     workers,
 		}
 	}
 	for _, workers := range []int{0, 4} {
@@ -396,7 +396,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rs, err := sim.Campaign(mkConfig(workers))
+				rs, err := sim.Campaign(grid(workers), fault.Kinds(), 0.5)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -16,30 +16,26 @@ import (
 
 func main() {
 	pages := workload.Pages(6)
-	s0 := workload.InitialState(pages)
-	factories := []struct {
-		name string
-		mk   sim.Factory
-	}{
-		{"logical", func(s *model.State) method.DB { return method.NewLogical(s) }},
-		{"physical", func(s *model.State) method.DB { return method.NewPhysical(s) }},
-		{"physiological", func(s *model.State) method.DB { return method.NewPhysiological(s) }},
-		{"genlsn", func(s *model.State) method.DB { return method.NewGenLSN(s) }},
+	factories := []sim.NamedFactory{
+		{Name: "logical", New: func(s *model.State) method.DB { return method.NewLogical(s) }},
+		{Name: "physical", New: func(s *model.State) method.DB { return method.NewPhysical(s) }},
+		{Name: "physiological", New: func(s *model.State) method.DB { return method.NewPhysiological(s) }},
+		{Name: "genlsn", New: func(s *model.State) method.DB { return method.NewGenLSN(s) }},
 	}
 	for _, f := range factories {
-		ops, err := workload.ForMethod(f.name, 30, pages, 5)
+		ops, err := workload.ForMethod(f.Name, 30, pages, 5)
 		if err != nil {
 			log.Fatal(err)
 		}
-		results, err := sim.Sweep(f.mk, ops, s0, 77, 0, nil)
+		results, err := sim.Sweep(f, ops, len(pages), 77, 0, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		s := sim.Summarize(results)
 		fmt.Printf("%-14s crash points %2d: recovered %2d, invariant held %2d, total replayed %3d\n",
-			f.name, s.Runs, s.Recovered, s.InvariantOK, s.Replayed)
+			f.Name, s.Runs, s.Recovered, s.InvariantOK, s.Replayed)
 		if s.Recovered != s.Runs || s.InvariantOK != s.Runs {
-			log.Fatalf("%s failed a crash point", f.name)
+			log.Fatalf("%s failed a crash point", f.Name)
 		}
 	}
 	fmt.Println("\nall methods recover at every crash point; the invariant is the reason why")

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 
+	"redotheory/internal/fault"
 	"redotheory/internal/method"
 	"redotheory/internal/model"
 	"redotheory/internal/sim"
@@ -157,10 +158,10 @@ func miniCampaign() {
 		{Name: "genlsn", New: func(s *model.State) method.DB { return method.NewGenLSN(s) }},
 		{Name: "grouplsn", New: func(s *model.State) method.DB { return method.NewGroupLSN(s) }},
 	}
-	results, err := sim.Campaign(sim.CampaignConfig{
-		Methods: methods, NumOps: 10, NumPages: 4,
-		CrashPoints: []int{5, 10}, Seeds: []int64{1, 2}, TruncateProb: 0.5,
-	})
+	results, err := sim.Campaign(sim.Grid{
+		Methods: methods, Ops: 10, Pages: 4,
+		CrashPoints: []int{5, 10}, Seeds: []int64{1, 2},
+	}, fault.Kinds(), 0.5)
 	if err != nil {
 		log.Fatal(err)
 	}

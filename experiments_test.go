@@ -14,6 +14,7 @@ import (
 	"redotheory/internal/btree"
 	"redotheory/internal/conflict"
 	"redotheory/internal/core"
+	"redotheory/internal/fault"
 	"redotheory/internal/graph"
 	"redotheory/internal/install"
 	"redotheory/internal/method"
@@ -128,7 +129,6 @@ func TestExperimentE7CarefulWriteOrder(t *testing.T) {
 func TestExperimentE9CrashMatrix(t *testing.T) {
 	fmt.Println("E9: crash matrix — 4 methods × every crash point of a 30-op workload")
 	pages := workload.Pages(8)
-	s0 := workload.InitialState(pages)
 	rows := []struct {
 		name string
 		mk   sim.Factory
@@ -146,7 +146,7 @@ func TestExperimentE9CrashMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := sim.Sweep(row.mk, ops, s0, 17, 0, nil)
+		results, err := sim.Sweep(sim.NamedFactory{Name: row.name, New: row.mk}, ops, len(pages), 17, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -503,14 +503,14 @@ func coreLogOf(ops []*model.Op) *core.Log {
 
 func TestExperimentWALFaultDetection(t *testing.T) {
 	pages := workload.Pages(4)
-	s0 := workload.InitialState(pages)
 	ops := workload.SinglePage(25, pages, 3, false)
 	detected := 0
 	for crash := 1; crash <= len(ops); crash++ {
-		res, err := sim.Run(func(s *model.State) method.DB { return method.NewPhysiological(s) },
-			sim.Config{Ops: ops, Initial: s0, CrashAfter: crash,
-				Sched:      sim.Sched{Seed: int64(crash), FlushProb: 0.6, ForceProb: 0.05, CheckpointProb: 0.1},
-				DisableWAL: true})
+		res, err := sim.Run(sim.Cell{
+			Method: sim.NamedFactory{Name: "physiological", New: func(s *model.State) method.DB { return method.NewPhysiological(s) }},
+			Pages:  len(pages), Ops: ops, Crash: crash,
+			Sched:      sim.Sched{Seed: int64(crash), FlushProb: 0.6, ForceProb: 0.05, CheckpointProb: 0.1},
+			DisableWAL: true}, sim.MatrixLegs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -535,10 +535,10 @@ func TestExperimentE18MediaFaultCampaign(t *testing.T) {
 		{Name: "genlsn+mv", New: func(s *model.State) method.DB { return method.NewGenLSNMV(s) }},
 		{Name: "grouplsn", New: func(s *model.State) method.DB { return method.NewGroupLSN(s) }},
 	}
-	results, err := sim.Campaign(sim.CampaignConfig{
-		Methods: methods, NumOps: 14, NumPages: 4,
-		CrashPoints: []int{0, 7, 14}, Seeds: []int64{1, 2, 3}, TruncateProb: 0.5,
-	})
+	results, err := sim.Campaign(sim.Grid{
+		Methods: methods, Ops: 14, Pages: 4,
+		CrashPoints: []int{0, 7, 14}, Seeds: []int64{1, 2, 3},
+	}, fault.Kinds(), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,8 +548,8 @@ func TestExperimentE18MediaFaultCampaign(t *testing.T) {
 		sum.ByOutcome[sim.DetectedUnrecoverable], sum.ByOutcome[sim.FaultNotFired], sum.Silent)
 	if sum.Silent != 0 {
 		for _, r := range results {
-			if r.Outcome == sim.SilentCorruption {
-				t.Errorf("silent corruption: %s/%s crash=%d seed=%d", r.Method, r.Kind, r.CrashAfter, r.Seed)
+			if !r.OK() {
+				t.Errorf("silent corruption: %s", r.Cell.String())
 			}
 		}
 	}

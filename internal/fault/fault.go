@@ -99,8 +99,8 @@ func (d Detection) String() string { return fmt.Sprintf("[%s] %s", d.Code, d.Det
 // Plans are deliberately tiny — campaigns sweep the product of kinds,
 // crash points, and seeds, so one plan arms one fault.
 type Plan struct {
-	Seed int64
-	Kind Kind
+	Seed int64 `json:"seed"`
+	Kind Kind  `json:"kind"`
 }
 
 // New builds the plan's injector, with all victim choices driven by

@@ -1,12 +1,15 @@
 // Package fuzz is the differential crash-point fuzzer: it generates
-// randomized operation histories per method, enumerates crash points and
-// cache-steal/flush schedules, and checks a three-way recovery oracle on
-// every cell — the sequential abstract procedure, partitioned parallel
-// recovery, and degraded (media-fault-tolerant) recovery must all agree,
-// and the outcome must be the determined state the surviving log's
-// conflict graph defines (Theorem 3). Any disagreement is a bug in one
-// of the recovery paths; the shrinker then minimizes the failing history
-// with delta debugging and emits a self-contained repro artifact.
+// randomized operation histories per method (workload shapes × schedule
+// profiles), enumerates their crash points, and runs every clean leg of
+// sim's oracle table on each cell — the invariant checker, the state
+// graph's determined state, sequential, parallel, degraded, served,
+// sharded and supervised recovery must all agree with the determined
+// state the surviving log defines (Theorem 3) — plus, in Faults mode,
+// the faulted leg once per history and fault kind. Any disagreement is
+// a bug in one of the recovery paths; the shrinker then minimizes the
+// failing cell with delta debugging and emits a self-contained repro
+// artifact, the one artifact every grid writes and redofuzz -repro
+// replays.
 //
 // Soundness of the oracle rests on the paper's results: on a clean crash
 // the stable log is a prefix of the executed history whose order is
@@ -14,9 +17,7 @@
 // recovery base reaches exactly the determined state (Lemma 1,
 // Theorem 3); partitioned replay must reproduce it bit for bit
 // (components are conflict-closed); and degraded recovery on undamaged
-// substrates must take its fast path and land on the same state. The
-// fuzzer checks all pairwise agreements plus the invariant checker's
-// explainability verdict, so a violation pinpoints which leg diverged.
+// substrates must take its fast path and land on the same state.
 package fuzz
 
 import (
@@ -25,7 +26,6 @@ import (
 	"time"
 
 	"redotheory/internal/fault"
-	"redotheory/internal/method"
 	"redotheory/internal/model"
 	"redotheory/internal/obs"
 	"redotheory/internal/sim"
@@ -44,51 +44,17 @@ const (
 	GShapes        = "fuzz.partition_shapes" // gauge: distinct partition signatures
 )
 
-// History is one generated operation history bound to a method.
-type History struct {
-	// Method names the recovery method the history is legal for.
-	Method string
-	// Shape names the workload generator variant that produced it.
-	Shape string
-	// Seed is the workload generation seed.
-	Seed int64
-	// Pages is the page-set size the history runs over.
-	Pages int
-	// Ops is the history itself. Every op is a model.ReadWrite op, so it
-	// is fully reconstructible from (ID, Name, Reads, Writes).
-	Ops []*model.Op
-}
-
-// Cell is one fuzz cell: a history crashed at a point under a schedule.
-type Cell struct {
-	History  History
-	Crash    int
-	Schedule sim.Sched
-	// Workers is the parallel-recovery pool size.
-	Workers int
-	// NestedCrash is the supervised-recovery leg's crash schedule: entry
-	// k is how many operations recovery attempt k installs before it is
-	// crashed again (nil/empty: recovery runs unmolested).
-	NestedCrash []int
-}
-
-// String renders the cell coordinate for reports.
-func (c *Cell) String() string {
-	return fmt.Sprintf("%s/%s seed=%d ops=%d crash=%d sched=%d nested=%v",
-		c.History.Method, c.History.Shape, c.History.Seed, len(c.History.Ops), c.Crash, c.Schedule.Seed, c.NestedCrash)
-}
-
 // Failure is one oracle disagreement.
 type Failure struct {
 	// Cell is the original failing cell.
-	Cell Cell
-	// Check names the oracle leg that disagreed (e.g. "sequential-oracle",
+	Cell sim.Cell
+	// Check names the oracle check that disagreed (e.g. "sequential-oracle",
 	// "parallel-divergence", "degraded-state", "invariant").
 	Check string
 	// Detail explains the disagreement.
 	Detail string
 	// Minimized is the shrunk cell (nil when shrinking was off).
-	Minimized *Cell
+	Minimized *sim.Cell
 	// Artifact is the self-contained repro (built from Minimized when
 	// present, else from Cell).
 	Artifact *Artifact
@@ -201,10 +167,11 @@ var nestedProfiles = [][]int{
 }
 
 // Run executes the fuzzing grid: methods × shapes × seeds × histories ×
-// crash points, plus (in Faults mode) one faulted cell per history and
-// fault kind. It returns a report; oracle disagreements are collected,
-// not fatal. Errors are reserved for harness breakage (a workload
-// illegal for its method, an unknown shape).
+// crash points, each cell run through every clean leg, plus (in Faults
+// mode) one faulted cell per history and fault kind. It returns a
+// report; oracle disagreements are collected, not fatal. Errors are
+// reserved for harness breakage (a workload illegal for its method, an
+// unknown shape).
 func Run(cfg Config) (*Report, error) {
 	c := cfg.withDefaults()
 	rec := c.Recorder
@@ -216,6 +183,10 @@ func Run(cfg Config) (*Report, error) {
 
 	expired := func() bool {
 		return c.Budget > 0 && time.Since(start) > c.Budget
+	}
+	failed := func(cell sim.Cell, legs sim.Legs, res *sim.Result, flight *obs.FlightDump) {
+		rep.Failures = append(rep.Failures, c.fail(cell, legs, res, flight))
+		rec.Inc(MDisagreements)
 	}
 
 grid:
@@ -232,13 +203,8 @@ grid:
 						break grid
 					}
 					histSeed := sim.MixSeed(seed, int64(fault.Sum(m.Name)), int64(fault.Sum(shape.Name)), int64(h), 3)
-					hist := History{
-						Method: m.Name,
-						Shape:  shape.Name,
-						Seed:   histSeed,
-						Pages:  c.Pages,
-						Ops:    shape.Gen(c.MaxOps, workload.Pages(c.Pages), histSeed),
-					}
+					hist := sim.Cell{Method: m, Shape: shape.Name, Seed: histSeed, Pages: c.Pages,
+						Ops: shape.Gen(c.MaxOps, workload.Pages(c.Pages), histSeed), Workers: c.Workers}
 					rep.Histories++
 					rec.Inc(MHistories)
 					profile := scheduleProfiles[(int(seed)+h)%len(scheduleProfiles)]
@@ -247,30 +213,42 @@ grid:
 							rep.Truncated = true
 							break grid
 						}
-						sched := profile
-						sched.Seed = sim.MixSeed(histSeed, int64(crash), 4)
-						cell := Cell{History: hist, Crash: crash, Schedule: sched, Workers: c.Workers,
-							NestedCrash: nestedProfiles[(int(seed)+h+crash)%len(nestedProfiles)]}
-						dis, cov, err := checkCell(m, cell, rec, c.failCheck)
+						cell := hist
+						cell.Crash = crash
+						cell.Sched = profile
+						cell.Sched.Seed = sim.MixSeed(histSeed, int64(crash), 4)
+						cell.Nested = sim.Nested{Crashes: nestedProfiles[(int(seed)+h+crash)%len(nestedProfiles)], Every: 2, Seed: cell.Sched.Seed}
+						cell.Recorder = rec
+						res, flight, err := check(cell, sim.CleanLegs, c.failCheck)
 						if err != nil {
 							return nil, err
 						}
 						rep.Cells++
 						rec.Inc(MCells)
-						if cov != nil {
-							shapes[cov.partSig] = true
-							redoSizes[cov.replayed] = true
-							rec.Observe(MRedoSize, int64(cov.replayed))
-							rec.Observe(MComponents, int64(cov.components))
+						if res.ParallelAgrees {
+							shapes[res.Plan.Signature()] = true
+							redoSizes[res.Replayed] = true
+							rec.Observe(MRedoSize, int64(res.Replayed))
+							rec.Observe(MComponents, int64(res.Plan.Components))
 						}
-						if dis != nil {
-							rep.Failures = append(rep.Failures, c.fail(m, cell, dis))
-							rec.Inc(MDisagreements)
+						if !res.OK() {
+							failed(cell, sim.CleanLegs, res, flight)
 						}
 					}
-					if c.Faults {
-						if err := runFaultCells(m, hist, profile, rep, rec, faultKinds); err != nil {
-							return nil, err
+					if !c.Faults {
+						continue
+					}
+					for _, kind := range fault.Kinds() {
+						cell := faultCell(hist, profile, kind)
+						res, err := sim.Run(cell, sim.LegFaulted)
+						if err != nil {
+							return nil, fmt.Errorf("fuzz: faulted cell %s/%s: %w", m.Name, kind, err)
+						}
+						rep.FaultCells++
+						rec.Inc(MFaultCells)
+						faultKinds[string(kind)] = true
+						if !res.OK() {
+							failed(cell, sim.LegFaulted, res, nil)
 						}
 					}
 				}
@@ -286,80 +264,83 @@ grid:
 	return rep, nil
 }
 
+// check runs the cell's legs under a flight recorder: a bounded event
+// ring attached as the recorder's sink (created, with a recorder, when
+// the cell has none) for the cell's duration. On a disagreement the ring
+// is dumped, so repro artifacts carry the telemetry leading into the
+// failure — including the crash snapshots the supervised leg preserved.
+// A recorder that is already sinking keeps its own stream and no flight
+// is captured. failCheck, the test-only planted oracle bug, is consulted
+// before any leg runs.
+func check(c sim.Cell, legs sim.Legs, failCheck func(ops []*model.Op, crash int) string) (*sim.Result, *obs.FlightDump, error) {
+	if c.Recorder == nil {
+		c.Recorder = obs.New()
+	}
+	rec := c.Recorder
+	var flight *obs.FlightRecorder
+	if !rec.Sinking() {
+		flight = obs.NewFlightRecorder(512)
+		rec.SetSink(flight)
+		defer rec.SetSink(nil)
+	}
+	res := &sim.Result{Cell: c, Legs: legs}
+	if failCheck != nil {
+		res.Detail = failCheck(c.Ops, c.Crash)
+	}
+	if res.Detail != "" {
+		res.Check = "injected"
+	} else {
+		var err error
+		if res, err = sim.Run(c, legs); err != nil {
+			return nil, nil, err
+		}
+	}
+	if res.Sharded != nil {
+		rec.Inc(MShardCells)
+	}
+	if res.OK() || flight == nil {
+		return res, nil, nil
+	}
+	// Stamp the verdict into the ring before dumping, so even a
+	// disagreement raised ahead of any instrumented activity leaves a
+	// non-empty flight dump naming the failed check.
+	rec.Emit(obs.Event{Type: obs.EvDetection, Detail: res.Check + ": " + res.Detail})
+	return res, flight.Dump(), nil
+}
+
 // fail packages a disagreement, shrinking it first when configured.
-func (c *Config) fail(m sim.NamedFactory, cell Cell, dis *disagreement) *Failure {
-	f := &Failure{Cell: cell, Check: dis.check, Detail: dis.detail}
+func (c *Config) fail(cell sim.Cell, legs sim.Legs, res *sim.Result, flight *obs.FlightDump) *Failure {
+	f := &Failure{Cell: cell, Check: res.Check, Detail: res.Detail}
 	art := cell
-	flight := dis.flight
 	if c.Shrink {
-		if min := Shrink(m, cell, c.failCheck); min != nil {
+		if min := Shrink(cell, legs, c.failCheck); min != nil {
 			f.Minimized = min
 			art = *min
 			// The artifact's flight dump must describe the cell the
 			// artifact reproduces: re-run the minimized cell once to
 			// capture its telemetry (falling back to the original cell's
 			// dump if the re-run surprises us).
-			if mdis, _, err := checkCell(m, *min, nil, c.failCheck); err == nil && mdis != nil && mdis.flight != nil {
-				flight = mdis.flight
+			if _, mflight, err := check(*min, legs, c.failCheck); err == nil && mflight != nil {
+				flight = mflight
 			}
 		}
 	}
-	f.Artifact = NewArtifact(art, dis.check, dis.detail)
+	f.Artifact = NewArtifact(art, legs, res.Check, res.Detail)
 	f.Artifact.Flight = flight
 	return f
 }
 
-// runFaultCells runs one faulted campaign cell per fault kind over the
-// history, asserting the media-fault oracle: an injected fault either
-// doesn't materialize, is repaired, or is explicitly unrecoverable —
-// never silent corruption.
-func runFaultCells(m sim.NamedFactory, hist History, profile sim.Sched, rep *Report, rec *obs.Recorder, kinds map[string]bool) error {
-	for _, kind := range fault.Kinds() {
-		cell, plan := faultCell(hist, profile, kind)
-		res, err := runFaulted(m, cell, plan)
-		if err != nil {
-			return fmt.Errorf("fuzz: faulted cell %s/%s: %w", m.Name, kind, err)
-		}
-		rep.FaultCells++
-		rec.Inc(MFaultCells)
-		kinds[string(kind)] = true
-		if res.Outcome == sim.SilentCorruption {
-			rep.Failures = append(rep.Failures, &Failure{
-				Cell:   cell,
-				Check:  "fault-silent-corruption",
-				Detail: fmt.Sprintf("kind %s, plan seed %d: %v", kind, plan.Seed, res.Detections),
-			})
-			rec.Inc(MDisagreements)
-		}
-	}
-	return nil
-}
-
-// faultCell is the cell and fault plan of one faulted campaign run over
-// the history: crashed halfway, under the history's schedule profile
-// seeded from the plan seed. The reported cell is the one that ran, so a
-// failure re-creates its crash state from the report.
-func faultCell(hist History, profile sim.Sched, kind fault.Kind) (Cell, fault.Plan) {
+// faultCell is the faulted cell of a history for one fault kind:
+// crashed halfway, under the history's schedule profile seeded from the
+// plan seed.
+func faultCell(hist sim.Cell, profile sim.Sched, kind fault.Kind) sim.Cell {
 	planSeed := sim.MixSeed(hist.Seed, int64(fault.Sum(string(kind))), 5)
-	sched := profile
-	sched.Seed = sim.MixSeed(planSeed, 6)
-	return Cell{History: hist, Crash: len(hist.Ops) / 2, Schedule: sched}, fault.Plan{Seed: planSeed, Kind: kind}
-}
-
-// runFaulted runs a fault cell under its plan (sim.RunFaulted).
-func runFaulted(m sim.NamedFactory, cell Cell, plan fault.Plan) (*sim.FaultResult, error) {
-	return sim.RunFaulted(m.New, sim.Config{
-		Ops:        cell.History.Ops,
-		Initial:    workload.InitialState(workload.Pages(cell.History.Pages)),
-		CrashAfter: cell.Crash,
-		Sched:      cell.Schedule,
-	}, plan)
-}
-
-// execute runs the cell's history prefix under its schedule through the
-// shared crash loop (sim.BuildCrashed) and crashes.
-func execute(mk sim.Factory, cell Cell, rec *obs.Recorder) (method.DB, error) {
-	return sim.BuildCrashed(mk, workload.InitialState(workload.Pages(cell.History.Pages)), cell.History.Ops, cell.Crash, cell.Schedule, rec)
+	c := hist
+	c.Crash = len(hist.Ops) / 2
+	c.Sched = profile
+	c.Sched.Seed = sim.MixSeed(planSeed, 6)
+	c.Fault = &fault.Plan{Seed: planSeed, Kind: kind}
+	return c
 }
 
 func sortedKeys(m map[string]bool) []string {

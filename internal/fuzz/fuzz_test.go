@@ -8,6 +8,7 @@ import (
 	"redotheory/internal/model"
 	"redotheory/internal/obs"
 	"redotheory/internal/sim"
+	"redotheory/internal/workload"
 )
 
 // TestCleanGridAgrees is the fuzzer's own soundness check: over the full
@@ -137,7 +138,7 @@ func TestInjectedOracleBugIsCaught(t *testing.T) {
 // schedule depends on it.
 func TestExecuteHonorsLiteralZeroProbabilities(t *testing.T) {
 	cell := mkCell(t, "physiological", 6, 6, sim.Sched{Seed: 7})
-	db, err := execute(factoryFor(t, "physiological"), cell, nil)
+	db, err := sim.BuildCrashed(cell.Method.New, workload.InitialState(workload.Pages(cell.Pages)), cell.Ops, cell.Crash, cell.Sched, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,37 +152,37 @@ func TestExecuteHonorsLiteralZeroProbabilities(t *testing.T) {
 	}
 }
 
-// TestFaultCellReportsTheScheduleThatRan: a fault cell's report must
-// re-create its run. The cell carries the plan-seeded schedule that
-// sim.RunFaulted executed, not the history's unseeded profile, and
-// re-running it reproduces the outcome.
+// TestFaultCellReportsTheScheduleThatRan: a fault cell is what runs, so
+// its report re-creates the run. The cell carries the plan-seeded
+// schedule, not the history's unseeded profile, the result carries the
+// cell, and re-running it reproduces the outcome.
 func TestFaultCellReportsTheScheduleThatRan(t *testing.T) {
-	m := namedFor(t, "physiological")
-	hist := mkCell(t, m.Name, 10, 0, sim.Sched{}).History
+	hist := mkCell(t, "physiological", 10, 0, sim.Sched{})
 	profile := scheduleProfiles[1]
 	for _, kind := range fault.Kinds() {
-		cell, plan := faultCell(hist, profile, kind)
-		if cell.Schedule.Seed == 0 || cell.Schedule.Seed == plan.Seed {
-			t.Fatalf("%s: schedule seed %d is not derived from plan seed %d", kind, cell.Schedule.Seed, plan.Seed)
+		cell := faultCell(hist, profile, kind)
+		plan := cell.Fault
+		if cell.Sched.Seed == 0 || cell.Sched.Seed == plan.Seed {
+			t.Fatalf("%s: schedule seed %d is not derived from plan seed %d", kind, cell.Sched.Seed, plan.Seed)
 		}
 		want := profile
-		want.Seed = cell.Schedule.Seed
-		if cell.Schedule != want || cell.Crash != len(hist.Ops)/2 {
-			t.Fatalf("%s: cell schedule %+v crash %d, want profile %+v crash %d", kind, cell.Schedule, cell.Crash, want, len(hist.Ops)/2)
+		want.Seed = cell.Sched.Seed
+		if cell.Sched != want || cell.Crash != len(hist.Ops)/2 || plan.Kind != kind {
+			t.Fatalf("%s: cell schedule %+v crash %d, want profile %+v crash %d", kind, cell.Sched, cell.Crash, want, len(hist.Ops)/2)
 		}
-		a, err := runFaulted(m, cell, plan)
+		a, err := sim.Run(cell, sim.LegFaulted)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Seed != cell.Schedule.Seed || a.CrashAfter != cell.Crash {
-			t.Fatalf("%s: RunFaulted ran seed %d crash %d, cell reports seed %d crash %d", kind, a.Seed, a.CrashAfter, cell.Schedule.Seed, cell.Crash)
+		if a.Cell.Sched != cell.Sched || a.Cell.Crash != cell.Crash || a.Fault == nil {
+			t.Fatalf("%s: the faulted leg ran seed %d crash %d, cell reports seed %d crash %d", kind, a.Cell.Sched.Seed, a.Cell.Crash, cell.Sched.Seed, cell.Crash)
 		}
-		b, err := runFaulted(m, cell, plan)
+		b, err := sim.Run(cell, sim.LegFaulted)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Outcome != b.Outcome || len(a.Fired) != len(b.Fired) || len(a.Detections) != len(b.Detections) {
-			t.Fatalf("%s: re-running the reported cell gave %s, first run %s", kind, b.Outcome, a.Outcome)
+		if a.Fault.Outcome != b.Fault.Outcome || len(a.Fault.Fired) != len(b.Fault.Fired) || len(a.Fault.Detections) != len(b.Fault.Detections) {
+			t.Fatalf("%s: re-running the reported cell gave %s, first run %s", kind, b.Fault.Outcome, a.Fault.Outcome)
 		}
 	}
 }
@@ -245,24 +246,25 @@ func TestSupervisedLegPreservesCrashSnapshots(t *testing.T) {
 	// No page flushes and a forced log: every stable op needs redo, so
 	// the supervised attempts have installs for the schedule to crash.
 	cell := mkCell(t, "physiological", 8, 8, sim.Sched{Seed: 3, ForceProb: 1})
-	cell.NestedCrash = []int{0, 1}
+	cell.Nested = sim.Nested{Crashes: []int{0, 1}, Every: 2, Seed: 3}
 	rec := obs.New()
 	flight := obs.NewFlightRecorder(512)
 	rec.SetSink(flight)
-	dis, _, err := checkCellRun(namedFor(t, "physiological"), cell, rec, flight, nil)
+	cell.Recorder = rec
+	res, err := sim.Run(cell, sim.CleanLegs)
 	rec.SetSink(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dis != nil {
-		t.Fatalf("clean cell disagreed: %s: %s", dis.check, dis.detail)
+	if !res.OK() {
+		t.Fatalf("clean cell disagreed: %s: %s", res.Check, res.Detail)
 	}
 	d := flight.Dump()
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(d.Snapshots); got != len(cell.NestedCrash) {
-		t.Fatalf("%d crash snapshots preserved, want one per nested crash (%d)", got, len(cell.NestedCrash))
+	if got := len(d.Snapshots); got != len(cell.Nested.Crashes) {
+		t.Fatalf("%d crash snapshots preserved, want one per nested crash (%d)", got, len(cell.Nested.Crashes))
 	}
 	for i, s := range d.Snapshots {
 		if s.Label == "" || len(s.Events) == 0 {

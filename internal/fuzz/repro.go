@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 
+	"redotheory/internal/fault"
 	"redotheory/internal/model"
 	"redotheory/internal/obs"
 	"redotheory/internal/sim"
@@ -14,9 +16,16 @@ import (
 const ArtifactSchemaV1 = "redotheory/fuzzrepro/v1"
 
 // ArtifactSchemaV2 extends v1 with the supervised-recovery nested-crash
-// schedule. New artifacts are written as v2; v1 artifacts still decode,
-// validate, and replay (their nested schedule is simply empty).
+// schedule.
 const ArtifactSchemaV2 = "redotheory/fuzzrepro/v2"
+
+// ArtifactSchemaV3 is the one artifact every grid writes: it names the
+// legs the cell ran and carries the cell's optional plans — the
+// supervised leg's full nested plan, a media-fault plan, per-shard
+// crash points. New artifacts are written as v3; v1 and v2 artifacts
+// still decode, validate and replay, as fuzz cells (every clean leg,
+// the supervised leg at K = 2 seeded from the schedule).
+const ArtifactSchemaV3 = "redotheory/fuzzrepro/v3"
 
 // OpSpec is the serializable form of one history operation. Every fuzz
 // history is built from model.ReadWrite operations, whose behavior (the
@@ -50,8 +59,15 @@ type Artifact struct {
 	// Workers is the parallel-recovery pool size (0 means the default).
 	Workers int `json:"workers,omitempty"`
 	// NestedCrash is the supervised-recovery leg's crash-during-recovery
-	// schedule (v2; absent in v1 artifacts).
+	// schedule (v2 only).
 	NestedCrash []int `json:"nested_crash,omitempty"`
+	// Legs names the legs the cell ran, Nested is the supervised leg's
+	// plan, Fault the media-fault plan and Shards the per-shard crash
+	// points (v3 only; see sim.Cell).
+	Legs   []string    `json:"legs,omitempty"`
+	Nested *sim.Nested `json:"nested,omitempty"`
+	Fault  *fault.Plan `json:"fault,omitempty"`
+	Shards []int       `json:"shards,omitempty"`
 	// Check and Detail record the disagreement the artifact reproduces.
 	Check  string `json:"check,omitempty"`
 	Detail string `json:"detail,omitempty"`
@@ -62,21 +78,27 @@ type Artifact struct {
 	Flight *obs.FlightDump `json:"flight,omitempty"`
 }
 
-// NewArtifact serializes a cell into an artifact.
-func NewArtifact(cell Cell, check, detail string) *Artifact {
+// NewArtifact serializes a cell and the legs it ran into a v3 artifact.
+func NewArtifact(c sim.Cell, legs sim.Legs, check, detail string) *Artifact {
 	a := &Artifact{
-		Schema:      ArtifactSchemaV2,
-		Method:      cell.History.Method,
-		Shape:       cell.History.Shape,
-		Pages:       cell.History.Pages,
-		Crash:       cell.Crash,
-		Schedule:    cell.Schedule,
-		Workers:     cell.Workers,
-		NestedCrash: cell.NestedCrash,
-		Check:       check,
-		Detail:      detail,
+		Schema:   ArtifactSchemaV3,
+		Method:   c.Method.Name,
+		Shape:    c.Shape,
+		Pages:    c.Pages,
+		Crash:    c.Crash,
+		Schedule: c.Sched,
+		Workers:  c.Workers,
+		Legs:     legs.Names(),
+		Fault:    c.Fault,
+		Shards:   c.Shards,
+		Check:    check,
+		Detail:   detail,
 	}
-	for _, op := range cell.History.Ops {
+	if legs&sim.LegSupervised != 0 {
+		n := c.Nested
+		a.Nested = &n
+	}
+	for _, op := range c.Ops {
 		a.Ops = append(a.Ops, OpSpec{
 			ID:     int64(op.ID()),
 			Name:   op.Name(),
@@ -87,18 +109,27 @@ func NewArtifact(cell Cell, check, detail string) *Artifact {
 	return a
 }
 
-// Validate checks the artifact's structural contract. Both schema
-// versions are accepted; the nested-crash schedule is a v2 field, so a
-// v1 artifact carrying one is malformed.
+// Validate checks the artifact's structural contract. Each schema
+// carries only its own version's fields.
 func (a *Artifact) Validate() error {
+	v3 := a.Legs != nil || a.Nested != nil || a.Fault != nil || a.Shards != nil
 	switch a.Schema {
-	case ArtifactSchemaV2:
-	case ArtifactSchemaV1:
+	case ArtifactSchemaV3:
 		if len(a.NestedCrash) > 0 {
+			return fmt.Errorf("fuzz: v3 artifact carries nested_crash (a %s field; v3 has nested)", ArtifactSchemaV2)
+		}
+		if _, err := sim.ParseLegs(a.Legs); err != nil || len(a.Legs) == 0 {
+			return fmt.Errorf("fuzz: v3 artifact legs %v: want a non-empty list of leg names", a.Legs)
+		}
+	case ArtifactSchemaV2, ArtifactSchemaV1:
+		if v3 {
+			return fmt.Errorf("fuzz: %s artifact carries a %s field", a.Schema, ArtifactSchemaV3)
+		}
+		if a.Schema == ArtifactSchemaV1 && len(a.NestedCrash) > 0 {
 			return fmt.Errorf("fuzz: v1 artifact carries a nested-crash schedule (a %s field)", ArtifactSchemaV2)
 		}
 	default:
-		return fmt.Errorf("fuzz: artifact schema is %q, want %q or %q", a.Schema, ArtifactSchemaV1, ArtifactSchemaV2)
+		return fmt.Errorf("fuzz: artifact schema is %q, want %q, %q or %q", a.Schema, ArtifactSchemaV1, ArtifactSchemaV2, ArtifactSchemaV3)
 	}
 	if a.Method == "" {
 		return fmt.Errorf("fuzz: artifact names no method")
@@ -125,17 +156,40 @@ func (a *Artifact) Validate() error {
 	return nil
 }
 
-// Cell materializes the artifact back into a runnable cell.
-func (a *Artifact) Cell() (Cell, error) {
+// Cell materializes the artifact back into a runnable cell and the legs
+// to run it through, taking the method's factory from the table (use
+// sim.DefaultMethods()). A v1 or v2 artifact is a fuzz cell: every clean
+// leg, the supervised leg at K = 2 seeded from the schedule, and a pool
+// of 0 workers meaning the default.
+func (a *Artifact) Cell(methods []sim.NamedFactory) (sim.Cell, sim.Legs, error) {
 	if err := a.Validate(); err != nil {
-		return Cell{}, err
+		return sim.Cell{}, 0, err
 	}
-	hist := History{Method: a.Method, Shape: a.Shape, Pages: a.Pages}
+	i := 0
+	for i < len(methods) && methods[i].Name != a.Method {
+		i++
+	}
+	if i == len(methods) {
+		return sim.Cell{}, 0, fmt.Errorf("fuzz: artifact method %q not in the method table", a.Method)
+	}
+	c := sim.Cell{Method: methods[i], Shape: a.Shape, Pages: a.Pages, Crash: a.Crash, Sched: a.Schedule,
+		Workers: a.Workers, Fault: a.Fault, Shards: a.Shards}
 	for _, spec := range a.Ops {
-		hist.Ops = append(hist.Ops, model.ReadWrite(model.OpID(spec.ID), spec.Name,
+		c.Ops = append(c.Ops, model.ReadWrite(model.OpID(spec.ID), spec.Name,
 			stringsToVars(spec.Reads), stringsToVars(spec.Writes)))
 	}
-	return Cell{History: hist, Crash: a.Crash, Schedule: a.Schedule, Workers: a.Workers, NestedCrash: a.NestedCrash}, nil
+	if a.Schema == ArtifactSchemaV3 {
+		if a.Nested != nil {
+			c.Nested = *a.Nested
+		}
+		legs, err := sim.ParseLegs(a.Legs)
+		return c, legs, err
+	}
+	c.Nested = sim.Nested{Crashes: a.NestedCrash, Every: 2, Seed: a.Schedule.Seed}
+	if c.Workers == 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
+	}
+	return c, sim.CleanLegs, nil
 }
 
 // Encode renders the artifact as indented JSON.
@@ -184,29 +238,20 @@ func (a *Artifact) WriteFile(path string) error {
 	return nil
 }
 
-// Replay re-executes the artifact's cell against the named method and
-// re-runs the full oracle. A nil return means every leg agreed — the
-// recorded disagreement no longer reproduces. The methods table supplies
-// the factory (use sim.DefaultMethods()).
+// Replay re-executes the artifact's cell through the legs it names and
+// re-runs them. A nil return means every leg agreed — the recorded
+// disagreement no longer reproduces. The methods table supplies the
+// factory (use sim.DefaultMethods()).
 func Replay(methods []sim.NamedFactory, a *Artifact) (*Failure, error) {
-	cell, err := a.Cell()
+	cell, legs, err := a.Cell(methods)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range methods {
-		if m.Name != a.Method {
-			continue
-		}
-		dis, _, err := checkCell(m, cell, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		if dis == nil {
-			return nil, nil
-		}
-		return &Failure{Cell: cell, Check: dis.check, Detail: dis.detail, Artifact: a}, nil
+	res, _, err := check(cell, legs, nil)
+	if err != nil || res.OK() {
+		return nil, err
 	}
-	return nil, fmt.Errorf("fuzz: artifact method %q not in the method table", a.Method)
+	return &Failure{Cell: cell, Check: res.Check, Detail: res.Detail, Artifact: a}, nil
 }
 
 // GoSource renders the artifact as a standalone main package that

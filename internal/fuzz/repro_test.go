@@ -16,8 +16,8 @@ import (
 // reads, writes) and the values read.
 func TestArtifactRoundTripPreservesBehavior(t *testing.T) {
 	cell := mkCell(t, "genlsn", 8, 5, scheduleProfiles[1])
-	cell.Schedule.Seed = 21
-	art := NewArtifact(cell, "sequential-oracle", "test detail")
+	cell.Sched.Seed = 21
+	art := NewArtifact(cell, sim.CleanLegs, "sequential-oracle", "test detail")
 	data, err := art.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -26,17 +26,20 @@ func TestArtifactRoundTripPreservesBehavior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Method != cell.History.Method || back.Crash != cell.Crash || back.Schedule != cell.Schedule {
+	if back.Method != cell.Method.Name || back.Crash != cell.Crash || back.Schedule != cell.Sched {
 		t.Fatalf("artifact coordinates diverge: %+v", back)
 	}
-	rebuilt, err := back.Cell()
+	rebuilt, legs, err := back.Cell(sim.DefaultMethods())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if legs != sim.CleanLegs {
+		t.Fatalf("legs %v, want every clean leg", legs.Names())
 	}
 
 	// Same ops, same behavior: apply both histories to fresh states.
 	apply := func(ops []*model.Op) *model.State {
-		s := workload.InitialState(workload.Pages(cell.History.Pages))
+		s := workload.InitialState(workload.Pages(cell.Pages))
 		for _, op := range ops {
 			if _, err := s.Apply(op); err != nil {
 				t.Fatal(err)
@@ -44,7 +47,7 @@ func TestArtifactRoundTripPreservesBehavior(t *testing.T) {
 		}
 		return s
 	}
-	if !apply(cell.History.Ops).Equal(apply(rebuilt.History.Ops)) {
+	if !apply(cell.Ops).Equal(apply(rebuilt.Ops)) {
 		t.Fatal("reconstructed history computes different states")
 	}
 }
@@ -53,8 +56,8 @@ func TestArtifactRoundTripPreservesBehavior(t *testing.T) {
 // reports no failure, twice, deterministically.
 func TestReplayPassesOnCleanCell(t *testing.T) {
 	cell := mkCell(t, "physiological", 6, 4, scheduleProfiles[0])
-	cell.Schedule.Seed = 17
-	art := NewArtifact(cell, "", "")
+	cell.Sched.Seed = 17
+	art := NewArtifact(cell, sim.CleanLegs, "", "")
 	for i := 0; i < 2; i++ {
 		fail, err := Replay(sim.DefaultMethods(), art)
 		if err != nil {
@@ -70,7 +73,7 @@ func TestReplayPassesOnCleanCell(t *testing.T) {
 // table is an error, not a silent pass.
 func TestReplayUnknownMethodErrors(t *testing.T) {
 	cell := mkCell(t, "physiological", 4, 2, sim.Sched{Seed: 1})
-	art := NewArtifact(cell, "", "")
+	art := NewArtifact(cell, sim.CleanLegs, "", "")
 	art.Method = "no-such-method"
 	if _, err := Replay(sim.DefaultMethods(), art); err == nil {
 		t.Fatal("unknown method replayed without error")
@@ -82,7 +85,7 @@ func TestReplayUnknownMethodErrors(t *testing.T) {
 // zero-value cell.
 func TestArtifactValidateRejectsCorruptInputs(t *testing.T) {
 	base := func() *Artifact {
-		return NewArtifact(mkCell(t, "physical", 4, 3, sim.Sched{Seed: 1}), "c", "d")
+		return NewArtifact(mkCell(t, "physical", 4, 3, sim.Sched{Seed: 1}), sim.CleanLegs, "c", "d")
 	}
 	cases := []struct {
 		name   string
@@ -96,6 +99,10 @@ func TestArtifactValidateRejectsCorruptInputs(t *testing.T) {
 		{"negative crash", func(a *Artifact) { a.Crash = -1 }, "out of range"},
 		{"op without writes", func(a *Artifact) { a.Ops[0].Writes = nil }, "no writes"},
 		{"non-positive op id", func(a *Artifact) { a.Ops[0].ID = 0 }, "non-positive id"},
+		{"v3 with nested_crash", func(a *Artifact) { a.NestedCrash = []int{1} }, "nested_crash"},
+		{"v3 without legs", func(a *Artifact) { a.Legs = nil }, "legs"},
+		{"unknown leg", func(a *Artifact) { a.Legs = []string{"sequential", "bogus"} }, "legs"},
+		{"v2 with a v3 field", func(a *Artifact) { a.Schema = ArtifactSchemaV2 }, "v3"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -120,7 +127,7 @@ func TestArtifactValidateRejectsCorruptInputs(t *testing.T) {
 
 // TestArtifactFileRoundTrip writes and reloads an artifact.
 func TestArtifactFileRoundTrip(t *testing.T) {
-	art := NewArtifact(mkCell(t, "grouplsn", 5, 5, scheduleProfiles[2]), "parallel-divergence", "x")
+	art := NewArtifact(mkCell(t, "grouplsn", 5, 5, scheduleProfiles[2]), sim.CleanLegs, "parallel-divergence", "x")
 	path := filepath.Join(t.TempDir(), "repro.json")
 	if err := art.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -150,12 +157,12 @@ func TestArtifactV1BackwardCompat(t *testing.T) {
 	if len(art.NestedCrash) != 0 {
 		t.Fatalf("v1 artifact decoded with a nested schedule: %v", art.NestedCrash)
 	}
-	cell, err := art.Cell()
+	cell, legs, err := art.Cell(sim.DefaultMethods())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cell.NestedCrash != nil {
-		t.Fatalf("v1 cell carries a nested schedule: %v", cell.NestedCrash)
+	if cell.Nested.Crashes != nil || legs != sim.CleanLegs {
+		t.Fatalf("v1 cell carries a nested schedule %v or legs %v", cell.Nested.Crashes, legs.Names())
 	}
 	fail, err := Replay(sim.DefaultMethods(), art)
 	if err != nil {
@@ -172,14 +179,16 @@ func TestArtifactV1BackwardCompat(t *testing.T) {
 	}
 }
 
-// TestArtifactV2RoundTripNestedCrash: the nested-crash schedule survives
-// the encode/decode/Cell round trip.
+// TestArtifactV2RoundTrip: the supervised leg's nested plan survives
+// the encode/decode/Cell round trip of a v3 artifact, and the same
+// schedule written as a v2 artifact decodes to the fuzz cell's plan
+// (K = 2, seeded from the schedule).
 func TestArtifactV2RoundTrip(t *testing.T) {
 	cell := mkCell(t, "physiological", 6, 4, scheduleProfiles[0])
-	cell.Schedule.Seed = 13
-	cell.NestedCrash = []int{2, 0}
-	art := NewArtifact(cell, "", "")
-	if art.Schema != ArtifactSchemaV2 {
+	cell.Sched.Seed = 13
+	cell.Nested = sim.Nested{Crashes: []int{2, 0}, Every: 2, Seed: 13}
+	art := NewArtifact(cell, sim.CleanLegs, "", "")
+	if art.Schema != ArtifactSchemaV3 {
 		t.Fatalf("new artifact schema = %q", art.Schema)
 	}
 	data, err := art.Encode()
@@ -190,27 +199,31 @@ func TestArtifactV2RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := back.Cell()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rebuilt.NestedCrash) != 2 || rebuilt.NestedCrash[0] != 2 || rebuilt.NestedCrash[1] != 0 {
-		t.Fatalf("nested schedule lost in round trip: %v", rebuilt.NestedCrash)
-	}
-	if fail, err := Replay(sim.DefaultMethods(), back); err != nil || fail != nil {
-		t.Fatalf("v2 replay: fail=%v err=%v", fail, err)
+	v2 := *back
+	v2.Schema, v2.Legs, v2.Nested, v2.NestedCrash = ArtifactSchemaV2, nil, nil, []int{2, 0}
+	for _, a := range []*Artifact{back, &v2} {
+		rebuilt, _, err := a.Cell(sim.DefaultMethods())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := rebuilt.Nested; len(n.Crashes) != 2 || n.Crashes[0] != 2 || n.Crashes[1] != 0 || n.Every != 2 || n.Seed != 13 {
+			t.Fatalf("%s: nested plan lost in round trip: %+v", a.Schema, n)
+		}
+		if fail, err := Replay(sim.DefaultMethods(), a); err != nil || fail != nil {
+			t.Fatalf("%s replay: fail=%v err=%v", a.Schema, fail, err)
+		}
 	}
 }
 
 // TestGoSourceEmbedsArtifact: the generated standalone repro embeds the
 // JSON and the replay entry points.
 func TestGoSourceEmbedsArtifact(t *testing.T) {
-	art := NewArtifact(mkCell(t, "logical", 3, 2, sim.Sched{Seed: 9}), "invariant", "d")
+	art := NewArtifact(mkCell(t, "logical", 3, 2, sim.Sched{Seed: 9}), sim.CleanLegs, "invariant", "d")
 	src, err := art.GoSource()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"package main", "fuzz.DecodeArtifact", "fuzz.Replay", ArtifactSchemaV2, `"method": "logical"`} {
+	for _, want := range []string{"package main", "fuzz.DecodeArtifact", "fuzz.Replay", ArtifactSchemaV3, `"method": "logical"`} {
 		if !strings.Contains(string(src), want) {
 			t.Fatalf("generated source missing %q:\n%s", want, src)
 		}

@@ -23,26 +23,28 @@ const maxShrinkRuns = 600
 //  5. Nested-crash simplification: the supervised leg's crash schedule
 //     dropped entirely, then shortened one crash at a time from the end.
 //
-// Every candidate is re-executed from scratch, so the result is exactly
-// reproducible. Shrink returns nil when the original cell does not fail
-// under re-execution (a flaky harness, which the caller should surface
-// as its own bug) and the minimized cell otherwise.
-func Shrink(m sim.NamedFactory, cell Cell, failCheck func(ops []*model.Op, crash int) string) *Cell {
+// Every candidate is re-executed from scratch through the same legs,
+// each under a fresh recorder, so the result is exactly reproducible.
+// Shrink returns nil when the original cell does not fail under
+// re-execution (a flaky harness, which the caller should surface as its
+// own bug) and the minimized cell otherwise.
+func Shrink(cell sim.Cell, legs sim.Legs, failCheck func(ops []*model.Op, crash int) string) *sim.Cell {
 	runs := 0
-	fails := func(c Cell) bool {
+	fails := func(c sim.Cell) bool {
 		if runs >= maxShrinkRuns {
 			return false
 		}
 		runs++
-		dis, _, err := checkCell(m, c, nil, failCheck)
-		return err == nil && dis != nil
+		res, _, err := check(c, legs, failCheck)
+		return err == nil && !res.OK()
 	}
+	cell.Recorder = nil
 	if !fails(cell) {
 		return nil
 	}
 
 	cur := cell
-	try := func(c Cell) bool {
+	try := func(c sim.Cell) bool {
 		if fails(c) {
 			cur = c
 			return true
@@ -51,21 +53,21 @@ func Shrink(m sim.NamedFactory, cell Cell, failCheck func(ops []*model.Op, crash
 	}
 
 	// Phase 1: drop the unexecuted suffix.
-	if cur.Crash < len(cur.History.Ops) {
-		try(withOps(cur, cur.History.Ops[:cur.Crash]))
+	if cur.Crash < len(cur.Ops) {
+		try(withOps(cur, cur.Ops[:cur.Crash]))
 	}
 
 	// Phase 2: ddmin over the executed operations.
-	reduced := ddmin(cur.History.Ops, func(cand []*model.Op) bool {
+	reduced := ddmin(cur.Ops, func(cand []*model.Op) bool {
 		return fails(withOps(cur, cand))
 	})
 	try(withOps(cur, reduced))
 	for removed := true; removed; {
 		removed = false
-		for i := 0; i < len(cur.History.Ops); i++ {
-			cand := make([]*model.Op, 0, len(cur.History.Ops)-1)
-			cand = append(cand, cur.History.Ops[:i]...)
-			cand = append(cand, cur.History.Ops[i+1:]...)
+		for i := 0; i < len(cur.Ops); i++ {
+			cand := make([]*model.Op, 0, len(cur.Ops)-1)
+			cand = append(cand, cur.Ops[:i]...)
+			cand = append(cand, cur.Ops[i+1:]...)
 			if try(withOps(cur, cand)) {
 				removed = true
 				break
@@ -76,15 +78,15 @@ func Shrink(m sim.NamedFactory, cell Cell, failCheck func(ops []*model.Op, crash
 	// Phase 3: earliest failing crash point (the truncated prefix is the
 	// whole history, so lowering the crash point also drops the suffix).
 	for c := 0; c < cur.Crash; c++ {
-		if try(withOps(cur, cur.History.Ops[:c])) {
+		if try(withOps(cur, cur.Ops[:c])) {
 			break
 		}
 	}
 
 	// Phase 4: schedule simplification.
 	quiet := cur
-	quiet.Schedule.FlushProb, quiet.Schedule.ForceProb = 0, 0
-	quiet.Schedule.CheckpointProb, quiet.Schedule.TruncateProb = 0, 0
+	quiet.Sched.FlushProb, quiet.Sched.ForceProb = 0, 0
+	quiet.Sched.CheckpointProb, quiet.Sched.TruncateProb = 0, 0
 	if !try(quiet) {
 		for _, zero := range []func(*sim.Sched){
 			func(s *sim.Sched) { s.TruncateProb = 0 },
@@ -93,25 +95,25 @@ func Shrink(m sim.NamedFactory, cell Cell, failCheck func(ops []*model.Op, crash
 			func(s *sim.Sched) { s.FlushProb = 0 },
 		} {
 			cand := cur
-			zero(&cand.Schedule)
+			zero(&cand.Sched)
 			try(cand)
 		}
 	}
-	if cur.Schedule.Seed != 1 {
+	if cur.Sched.Seed != 1 {
 		cand := cur
-		cand.Schedule.Seed = 1
+		cand.Sched.Seed = 1
 		try(cand)
 	}
 
 	// Phase 5: nested-crash simplification — a failure that survives with
 	// no crash-during-recovery schedule is not about supervision at all.
-	if len(cur.NestedCrash) > 0 {
+	if len(cur.Nested.Crashes) > 0 {
 		cand := cur
-		cand.NestedCrash = nil
+		cand.Nested.Crashes = nil
 		if !try(cand) {
-			for len(cur.NestedCrash) > 1 {
+			for len(cur.Nested.Crashes) > 1 {
 				cand := cur
-				cand.NestedCrash = cur.NestedCrash[:len(cur.NestedCrash)-1]
+				cand.Nested.Crashes = cur.Nested.Crashes[:len(cur.Nested.Crashes)-1]
 				if !try(cand) {
 					break
 				}
@@ -124,8 +126,8 @@ func Shrink(m sim.NamedFactory, cell Cell, failCheck func(ops []*model.Op, crash
 
 // withOps rebinds the cell to a new operation list, crashing after all
 // of it.
-func withOps(c Cell, ops []*model.Op) Cell {
-	c.History.Ops = ops
+func withOps(c sim.Cell, ops []*model.Op) sim.Cell {
+	c.Ops = ops
 	c.Crash = len(ops)
 	return c
 }
@@ -150,7 +152,7 @@ func ddmin(ops []*model.Op, fails func([]*model.Op) bool) []*model.Op {
 			complement = append(complement, ops[end:]...)
 			if len(complement) > 0 && fails(complement) {
 				ops = complement
-				n = maxInt(n-1, 2)
+				n = max(n-1, 2)
 				reduced = true
 				break
 			}
@@ -159,22 +161,8 @@ func ddmin(ops []*model.Op, fails func([]*model.Op) bool) []*model.Op {
 			if n == len(ops) {
 				break
 			}
-			n = minInt(2*n, len(ops))
+			n = min(2*n, len(ops))
 		}
 	}
 	return ops
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"redotheory/internal/model"
+	"redotheory/internal/sim"
 )
 
 // twoWritesBug is the synthetic oracle bug the shrink tests plant: a
@@ -42,29 +43,29 @@ func TestShrinkMinimizesInjectedBug(t *testing.T) {
 		if min == nil {
 			t.Fatalf("failure %s was not shrunk", f.Cell.String())
 		}
-		if len(min.History.Ops) > 8 {
-			t.Fatalf("minimized history has %d ops, want ≤ 8", len(min.History.Ops))
+		if len(min.Ops) > 8 {
+			t.Fatalf("minimized history has %d ops, want ≤ 8", len(min.Ops))
 		}
-		if len(min.History.Ops) != 2 {
-			t.Errorf("minimized history has %d ops, the planted bug needs exactly 2", len(min.History.Ops))
+		if len(min.Ops) != 2 {
+			t.Errorf("minimized history has %d ops, the planted bug needs exactly 2", len(min.Ops))
 		}
-		if min.Crash != len(min.History.Ops) {
-			t.Errorf("minimized crash %d is not the full kept prefix (%d ops)", min.Crash, len(min.History.Ops))
+		if min.Crash != len(min.Ops) {
+			t.Errorf("minimized crash %d is not the full kept prefix (%d ops)", min.Crash, len(min.Ops))
 		}
-		for _, op := range min.History.Ops {
+		for _, op := range min.Ops {
 			if !op.WritesVar("pg00") {
 				t.Errorf("minimized history keeps an irrelevant op %s", op)
 			}
 		}
-		if s := min.Schedule; s.FlushProb != 0 || s.ForceProb != 0 || s.CheckpointProb != 0 || s.TruncateProb != 0 {
+		if s := min.Sched; s.FlushProb != 0 || s.ForceProb != 0 || s.CheckpointProb != 0 || s.TruncateProb != 0 {
 			t.Errorf("schedule was not silenced: %+v", s)
 		}
 		// The minimized cell still fails under re-execution.
-		dis, _, err := checkCell(namedFor(t, min.History.Method), *min, nil, twoWritesBug)
+		res, _, err := check(*min, sim.CleanLegs, twoWritesBug)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dis == nil {
+		if res.OK() {
 			t.Fatalf("minimized cell does not reproduce the failure")
 		}
 	}
@@ -74,18 +75,17 @@ func TestShrinkMinimizesInjectedBug(t *testing.T) {
 // failing cell and requires identical minimized cells.
 func TestShrinkIsDeterministic(t *testing.T) {
 	cell := mkCell(t, "physical", 12, 12, scheduleProfiles[0])
-	cell.Schedule.Seed = 99
-	m := namedFor(t, "physical")
-	a := Shrink(m, cell, twoWritesBug)
-	b := Shrink(m, cell, twoWritesBug)
+	cell.Sched.Seed = 99
+	a := Shrink(cell, sim.CleanLegs, twoWritesBug)
+	b := Shrink(cell, sim.CleanLegs, twoWritesBug)
 	if a == nil || b == nil {
 		t.Fatal("shrink did not reproduce the failure")
 	}
-	if a.Crash != b.Crash || len(a.History.Ops) != len(b.History.Ops) || a.Schedule != b.Schedule {
+	if a.Crash != b.Crash || len(a.Ops) != len(b.Ops) || a.Sched != b.Sched {
 		t.Fatalf("shrink diverges:\n%+v\n%+v", a, b)
 	}
-	for i := range a.History.Ops {
-		if a.History.Ops[i].ID() != b.History.Ops[i].ID() {
+	for i := range a.Ops {
+		if a.Ops[i].ID() != b.Ops[i].ID() {
 			t.Fatalf("shrunk op lists diverge at %d", i)
 		}
 	}
@@ -95,8 +95,8 @@ func TestShrinkIsDeterministic(t *testing.T) {
 // shrinkable.
 func TestShrinkReturnsNilOnNonFailure(t *testing.T) {
 	cell := mkCell(t, "physiological", 6, 6, scheduleProfiles[0])
-	cell.Schedule.Seed = 5
-	if got := Shrink(namedFor(t, "physiological"), cell, nil); got != nil {
+	cell.Sched.Seed = 5
+	if got := Shrink(cell, sim.CleanLegs, nil); got != nil {
 		t.Fatalf("shrinking a passing cell returned %+v", got)
 	}
 }

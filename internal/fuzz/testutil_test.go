@@ -19,24 +19,22 @@ func namedFor(t *testing.T, name string) sim.NamedFactory {
 	return sim.NamedFactory{}
 }
 
-func factoryFor(t *testing.T, name string) sim.Factory {
-	return namedFor(t, name).New
-}
-
 // mkCell generates a cell for the method's first workload shape.
-func mkCell(t *testing.T, methodName string, numOps, crash int, sched sim.Sched) Cell {
+func mkCell(t *testing.T, methodName string, numOps, crash int, sched sim.Sched) sim.Cell {
 	t.Helper()
 	shapes, err := workload.ShapesFor(methodName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const pages = 4
-	hist := History{
-		Method: methodName,
-		Shape:  shapes[0].Name,
-		Seed:   11,
-		Pages:  pages,
-		Ops:    shapes[0].Gen(numOps, workload.Pages(pages), 11),
+	return sim.Cell{
+		Method:  namedFor(t, methodName),
+		Shape:   shapes[0].Name,
+		Seed:    11,
+		Pages:   pages,
+		Ops:     shapes[0].Gen(numOps, workload.Pages(pages), 11),
+		Crash:   crash,
+		Sched:   sched,
+		Workers: 2,
 	}
-	return Cell{History: hist, Crash: crash, Schedule: sched, Workers: 2}
 }

@@ -216,6 +216,16 @@ func (r *Recorder) SetSink(s Sink) {
 	r.spanMu.Unlock()
 }
 
+// Sink returns the attached event sink (nil when none).
+func (r *Recorder) Sink() Sink {
+	if r == nil {
+		return nil
+	}
+	r.sinkMu.Lock()
+	defer r.sinkMu.Unlock()
+	return r.sink
+}
+
 // Sinking reports whether an event sink is attached. Hot paths check it
 // before building event payloads that cost something to construct (an
 // operation rendered to a string), so the metrics-only configuration

@@ -1,4 +1,4 @@
-package serve
+package serve_test
 
 import (
 	"fmt"
@@ -11,6 +11,7 @@ import (
 	"redotheory/internal/method"
 	"redotheory/internal/model"
 	"redotheory/internal/obs"
+	"redotheory/internal/serve"
 	"redotheory/internal/sim"
 	"redotheory/internal/workload"
 )
@@ -47,7 +48,7 @@ func TestMatchesSequentialAcrossMethods(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s@%d: sequential: %v", nf.Name, sh.Name, crash, err)
 				}
-				eng, err := New(crashed(t, nf, pages, ops, crash, sched), Options{})
+				eng, err := serve.New(crashed(t, nf, pages, ops, crash, sched), serve.Options{})
 				if err != nil {
 					t.Fatalf("%s/%s@%d: engine: %v", nf.Name, sh.Name, crash, err)
 				}
@@ -148,7 +149,7 @@ func TestDerivedSetsAcrossEngines(t *testing.T) {
 							return pr.Result, nil
 						},
 						"serve": func() (*core.Result, error) {
-							eng, err := New(db, Options{})
+							eng, err := serve.New(db, serve.Options{})
 							if err != nil {
 								return nil, err
 							}
@@ -191,7 +192,7 @@ func TestMixedTrafficMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := seq.State.Clone()
-		eng, err := New(crashed(t, nf, pages, ops, len(ops)-2, sched), Options{})
+		eng, err := serve.New(crashed(t, nf, pages, ops, len(ops)-2, sched), serve.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +241,7 @@ func TestDuplicateExecRejected(t *testing.T) {
 	pages := workload.Pages(4)
 	nf := sim.DefaultMethods()[2] // physiological
 	ops := workload.SinglePage(8, pages, 1, false)
-	eng, err := New(crashed(t, nf, pages, ops, len(ops), sim.Sched{Seed: 1, ForceOnCrash: true}), Options{})
+	eng, err := serve.New(crashed(t, nf, pages, ops, len(ops), sim.Sched{Seed: 1, ForceOnCrash: true}), serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestWALContinuationSurvivesSecondCrash(t *testing.T) {
 	nf := sim.DefaultMethods()[2] // physiological
 	ops := workload.SinglePage(12, pages, 4, false)
 	db := crashed(t, nf, pages, ops, len(ops), sim.Sched{Seed: 2, FlushProb: 0.3, ForceOnCrash: true})
-	eng, err := New(db, Options{WAL: db.WAL()})
+	eng, err := serve.New(db, serve.Options{WAL: db.WAL()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestConcurrentTouchesRedoOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(crashed(t, nf, pages, ops, len(ops), sched), Options{})
+	eng, err := serve.New(crashed(t, nf, pages, ops, len(ops), sched), serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,8 +345,8 @@ func TestConcurrentTouchesRedoOnce(t *testing.T) {
 	if err := eng.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	for ci := range eng.comps {
-		if n := eng.comps[ci].redone.Load(); n != 1 {
+	for ci := 0; ci < eng.Components(); ci++ {
+		if n, _, _ := eng.ComponentState(ci); n != 1 {
 			t.Fatalf("component %d replayed %d times, want exactly once", ci, n)
 		}
 	}
@@ -380,7 +381,7 @@ func TestSweeperAndClientsNeverDeadlock(t *testing.T) {
 	nf := sim.DefaultMethods()[2] // physiological
 	ops := workload.SinglePage(48, pages, 11, false)
 	sched := sim.Sched{Seed: 4, ForceOnCrash: true}
-	eng, err := New(crashed(t, nf, pages, ops, len(ops), sched), Options{Sweeper: true})
+	eng, err := serve.New(crashed(t, nf, pages, ops, len(ops), sched), serve.Options{Sweeper: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +421,7 @@ func TestSweeperAndClientsNeverDeadlock(t *testing.T) {
 		t.Fatal("Done never closed")
 	}
 	eng.Close()
-	if !eng.fullyRecovered() {
+	if !eng.FullyRecovered() {
 		t.Fatal("engine not fully recovered after Done")
 	}
 	st := eng.Stats()
@@ -435,11 +436,11 @@ func TestResultBeforeFullRecoveryErrors(t *testing.T) {
 	pages := workload.Pages(6)
 	nf := sim.DefaultMethods()[2]
 	ops := workload.SinglePage(12, pages, 6, false)
-	eng, err := New(crashed(t, nf, pages, ops, len(ops), sim.Sched{Seed: 1, ForceOnCrash: true}), Options{})
+	eng, err := serve.New(crashed(t, nf, pages, ops, len(ops), sim.Sched{Seed: 1, ForceOnCrash: true}), serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.fullyRecovered() {
+	if eng.FullyRecovered() {
 		t.Skip("fixture produced no redo debt")
 	}
 	if _, err := eng.Result(); err == nil {
@@ -456,7 +457,7 @@ func TestSweepGateWaitCountsOnlyTouches(t *testing.T) {
 	nf := sim.DefaultMethods()[2] // physiological
 	ops := workload.HotPage(64, pages, 3)
 	rec := obs.New()
-	eng, err := New(crashed(t, nf, pages, ops, len(ops), sim.Sched{Seed: 3, ForceOnCrash: true}), Options{Recorder: rec, Sweeper: true})
+	eng, err := serve.New(crashed(t, nf, pages, ops, len(ops), sim.Sched{Seed: 3, ForceOnCrash: true}), serve.Options{Recorder: rec, Sweeper: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,17 +512,17 @@ func TestSweepTouchHandoff(t *testing.T) {
 				// Touching no page leaves the rest to Drain, whose walk
 				// passes the records the sweep already replayed.
 				for _, touches := range []int{len(pages), 0} {
-					eng, err := New(db, Options{})
+					eng, err := serve.New(db, serve.Options{})
 					if err != nil {
 						t.Fatalf("%s k=%d touches=%d: %v", at, k, touches, err)
 					}
 					var buf core.ReplayBuf
-					seen := make([]int32, len(eng.comps))
+					seen := make([]int32, eng.Components())
 					for i := 0; i < k; i++ {
-						eng.step(i, seen, &buf)
+						eng.Step(i, seen, &buf)
 					}
-					for ci := range eng.comps {
-						if cur := eng.comps[ci].cursor; cur > 0 && cur < len(eng.plan.Components[ci].Idx) {
+					for ci := 0; ci < eng.Components(); ci++ {
+						if _, cur, n := eng.ComponentState(ci); cur > 0 && cur < n {
 							handoffs++
 						}
 					}
@@ -545,11 +546,10 @@ func TestSweepTouchHandoff(t *testing.T) {
 					if err := res.SameOutcome(seq); err != nil {
 						t.Fatalf("%s k=%d touches=%d: %v", at, k, touches, err)
 					}
-					for ci := range eng.comps {
-						cs := &eng.comps[ci]
-						if n := cs.redone.Load(); n != 1 || cs.cursor != len(eng.plan.Components[ci].Idx) {
+					for ci := 0; ci < eng.Components(); ci++ {
+						if n, cur, end := eng.ComponentState(ci); n != 1 || cur != end {
 							t.Fatalf("%s k=%d touches=%d: component %d completed %d times with cursor %d of %d, want once at its end",
-								at, k, touches, ci, n, cs.cursor, len(eng.plan.Components[ci].Idx))
+								at, k, touches, ci, n, cur, end)
 						}
 					}
 				}

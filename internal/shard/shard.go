@@ -80,8 +80,8 @@ var ErrShardDown = errors.New("shard: participant shard is down")
 // Router deterministically assigns variables to shards (FNV-1a mod N).
 type Router struct{ n int }
 
-// newRouter returns a router over n shards.
-func newRouter(n int) *Router {
+// NewRouter returns a router over n shards.
+func NewRouter(n int) *Router {
 	if n < 1 {
 		panic(fmt.Sprintf("shard: router over %d shards", n))
 	}
@@ -146,7 +146,7 @@ type DB struct {
 // router and giving every shard its own substrate (store, WAL, cache)
 // via the factory.
 func New(mk Factory, n int, initial *model.State) *DB {
-	router := newRouter(n)
+	router := NewRouter(n)
 	parts := router.Split(initial)
 	d := &DB{
 		router:    router,

@@ -43,7 +43,7 @@ func TestEligible(t *testing.T) {
 func TestRouterSplitPartitionsState(t *testing.T) {
 	pages := workload.Pages(16)
 	initial := workload.InitialState(pages)
-	r := newRouter(4)
+	r := NewRouter(4)
 	parts := r.Split(initial)
 	seen := make(map[model.Var]int)
 	for i, part := range parts {
@@ -74,7 +74,7 @@ func TestRouterAssignmentsGolden(t *testing.T) {
 		4: "0321032103123012301221032103213012301230032103210312301230122103",
 		7: "5316420505024661352464310542166124501346420553162035024613132064",
 	} {
-		r := newRouter(n)
+		r := NewRouter(n)
 		for k, p := range workload.Pages(64) {
 			if got := r.Shard(p); got != int(want[k]-'0') {
 				t.Errorf("router ×%d: %q on shard %d, golden says %c", n, p, got, want[k])
@@ -304,7 +304,7 @@ func TestCertifyLeavesTornTxnUncertified(t *testing.T) {
 }
 
 func TestCrossHistoryShapes(t *testing.T) {
-	router := newRouter(2)
+	router := NewRouter(2)
 	pages := workload.Pages(12)
 	for _, m := range eligibleMethods {
 		ops, err := CrossHistory(m.name, 40, pages, router, 4, 7)

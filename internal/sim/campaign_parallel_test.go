@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -15,20 +13,21 @@ import (
 // canonicalLines renders campaign results into a canonical byte form:
 // identity, outcome, every fired event and detection, and the degraded
 // report's flags. Two sweeps agree exactly when these bytes agree.
-func canonicalLines(rs []*FaultResult) string {
+func canonicalLines(rs []*Result) string {
 	var b strings.Builder
 	for _, r := range rs {
-		fmt.Fprintf(&b, "%s/%s/crash=%d/seed=%d outcome=%s", r.Method, r.Kind, r.CrashAfter, r.Seed, r.Outcome)
-		for _, e := range r.Fired {
+		c, f := r.Cell, r.Fault
+		fmt.Fprintf(&b, "%s/%s/crash=%d/seed=%d outcome=%s", c.Method.Name, c.Fault.Kind, c.Crash, c.Seed, f.Outcome)
+		for _, e := range f.Fired {
 			fmt.Fprintf(&b, " fired[%s]", e)
 		}
-		for _, d := range r.Detections {
+		for _, d := range f.Detections {
 			fmt.Fprintf(&b, " det[%s]", d)
 		}
-		if r.Degraded != nil {
+		if f.Degraded != nil {
 			fmt.Fprintf(&b, " degraded=%v unrecoverable=%v quarantined=%d",
-				r.Degraded.Degraded, r.Degraded.Unrecoverable, len(r.Degraded.Quarantined))
-			if st := r.Degraded.State; st != nil {
+				f.Degraded.Degraded, f.Degraded.Unrecoverable, len(f.Degraded.Quarantined))
+			if st := f.Degraded.State; st != nil {
 				for _, x := range st.Vars() {
 					fmt.Fprintf(&b, " %s=%v", x, st.Get(x))
 				}
@@ -39,29 +38,28 @@ func canonicalLines(rs []*FaultResult) string {
 	return b.String()
 }
 
-func smallCampaign(workers int) CampaignConfig {
-	return CampaignConfig{
-		Methods:      namedFactories()[:4],
-		NumOps:       8,
-		NumPages:     4,
-		CrashPoints:  []int{0, 4, 8},
-		Seeds:        []int64{1, 2},
-		TruncateProb: 0.5,
-		Workers:      workers,
+func smallGrid(workers int) Grid {
+	return Grid{
+		Methods:     namedFactories()[:4],
+		Ops:         8,
+		Pages:       4,
+		CrashPoints: []int{0, 4, 8},
+		Seeds:       []int64{1, 2},
+		Workers:     workers,
 	}
 }
 
 // TestCampaignParallelMatchesSequential: the worker pool must be
-// invisible — the parallel campaign's sorted results are byte-identical
-// to the sequential sweep's, at any worker count.
+// invisible — the parallel campaign's results are byte-identical to the
+// sequential sweep's, at any worker count.
 func TestCampaignParallelMatchesSequential(t *testing.T) {
-	seq, err := Campaign(smallCampaign(0))
+	seq, err := Campaign(smallGrid(0), fault.Kinds(), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := canonicalLines(seq)
 	for _, workers := range []int{2, 4, 9} {
-		par, err := Campaign(smallCampaign(workers))
+		par, err := Campaign(smallGrid(workers), fault.Kinds(), 0.5)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -71,63 +69,91 @@ func TestCampaignParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCampaignResultsSorted: campaign output is in canonical order —
-// method, fault kind, crash point, seed — regardless of worker count.
-func TestCampaignResultsSorted(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		rs, err := Campaign(smallCampaign(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sort.SliceIsSorted(rs, resultLess(rs)) {
-			t.Errorf("workers=%d: campaign results out of canonical order", workers)
-		}
-	}
-}
-
-func resultLess(rs []*FaultResult) func(i, j int) bool {
-	return func(i, j int) bool {
-		a, b := rs[i], rs[j]
-		if a.Method != b.Method {
-			return a.Method < b.Method
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.CrashAfter != b.CrashAfter {
-			return a.CrashAfter < b.CrashAfter
-		}
-		return a.Seed < b.Seed
-	}
-}
-
-// TestSortResultsNormalizesAnyOrder: shuffling and re-sorting reproduces
-// the canonical order exactly.
-func TestSortResultsNormalizesAnyOrder(t *testing.T) {
-	var rs []*FaultResult
-	for _, m := range []string{"b", "a"} {
-		for _, k := range []fault.Kind{fault.PageBitRot, fault.LostWrite} {
-			for _, crash := range []int{4, 0} {
-				for _, seed := range []int64{2, 1} {
-					rs = append(rs, &FaultResult{Method: m, Kind: k, CrashAfter: crash, Seed: seed})
+// TestResultsInGridOrder: every grid returns its results in grid order —
+// the order it lists its cells in, one distinct coordinate per cell —
+// at one worker and at four: the media-fault campaign (method, seed,
+// crash point, kind), the nested-crash campaign (method, seed, crash
+// point, schedule) and the shard grid (method, shard count, stagger,
+// seed).
+func TestResultsInGridOrder(t *testing.T) {
+	kinds := []fault.Kind{fault.PageBitRot, fault.LogTornTail}
+	schedules := [][]int{nil, {1, 0}}
+	for _, workers := range []int{1, 4} {
+		g := smallGrid(workers)
+		var want []string
+		for _, m := range g.Methods {
+			for _, seed := range g.Seeds {
+				for _, crash := range g.CrashPoints {
+					for _, k := range kinds {
+						want = append(want, fmt.Sprintf("%s/%d/%d/%s", m.Name, seed, crash, k))
+					}
 				}
 			}
 		}
-	}
-	want := append([]*FaultResult(nil), rs...)
-	sortResults(want)
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 5; trial++ {
-		shuffled := append([]*FaultResult(nil), rs...)
-		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		sortResults(shuffled)
-		for i := range want {
-			if shuffled[i] != want[i] {
-				t.Fatalf("trial %d: position %d holds %s/%s/%d/%d, want %s/%s/%d/%d", trial, i,
-					shuffled[i].Method, shuffled[i].Kind, shuffled[i].CrashAfter, shuffled[i].Seed,
-					want[i].Method, want[i].Kind, want[i].CrashAfter, want[i].Seed)
+		rs, err := Campaign(g, kinds, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkOrder(t, "campaign", workers, rs, want, func(c Cell) string {
+			return fmt.Sprintf("%s/%d/%d/%s", c.Method.Name, c.Seed, c.Crash, c.Fault.Kind)
+		})
+
+		want = want[:0]
+		for _, m := range g.Methods {
+			for _, seed := range g.Seeds {
+				for _, crash := range g.CrashPoints {
+					for _, s := range schedules {
+						want = append(want, fmt.Sprintf("%s/%d/%d/%v", m.Name, seed, crash, s))
+					}
+				}
 			}
 		}
+		rs, err = NestedCrashCampaign(g, schedules, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkOrder(t, "nested-crash", workers, rs, want, func(c Cell) string {
+			return fmt.Sprintf("%s/%d/%d/%v", c.Method.Name, c.Seed, c.Crash, c.Nested.Crashes)
+		})
+
+		g = Grid{Methods: ShardableMethods()[:2], Ops: 12, Pages: 2, Seeds: []int64{1, 2}, Workers: workers}
+		want = want[:0]
+		for _, m := range g.Methods {
+			for _, n := range []int{2, 3} {
+				for _, stagger := range []bool{false, true} {
+					for _, seed := range g.Seeds {
+						want = append(want, fmt.Sprintf("%s/%d/%v", m.Name, seed, deriveCrashes(seed, g.Ops, n, stagger)))
+					}
+				}
+			}
+		}
+		rs, err = ShardCampaign(g, []int{2, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkOrder(t, "shard", workers, rs, want, func(c Cell) string {
+			return fmt.Sprintf("%s/%d/%v", c.Method.Name, c.Seed, c.Shards)
+		})
+	}
+}
+
+// checkOrder asserts the results' coordinates are want, in order, and
+// pairwise distinct.
+func checkOrder(t *testing.T, grid string, workers int, rs []*Result, want []string, key func(Cell) string) {
+	t.Helper()
+	if len(rs) != len(want) {
+		t.Fatalf("%s workers=%d: %d results, want %d", grid, workers, len(rs), len(want))
+	}
+	seen := map[string]bool{}
+	for i, r := range rs {
+		k := key(r.Cell)
+		if k != want[i] {
+			t.Fatalf("%s workers=%d: result %d is %s, want %s", grid, workers, i, k, want[i])
+		}
+		if seen[k] {
+			t.Fatalf("%s workers=%d: coordinate %s repeats", grid, workers, k)
+		}
+		seen[k] = true
 	}
 }
 
@@ -135,13 +161,12 @@ func TestSortResultsNormalizesAnyOrder(t *testing.T) {
 // with sequential recovery at every crash point for every method.
 func TestSweepParallelCrossCheck(t *testing.T) {
 	pages := workload.Pages(4)
-	initial := workload.InitialState(pages)
 	for _, f := range namedFactories() {
 		ops, err := workload.ForMethod(f.Name, 12, pages, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := Sweep(f.New, ops, initial, 7, 4, nil)
+		rs, err := Sweep(f, ops, len(pages), 7, 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,8 +180,8 @@ func TestSweepParallelCrossCheck(t *testing.T) {
 	}
 }
 
-// TestRunCellsOrderAndEarliestError pins the campaign pool both
-// campaigns share: results come back in cell order whatever the
+// TestRunCellsOrderAndEarliestError pins the pool every grid's cells
+// run on (runCells): results come back in cell order whatever the
 // completion order, and when cells fail the error reported is the
 // earliest failing cell's — what a sequential sweep reports — for a
 // sequential pool and a concurrent one.
@@ -164,7 +189,7 @@ func TestRunCellsOrderAndEarliestError(t *testing.T) {
 	const n = 40
 	for _, workers := range []int{0, 1, 4} {
 		// Later cells finish first, so completion order is reversed.
-		got, err := runCells(n, workers, func(i int) (int, error) {
+		got, err := pool(n, workers, func(i int) (int, error) {
 			time.Sleep(time.Duration(n-i) * 20 * time.Microsecond)
 			return i * i, nil
 		})
@@ -181,7 +206,7 @@ func TestRunCellsOrderAndEarliestError(t *testing.T) {
 		}
 
 		failing := map[int]bool{7: true, 23: true, 31: true}
-		rs, err := runCells(n, workers, func(i int) (int, error) {
+		rs, err := pool(n, workers, func(i int) (int, error) {
 			if failing[i] {
 				return 0, fmt.Errorf("cell %d failed", i)
 			}

@@ -26,14 +26,13 @@ func namedFactories() []NamedFactory {
 // silently corrupt — each fault is repaired, degraded, detected as
 // unrecoverable, or provably never fired.
 func TestCampaignNoSilentCorruption(t *testing.T) {
-	results, err := Campaign(CampaignConfig{
-		Methods:      namedFactories(),
-		NumOps:       10,
-		NumPages:     4,
-		CrashPoints:  []int{0, 5, 10},
-		Seeds:        []int64{1, 2},
-		TruncateProb: 0.5,
-	})
+	results, err := Campaign(Grid{
+		Methods:     namedFactories(),
+		Ops:         10,
+		Pages:       4,
+		CrashPoints: []int{0, 5, 10},
+		Seeds:       []int64{1, 2},
+	}, fault.Kinds(), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,9 +43,8 @@ func TestCampaignNoSilentCorruption(t *testing.T) {
 	}
 	if sum.Silent != 0 {
 		for _, r := range results {
-			if r.Outcome == SilentCorruption {
-				t.Errorf("SILENT: %s/%s crash=%d seed=%d detections=%v",
-					r.Method, r.Kind, r.CrashAfter, r.Seed, r.Detections)
+			if r.Fault.Outcome == SilentCorruption {
+				t.Errorf("SILENT: %s detections=%v", r.Cell.String(), r.Fault.Detections)
 			}
 		}
 		t.Fatalf("%d silent corruptions", sum.Silent)
@@ -55,7 +53,7 @@ func TestCampaignNoSilentCorruption(t *testing.T) {
 	// a campaign where nothing ever fires proves nothing.
 	fired := 0
 	for _, r := range results {
-		if r.Outcome == RecoveredDegraded || r.Outcome == DetectedUnrecoverable {
+		if o := r.Fault.Outcome; o == RecoveredDegraded || o == DetectedUnrecoverable {
 			fired++
 		}
 	}
@@ -68,13 +66,13 @@ func TestCampaignNoSilentCorruption(t *testing.T) {
 // detection somewhere in the matrix (at nonzero crash points it has
 // material to bite on).
 func TestCampaignKindsObserved(t *testing.T) {
-	results, err := Campaign(CampaignConfig{
+	results, err := Campaign(Grid{
 		Methods:     namedFactories(),
-		NumOps:      12,
-		NumPages:    4,
+		Ops:         12,
+		Pages:       4,
 		CrashPoints: []int{6, 12},
 		Seeds:       []int64{3, 4, 5},
-	})
+	}, fault.Kinds(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,21 +97,21 @@ func TestCampaignKindsObserved(t *testing.T) {
 // page), never silent.
 func TestRunFaultedLostWrite(t *testing.T) {
 	pages := workload.Pages(3)
-	s0 := workload.InitialState(pages)
 	ops, err := workload.ForMethod("physiological", 10, pages, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 5; seed++ {
-		r, err := RunFaulted(factories["physiological"], Config{
-			Ops: ops, Initial: s0, CrashAfter: 10,
+		r, err := Run(Cell{
+			Method: factories["physiological"], Pages: len(pages), Ops: ops, Crash: 10,
 			Sched: Sched{Seed: seed, FlushProb: 0.3, ForceProb: 0.2, CheckpointProb: 0.1, TruncateProb: 1},
-		}, fault.Plan{Seed: seed, Kind: fault.LostWrite})
+			Fault: &fault.Plan{Seed: seed, Kind: fault.LostWrite},
+		}, LegFaulted)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Outcome == SilentCorruption {
-			t.Fatalf("seed %d: silent corruption: %+v", seed, r)
+		if r.Fault.Outcome == SilentCorruption {
+			t.Fatalf("seed %d: silent corruption: %+v", seed, r.Fault)
 		}
 	}
 }
@@ -122,23 +120,23 @@ func TestRunFaultedLostWrite(t *testing.T) {
 // itself dies mid-repair and the rerun must converge.
 func TestRunFaultedCrashInRecovery(t *testing.T) {
 	pages := workload.Pages(4)
-	s0 := workload.InitialState(pages)
 	ops, err := workload.ForMethod("grouplsn", 8, pages, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sawDegraded := false
 	for seed := int64(1); seed <= 6; seed++ {
-		r, err := RunFaulted(factories["grouplsn"], Config{
-			Ops: ops, Initial: s0, CrashAfter: 8, Sched: DefaultSched(seed),
-		}, fault.Plan{Seed: seed, Kind: fault.CrashInRecovery})
+		r, err := Run(Cell{
+			Method: factories["grouplsn"], Pages: len(pages), Ops: ops, Crash: 8, Sched: DefaultSched(seed),
+			Fault: &fault.Plan{Seed: seed, Kind: fault.CrashInRecovery},
+		}, LegFaulted)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Outcome == SilentCorruption {
-			t.Fatalf("seed %d: silent corruption: %+v", seed, r)
+		if r.Fault.Outcome == SilentCorruption {
+			t.Fatalf("seed %d: silent corruption: %+v", seed, r.Fault)
 		}
-		if r.Outcome == RecoveredDegraded {
+		if r.Fault.Outcome == RecoveredDegraded {
 			sawDegraded = true
 		}
 	}
@@ -152,8 +150,7 @@ func TestRunFaultedCrashInRecovery(t *testing.T) {
 // TestSweepEmptyOps: a sweep over an empty op list is a single crash-at-0
 // run that recovers trivially.
 func TestSweepEmptyOps(t *testing.T) {
-	s0 := workload.InitialState(workload.Pages(2))
-	results, err := Sweep(factories["physiological"], nil, s0, 1, 0, nil)
+	results, err := Sweep(factories["physiological"], nil, 2, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +167,11 @@ func TestSweepEmptyOps(t *testing.T) {
 // initial state.
 func TestRunCrashAtZero(t *testing.T) {
 	pages := workload.Pages(3)
-	s0 := workload.InitialState(pages)
 	ops, err := workload.ForMethod("physical", 5, pages, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(factories["physical"], Config{Ops: ops, Initial: s0, CrashAfter: 0, Sched: DefaultSched(1)})
+	r, err := Run(Cell{Method: factories["physical"], Ops: ops, Pages: len(pages), Crash: 0, Sched: DefaultSched(1)}, MatrixLegs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,12 +203,11 @@ func TestSummarizeZeroResults(t *testing.T) {
 // real sweep.
 func TestSummaryRates(t *testing.T) {
 	pages := workload.Pages(3)
-	s0 := workload.InitialState(pages)
 	ops, err := workload.ForMethod("physiological", 6, pages, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := Sweep(factories["physiological"], ops, s0, 5, 0, nil)
+	results, err := Sweep(factories["physiological"], ops, len(pages), 5, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,12 @@ import (
 	"redotheory/internal/model"
 )
 
+// NamedFactory pairs a method name with its factory.
+type NamedFactory struct {
+	Name string
+	New  Factory
+}
+
 // DefaultMethods returns the full factory table of the seven Section 6
 // recovery method variants, in canonical order. Campaign drivers
 // (redosim, redofuzz, the examples) share it so "all methods" means the

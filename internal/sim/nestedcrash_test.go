@@ -13,26 +13,25 @@ import (
 // monotone install progress.
 func TestNestedCrashCampaignConverges(t *testing.T) {
 	metrics := NewCampaignMetrics()
-	results, err := NestedCrashCampaign(NestedCrashConfig{
+	results, err := NestedCrashCampaign(Grid{
 		Methods:     namedFactories(),
-		NumOps:      10,
-		NumPages:    4,
+		Ops:         10,
+		Pages:       4,
 		Seeds:       []int64{1, 2},
 		CrashPoints: []int{5, 10},
 		Metrics:     metrics,
-	})
+	}, NestedSchedules, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := SummarizeNestedCrash(results)
-	wantRuns := 7 * 2 * 2 * len(defaultNestedSchedules())
+	wantRuns := 7 * 2 * 2 * len(NestedSchedules)
 	if sum.Runs != wantRuns {
 		t.Errorf("runs = %d, want %d", sum.Runs, wantRuns)
 	}
 	for _, r := range results {
 		if !r.OK() {
-			t.Errorf("FAIL %s crash=%d seed=%d sched=%v: converged=%v oracle=%v monotone=%v err=%q",
-				r.Method, r.CrashAfter, r.Seed, r.Schedule, r.Converged, r.OracleMatch, r.StrictlyMonotone, r.Err)
+			t.Errorf("FAIL %s: %s: %s", r.Cell.String(), r.Check, r.Detail)
 		}
 	}
 	if sum.NonConverged != 0 || sum.OracleMismatches != 0 || sum.MonotoneViolations != 0 || sum.Errors != 0 {
@@ -64,19 +63,20 @@ func TestNestedCrashCampaignConverges(t *testing.T) {
 // TestNestedCrashCampaignDeterministic: worker-pool execution returns
 // byte-identical verdicts to the sequential sweep.
 func TestNestedCrashCampaignDeterministic(t *testing.T) {
-	cfg := NestedCrashConfig{
+	g := Grid{
 		Methods:     namedFactories()[:3],
-		NumOps:      8,
+		Ops:         8,
+		Pages:       4,
 		Seeds:       []int64{7},
 		CrashPoints: []int{8},
-		Schedules:   [][]int{{0}, {2, 1}},
 	}
-	seq, err := NestedCrashCampaign(cfg)
+	schedules := [][]int{{0}, {2, 1}}
+	seq, err := NestedCrashCampaign(g, schedules, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 4
-	par, err := NestedCrashCampaign(cfg)
+	g.Workers = 4
+	par, err := NestedCrashCampaign(g, schedules, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +84,8 @@ func TestNestedCrashCampaignDeterministic(t *testing.T) {
 		t.Fatalf("len %d vs %d", len(seq), len(par))
 	}
 	for i := range seq {
-		a, b := seq[i], par[i]
-		if a.Method != b.Method || a.Converged != b.Converged || a.Attempts != b.Attempts ||
+		a, b := seq[i].Supervised, par[i].Supervised
+		if seq[i].Cell.Method.Name != par[i].Cell.Method.Name || a.Converged != b.Converged || len(a.Attempts) != len(b.Attempts) ||
 			a.TotalInstalls != b.TotalInstalls || a.CrashesInjected != b.CrashesInjected ||
 			string(a.Rung) != string(b.Rung) {
 			t.Errorf("cell %d differs: %+v vs %+v", i, a, b)
@@ -99,20 +99,20 @@ func TestNestedCrashCampaignDeterministic(t *testing.T) {
 // checkpointed, so later attempts still sit at or past that prefix and
 // the cell converges.
 func TestNestedCrashDescendingStorm(t *testing.T) {
-	results, err := NestedCrashCampaign(NestedCrashConfig{
+	results, err := NestedCrashCampaign(Grid{
 		Methods:     []NamedFactory{namedFactories()[2]}, // physiological
-		NumOps:      10,
+		Ops:         10,
+		Pages:       4,
 		Seeds:       []int64{3},
 		CrashPoints: []int{10},
-		Schedules:   [][]int{{2, 1, 0}},
-	})
+	}, [][]int{{2, 1, 0}}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := results[0]
-	if !r.OK() {
-		t.Fatalf("storm cell failed: %+v", r)
+	if !results[0].OK() {
+		t.Fatalf("storm cell failed: %s: %s", results[0].Check, results[0].Detail)
 	}
+	r := results[0].Supervised
 	if r.CrashesInjected != 3 {
 		t.Errorf("crashes = %d, want 3", r.CrashesInjected)
 	}

@@ -53,8 +53,8 @@ func TestSweepObservedSummary(t *testing.T) {
 	pages := workload.Pages(4)
 	ops := workload.SinglePage(12, pages, 3, false)
 	rec := obs.New()
-	rs, err := Sweep(func(s *model.State) method.DB { return method.NewPhysiological(s) },
-		ops, workload.InitialState(pages), 11, 2, rec)
+	rs, err := Sweep(NamedFactory{Name: "physiological", New: func(s *model.State) method.DB { return method.NewPhysiological(s) }},
+		ops, len(pages), 11, 2, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,17 +89,19 @@ func TestSweepObservedSummary(t *testing.T) {
 // phase breakdown from the observed clean-cell parallel passes.
 func TestCampaignMetricsRollup(t *testing.T) {
 	metrics := NewCampaignMetrics()
-	cfg := CampaignConfig{
+	g := Grid{
 		Methods: []NamedFactory{
 			{Name: "physiological", New: func(s *model.State) method.DB { return method.NewPhysiological(s) }},
 			{Name: "logical", New: func(s *model.State) method.DB { return method.NewLogical(s) }},
 		},
-		Kinds:   []fault.Kind{fault.LostWrite, fault.PageBitRot},
-		Seeds:   []int64{1, 2},
-		Workers: 4,
-		Metrics: metrics,
+		Ops:         12,
+		Pages:       4,
+		CrashPoints: []int{0, 6, 12},
+		Seeds:       []int64{1, 2},
+		Workers:     4,
+		Metrics:     metrics,
 	}
-	rs, err := Campaign(cfg)
+	rs, err := Campaign(g, []fault.Kind{fault.LostWrite, fault.PageBitRot}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 
 	"redotheory/internal/fault"
@@ -76,61 +75,5 @@ func TestMixSeedSensitivity(t *testing.T) {
 	}
 	if base < 0 {
 		t.Fatalf("MixSeed returned a negative seed %d", base)
-	}
-}
-
-// TestSortResultsIsTotalCanonicalOrder asserts the documented sortResults
-// invariant: over one campaign's results the (Method, Kind, CrashAfter,
-// Seed) key is a strict total order — no two cells compare equal — so
-// sorting any shuffle reproduces the byte-identical canonical sequence.
-// The fuzzer's reproducible diffing relies on exactly this.
-func TestSortResultsIsTotalCanonicalOrder(t *testing.T) {
-	results, err := Campaign(CampaignConfig{
-		Methods:     namedFactories(),
-		Kinds:       []fault.Kind{fault.PageBitRot, fault.LogTornTail},
-		NumOps:      8,
-		NumPages:    3,
-		CrashPoints: []int{0, 4, 8},
-		Seeds:       []int64{1, 2},
-	})
-	if err != nil {
-		t.Fatalf("campaign: %v", err)
-	}
-	if len(results) < 2 {
-		t.Fatalf("campaign produced %d results; need at least 2", len(results))
-	}
-
-	key := func(r *FaultResult) [4]interface{} {
-		return [4]interface{}{r.Method, r.Kind, r.CrashAfter, r.Seed}
-	}
-	less := func(a, b *FaultResult) bool {
-		if a.Method != b.Method {
-			return a.Method < b.Method
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.CrashAfter != b.CrashAfter {
-			return a.CrashAfter < b.CrashAfter
-		}
-		return a.Seed < b.Seed
-	}
-	for i := 1; i < len(results); i++ {
-		a, b := results[i-1], results[i]
-		if !less(a, b) {
-			t.Fatalf("canonical order is not strictly increasing at %d: %v vs %v", i, key(a), key(b))
-		}
-	}
-
-	shuffled := make([]*FaultResult, len(results))
-	copy(shuffled, results)
-	rng := rand.New(rand.NewSource(42))
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	sortResults(shuffled)
-	for i := range results {
-		if shuffled[i] != results[i] {
-			t.Fatalf("sorting a shuffle diverges from canonical order at %d: %v vs %v",
-				i, key(shuffled[i]), key(results[i]))
-		}
 	}
 }

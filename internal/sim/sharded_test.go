@@ -17,22 +17,20 @@ func TestShardableMethodsExcludesPhysical(t *testing.T) {
 	}
 }
 
+// TestCheckShardedGrid runs the sharded leg over every shardable method
+// × shards {2, 4} × synchronized and staggered crash points × seeds
+// {1, 2} (ShardCampaign's grid at 36 operations over 4 pages a shard).
 func TestCheckShardedGrid(t *testing.T) {
-	for _, m := range ShardableMethods() {
-		for _, shards := range []int{2, 4} {
-			for _, stagger := range []bool{false, true} {
-				for seed := int64(1); seed <= 2; seed++ {
-					cfg := ShardedConfig{Method: m, Shards: shards, Seed: seed}
-					cfg.Crashes = DeriveCrashes(seed, 36, shards, stagger)
-					check, err := CheckSharded(cfg)
-					if err != nil {
-						t.Fatalf("%s×%d stagger=%v seed=%d: %v", m.Name, shards, stagger, seed, err)
-					}
-					if !check.OK() {
-						t.Errorf("%s×%d stagger=%v seed=%d: %s", m.Name, shards, stagger, seed, check.Mismatch)
-					}
-				}
-			}
+	rs, err := ShardCampaign(Grid{Methods: ShardableMethods(), Ops: 36, Pages: 4, Seeds: []int64{1, 2}}, []int{2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != len(ShardableMethods())*2*2*2 {
+		t.Fatalf("%d cells", len(rs))
+	}
+	for _, r := range rs {
+		if !r.OK() || r.Sharded == nil {
+			t.Errorf("%s: %s: %s", r.Cell.String(), r.Check, r.Detail)
 		}
 	}
 }
@@ -44,17 +42,25 @@ func TestCheckShardedRejectsPhysical(t *testing.T) {
 			physical = m
 		}
 	}
-	if _, err := CheckSharded(ShardedConfig{Method: physical, Seed: 1}); err == nil {
-		t.Fatal("CheckSharded accepted physical logging")
+	if _, err := ShardCampaign(Grid{Methods: []NamedFactory{physical}, Ops: 36, Pages: 4, Seeds: []int64{1}}, []int{2}); err == nil {
+		t.Fatal("ShardCampaign accepted physical logging")
+	}
+	// A cell built by hand reaches the leg, which refuses it.
+	r, err := Run(Cell{Method: physical, Pages: 8, Shards: []int{0, 0}}, LegSharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Check != "sharded-error" {
+		t.Fatalf("sharded leg on physical logging: check %q, want sharded-error", r.Check)
 	}
 }
 
-func ExampleCheckSharded() {
-	check, err := CheckSharded(ShardedConfig{Method: ShardableMethods()[0], Shards: 2, Seed: 3})
+func ExampleShardCampaign() {
+	rs, err := ShardCampaign(Grid{Methods: ShardableMethods()[:1], Ops: 36, Pages: 4, Seeds: []int64{3}}, []int{2})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println(check.Method, check.OK())
+	fmt.Println(rs[0].Cell.Method.Name, rs[0].OK())
 	// Output: logical true
 }

@@ -4,30 +4,27 @@ import (
 	"testing"
 	"testing/quick"
 
-	"redotheory/internal/method"
 	"redotheory/internal/model"
 	"redotheory/internal/workload"
 )
 
-var factories = map[string]Factory{
-	"physiological":     func(s *model.State) method.DB { return method.NewPhysiological(s) },
-	"physiological+dpt": func(s *model.State) method.DB { return method.NewPhysiologicalDPT(s) },
-	"physical":          func(s *model.State) method.DB { return method.NewPhysical(s) },
-	"logical":           func(s *model.State) method.DB { return method.NewLogical(s) },
-	"genlsn":            func(s *model.State) method.DB { return method.NewGenLSN(s) },
-	"genlsn+mv":         func(s *model.State) method.DB { return method.NewGenLSNMV(s) },
-	"grouplsn":          func(s *model.State) method.DB { return method.NewGroupLSN(s) },
-}
+// factories indexes the default method table by name.
+var factories = func() map[string]NamedFactory {
+	out := map[string]NamedFactory{}
+	for _, m := range DefaultMethods() {
+		out[m.Name] = m
+	}
+	return out
+}()
 
 func TestRunAllMethodsRecover(t *testing.T) {
 	pages := workload.Pages(6)
-	s0 := workload.InitialState(pages)
 	for name, mk := range factories {
 		ops, err := workload.ForMethod(name, 40, pages, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(mk, Config{Ops: ops, Initial: s0, CrashAfter: 25, Sched: DefaultSched(99)})
+		res, err := Run(Cell{Method: mk, Ops: ops, Pages: len(pages), Crash: 25, Sched: DefaultSched(99)}, MatrixLegs)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -37,21 +34,20 @@ func TestRunAllMethodsRecover(t *testing.T) {
 		if !res.InvariantOK {
 			t.Errorf("%s: invariant violated: %v", name, res.Violations)
 		}
-		if res.Method != name {
-			t.Errorf("method name = %q", res.Method)
+		if res.Cell.Method.Name != name {
+			t.Errorf("method name = %q", res.Cell.Method.Name)
 		}
 	}
 }
 
 func TestSweepEveryCrashPoint(t *testing.T) {
 	pages := workload.Pages(4)
-	s0 := workload.InitialState(pages)
 	for name, mk := range factories {
 		ops, err := workload.ForMethod(name, 15, pages, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := Sweep(mk, ops, s0, 11, 0, nil)
+		results, err := Sweep(mk, ops, len(pages), 11, 0, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -74,15 +70,14 @@ func TestWALFaultIsDetected(t *testing.T) {
 	// before its log record, so the stable state contains effects of
 	// operations that no longer exist.
 	pages := workload.Pages(3)
-	s0 := workload.InitialState(pages)
 	ops := workload.SinglePage(30, pages, 5, false)
 	detected := false
 	for crash := 1; crash <= len(ops); crash++ {
-		res, err := Run(factories["physiological"], Config{
-			Ops: ops, Initial: s0, CrashAfter: crash,
+		res, err := Run(Cell{Method: factories["physiological"],
+			Ops: ops, Pages: len(pages), Crash: crash,
 			Sched:      Sched{Seed: int64(crash), FlushProb: 0.6, ForceProb: 0.05, CheckpointProb: 0.1},
 			DisableWAL: true,
-		})
+		}, MatrixLegs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,14 +96,13 @@ func TestCrashMatrixProperty(t *testing.T) {
 	// crash point and the invariant holds.
 	f := func(seed int64) bool {
 		pages := workload.Pages(5)
-		s0 := workload.InitialState(pages)
 		for name, mk := range factories {
 			ops, err := workload.ForMethod(name, 20, pages, seed)
 			if err != nil {
 				return false
 			}
 			crash := int(uint64(seed) % uint64(len(ops)+1))
-			res, err := Run(mk, Config{Ops: ops, Initial: s0, CrashAfter: crash, Sched: DefaultSched(seed)})
+			res, err := Run(Cell{Method: mk, Ops: ops, Pages: len(pages), Crash: crash, Sched: DefaultSched(seed)}, MatrixLegs)
 			if err != nil || !res.Recovered || !res.InvariantOK {
 				return false
 			}
@@ -121,25 +115,26 @@ func TestCrashMatrixProperty(t *testing.T) {
 }
 
 func TestRunValidatesCrashPoint(t *testing.T) {
-	if _, err := Run(factories["physical"], Config{Ops: nil, CrashAfter: 5}); err == nil {
+	if _, err := Run(Cell{Method: factories["physical"], Ops: nil, Crash: 5}, MatrixLegs); err == nil {
 		t.Error("out-of-range crash point accepted")
 	}
 }
 
+// TestSkipChecker: a cell run without the invariant leg (the benchmark
+// configuration) still recovers, reports no violations and no verdict.
 func TestSkipChecker(t *testing.T) {
 	pages := workload.Pages(3)
 	ops := workload.SinglePage(10, pages, 1, false)
-	res, err := Run(factories["physiological"], Config{
-		Ops: ops, Initial: workload.InitialState(pages), CrashAfter: 10, Sched: DefaultSched(1), SkipChecker: true,
-	})
+	res, err := Run(Cell{Method: factories["physiological"], Ops: ops, Pages: len(pages), Crash: 10, Sched: DefaultSched(1)},
+		LegSequential|LegParallel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Recovered || !res.InvariantOK {
-		t.Error("SkipChecker run failed")
+	if !res.Recovered || !res.OK() {
+		t.Error("run without the invariant leg failed")
 	}
-	if len(res.Violations) != 0 {
-		t.Error("violations reported without checker")
+	if len(res.Violations) != 0 || res.InvariantOK {
+		t.Error("invariant verdict reported without the invariant leg")
 	}
 }
 
@@ -148,15 +143,14 @@ func TestOnlineAuditFollowsExecution(t *testing.T) {
 	// across random schedules and crash points.
 	for _, name := range []string{"physiological", "physiological+dpt", "genlsn", "genlsn+mv", "grouplsn"} {
 		pages := workload.Pages(5)
-		s0 := workload.InitialState(pages)
 		ops, err := workload.ForMethod(name, 30, pages, 13)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for crash := 0; crash <= len(ops); crash += 6 {
-			res, err := Run(factories[name], Config{
-				Ops: ops, Initial: s0, CrashAfter: crash, Sched: DefaultSched(int64(crash)), OnlineAudit: true,
-			})
+			res, err := Run(Cell{Method: factories[name],
+				Ops: ops, Pages: len(pages), Crash: crash, Sched: DefaultSched(int64(crash)), OnlineAudit: true,
+			}, MatrixLegs)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -180,15 +174,14 @@ func TestOnlineAuditCatchesWALFault(t *testing.T) {
 	// catch them. Both signals are reported; at least one must fire
 	// somewhere in the sweep.
 	pages := workload.Pages(3)
-	s0 := workload.InitialState(pages)
 	ops := workload.SinglePage(30, pages, 5, false)
 	caught := false
 	for crash := 1; crash <= len(ops); crash++ {
-		res, err := Run(factories["physiological"], Config{
-			Ops: ops, Initial: s0, CrashAfter: crash,
+		res, err := Run(Cell{Method: factories["physiological"],
+			Ops: ops, Pages: len(pages), Crash: crash,
 			Sched:      Sched{Seed: int64(crash), FlushProb: 0.6, ForceProb: 0.05, CheckpointProb: 0.1},
 			DisableWAL: true, OnlineAudit: true,
-		})
+		}, MatrixLegs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,17 +199,16 @@ func TestTruncationSweep(t *testing.T) {
 	// still recovers: the recovery base absorbs the dropped prefix.
 	for name, mk := range factories {
 		pages := workload.Pages(5)
-		s0 := workload.InitialState(pages)
 		ops, err := workload.ForMethod(name, 25, pages, 19)
 		if err != nil {
 			t.Fatal(err)
 		}
 		totalTruncated := 0
 		for crash := 0; crash <= len(ops); crash += 5 {
-			res, err := Run(mk, Config{
-				Ops: ops, Initial: s0, CrashAfter: crash,
+			res, err := Run(Cell{Method: mk,
+				Ops: ops, Pages: len(pages), Crash: crash,
 				Sched: Sched{Seed: int64(crash) + 3, FlushProb: 0.3, ForceProb: 0.2, CheckpointProb: 0.25, TruncateProb: 1.0},
-			})
+			}, MatrixLegs)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -243,7 +235,7 @@ func TestBankTransfersConserveMoney(t *testing.T) {
 	}
 	ops := workload.BankTransfers(12, pages, 21)
 	for crash := 0; crash <= len(ops); crash++ {
-		res, err := Run(factories["logical"], Config{Ops: ops, Initial: s0, CrashAfter: crash, Sched: DefaultSched(int64(crash))})
+		res, err := Run(Cell{Method: factories["logical"], Ops: ops, Pages: len(pages), Crash: crash, Sched: DefaultSched(int64(crash))}, MatrixLegs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,6 @@ func TestSoakAllMethodsLongHistory(t *testing.T) {
 		t.Skip("soak test")
 	}
 	pages := workload.Pages(24)
-	s0 := workload.InitialState(pages)
 	rows := []struct {
 		name   string
 		mk     sim.Factory
@@ -39,10 +38,10 @@ func TestSoakAllMethodsLongHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, crash := range []int{0, n / 3, 2 * n / 3, n} {
-			res, err := sim.Run(row.mk, sim.Config{
-				Ops: ops, Initial: s0, CrashAfter: crash, Sched: sim.DefaultSched(int64(crash) + 7),
+			res, err := sim.Run(sim.Cell{Method: sim.NamedFactory{Name: row.name, New: row.mk},
+				Ops: ops, Pages: len(pages), Crash: crash, Sched: sim.DefaultSched(int64(crash) + 7),
 				OnlineAudit: row.online,
-			})
+			}, sim.MatrixLegs)
 			if err != nil {
 				t.Fatalf("%s crash=%d: %v", row.name, crash, err)
 			}
