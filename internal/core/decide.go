@@ -65,21 +65,6 @@ func DecideRedoEach(rec *obs.Recorder, sv Survivors, each func(d *RedoDecision, 
 	return d
 }
 
-// DecideAndView is the front half of the instant-restart engine
-// (serve.New), which plans every admitted record before it replays any:
-// DecideRedoEach with no hook, and the log's dense view from
-// DefaultViews, built concurrently. The two passes are independent — the
-// decision reads records and the redo test, the view build reads records
-// and interns their variables — so they overlap, and the caller gets
-// both once the slower finishes. The view build records only its cache hit
-// or miss on rec, never a span, so the decide span tree is unchanged.
-func DecideAndView(rec *obs.Recorder, sv Survivors) (*RedoDecision, *LogView) {
-	view := make(chan *LogView, 1)
-	go func() { view <- DefaultViews.ViewOf(sv.Log, rec) }()
-	d := DecideRedoEach(rec, sv, nil)
-	return d, <-view
-}
-
 // Result materializes the decision as a recovery Result over the given
 // final state. The examined count is the decision's own; Replayed lists
 // the admitted operations in LSN order —

@@ -1,10 +1,6 @@
 package dense
 
-import (
-	"slices"
-
-	"redotheory/internal/model"
-)
+import "redotheory/internal/model"
 
 // State is the columnar form of a model.State restricted to an
 // interner's variables: a flat value arena indexed by variable id plus
@@ -22,37 +18,13 @@ type State struct {
 // not assign get the zero Value, exactly as model.State.Get would
 // report them.
 func FromState(in *Interner, s *model.State) *State {
-	d := Empty(in)
-	d.Grow(s, in.vars)
+	n := in.Len()
+	d := &State{in: in, values: make([]model.Value, n), dirty: make([]uint64, (n+63)/64)}
+	for id, v := range in.vars {
+		d.Set(uint32(id), s.Get(v))
+	}
 	return d
 }
-
-// Empty returns a state over none of the interner's ids, for Grow to
-// extend. It does not read the interner, so the interner may still be
-// growing on another goroutine.
-func Empty(in *Interner) *State { return &State{in: in} }
-
-// Len returns the number of ids the state covers: [0, Len).
-func (d *State) Len() int { return len(d.values) }
-
-// Grow extends the state by the id range [Len, Len+len(vars)): vars are
-// the interner's variables for those ids, in id order (Interner.Since
-// hands them out), and each takes its value in s, as FromState would
-// project it. The state reads only vars, never the interner, so it can
-// grow while another goroutine keeps interning past the range.
-func (d *State) Grow(s *model.State, vars []model.Var) {
-	base, n := len(d.values), len(d.values)+len(vars)
-	d.values = slices.Grow(d.values, len(vars))[:n]
-	if words := (n + 63) / 64; words > len(d.dirty) {
-		d.dirty = append(d.dirty, make([]uint64, words-len(d.dirty))...)
-	}
-	for k, v := range vars {
-		d.Set(uint32(base+k), s.Get(v))
-	}
-}
-
-// Interner returns the interner the state's ids are relative to.
-func (d *State) Interner() *Interner { return d.in }
 
 // Value returns the value of the variable with the given id.
 func (d *State) Value(id uint32) model.Value { return d.values[id] }

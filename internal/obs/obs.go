@@ -152,9 +152,7 @@ const (
 	MShardCutRecords  = "shard.cut_dropped_records" // stable records excluded by the cut
 	GShardCutLag      = "shard.cut_lag_records"     // gauge: records between stable frontiers and the last cut, summed over shards
 
-	// Shared-cache effectiveness counters (core.ViewCache/GraphCache).
-	MViewHits    = "cache.view_hits"    // log-view cache hits
-	MViewMisses  = "cache.view_misses"  // log-view cache builds
+	// Shared-cache effectiveness counters (core.GraphCache).
 	MGraphHits   = "cache.graph_hits"   // conflict/install graph cache hits
 	MGraphMisses = "cache.graph_misses" // conflict/install graph builds
 )

@@ -221,37 +221,26 @@ func (r *Report) RenderTable(out io.Writer) {
 	w.Flush()
 }
 
-// cacheLines pairs each cache's hit/miss counter keys for rendering.
-var cacheLines = []struct {
-	name, hits, misses string
-}{
-	{"log view", MViewHits, MViewMisses},
-	{"op graphs", MGraphHits, MGraphMisses},
-}
-
 // RenderCaches writes the campaign-wide memoization counters: hits,
-// misses, and hit rate for the log-view and operation-graph caches.
-// Reports produced before the cache counters existed render as "-".
+// misses, and hit rate for the operation-graph cache. Reports produced
+// before the cache counters existed render as "-".
 func (r *Report) RenderCaches(out io.Writer) {
 	if r.Totals == nil {
 		return
 	}
 	fmt.Fprintln(out, "caches:")
-	for _, c := range cacheLines {
-		_, hOK := r.Totals.Counters[c.hits]
-		_, mOK := r.Totals.Counters[c.misses]
-		if !hOK && !mOK {
-			fmt.Fprintf(out, "  %-10s  -\n", c.name)
-			continue
-		}
-		hits, misses := r.Totals.Counter(c.hits), r.Totals.Counter(c.misses)
-		total := hits + misses
-		rate := 0.0
-		if total > 0 {
-			rate = 100 * float64(hits) / float64(total)
-		}
-		fmt.Fprintf(out, "  %-10s  %d hits / %d misses (%.1f%% hit rate)\n", c.name, hits, misses, rate)
+	_, hOK := r.Totals.Counters[MGraphHits]
+	_, mOK := r.Totals.Counters[MGraphMisses]
+	if !hOK && !mOK {
+		fmt.Fprintf(out, "  %-10s  -\n", "op graphs")
+		return
 	}
+	hits, misses := r.Totals.Counter(MGraphHits), r.Totals.Counter(MGraphMisses)
+	rate := 0.0
+	if total := hits + misses; total > 0 {
+		rate = 100 * float64(hits) / float64(total)
+	}
+	fmt.Fprintf(out, "  %-10s  %d hits / %d misses (%.1f%% hit rate)\n", "op graphs", hits, misses, rate)
 }
 
 // PhaseTotal is one method's total time in one pipeline phase — a row

@@ -21,3 +21,6 @@ func (e *Engine) Step(i int, seen []int32, buf *core.ReplayBuf) { e.step(i, seen
 
 // FullyRecovered reports whether every component has completed.
 func (e *Engine) FullyRecovered() bool { return e.fullyRecovered() }
+
+// View is the log view the engine plans and gates by.
+func (e *Engine) View() *core.LogView { return e.lv }

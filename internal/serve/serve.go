@@ -4,8 +4,9 @@
 // Sauer & Härder, built on the paper's state-blind decision phase.
 //
 // On startup the engine runs only the cheap decision phase
-// (core.DecideAndView): the same analysis phase, scan, and redo-test
-// invocations as offline recovery, but applying nothing. The admitted
+// (core.DecideRedoEach): the same analysis phase, scan, and redo-test
+// invocations as offline recovery, but applying nothing, over the dense
+// view the log carries. The admitted
 // record set is then partitioned into interference components
 // (internal/partition), and two indexes make any page independently
 // recoverable:
@@ -147,7 +148,7 @@ type Engine struct {
 func New(db method.DB, opts Options) (*Engine, error) {
 	rec := opts.Recorder
 	sv := method.Survivors(db)
-	decision, lv := core.DecideAndView(rec, sv)
+	decision, lv := core.DecideRedoEach(rec, sv, nil), core.NewLogView(sv.Log)
 	ps := rec.StartSpan(obs.PhasePartition)
 	plan := partition.FromViews(lv.Views, decision.ReplayIdx, lv.In.Len())
 	ps.End()

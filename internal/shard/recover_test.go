@@ -127,7 +127,7 @@ func TestShardedRecoveryMatchesMergedOracle(t *testing.T) {
 // parallel recoveries concurrently over cut prefixes long enough for
 // several pipeline chunks each: every shard's outcome must equal its
 // sequential recovery's, and the union the merged-log oracle. Under
-// -race it checks that concurrent pipelines share the view cache safely.
+// -race it checks that concurrent pipelines share the log's view safely.
 func TestParallelPipelineMatchesSequential(t *testing.T) {
 	for _, m := range eligibleMethods {
 		for seed := int64(1); seed <= 2; seed++ {
