@@ -154,7 +154,7 @@ func FromViews(views []core.RecordView, replayIdx []int, numIDs int) *Plan {
 	pending := make([][]int32, numIDs)
 	for i, vi := range replayIdx {
 		v := &views[vi]
-		for _, x := range v.Writes {
+		for _, x := range v.Writes() {
 			if w := writerOf[x]; w >= 0 {
 				uf.Union(int(w), i)
 			} else {
@@ -165,7 +165,7 @@ func FromViews(views []core.RecordView, replayIdx []int, numIDs int) *Plan {
 				pending[x] = nil
 			}
 		}
-		for _, x := range v.Reads {
+		for _, x := range v.Reads() {
 			if w := writerOf[x]; w >= 0 {
 				uf.Union(int(w), i)
 			} else {

@@ -298,7 +298,7 @@ func TestFromViewsMatchesConflictComponents(t *testing.T) {
 		for ci, c := range got.Components {
 			var writes []uint32
 			for _, vi := range c.Idx {
-				writes = append(writes, lv.Views[vi].Writes...)
+				writes = append(writes, lv.Views[vi].Writes()...)
 			}
 			slices.Sort(writes)
 			if writes = slices.Compact(writes); !slices.Equal(c.Writes, writes) {
@@ -363,7 +363,7 @@ func TestPlanCoarsensConflictComponentsOutOfContract(t *testing.T) {
 		}
 		for ci, c := range plan.Components {
 			for _, vi := range c.Idx {
-				for _, x := range lv.Views[vi].Reads {
+				for _, x := range lv.Views[vi].Reads() {
 					if w, ok := owner[x]; ok && w != ci {
 						t.Fatalf("trial %d: component %d reads id %d, which component %d writes", trial, ci, x, w)
 					}
@@ -521,7 +521,7 @@ func checkIndexes(t *testing.T, at string, lv *core.LogView, p *partition.Plan) 
 			wantWriter[id] = int32(ci)
 		}
 		for _, vi := range c.Idx {
-			for _, id := range lv.Views[vi].Reads {
+			for _, id := range lv.Views[vi].Reads() {
 				if wantReaders[id] == nil {
 					wantReaders[id] = map[int32]bool{}
 				}
