@@ -309,7 +309,10 @@ func (b *base) TruncateCheckpointed() (int, error) {
 		}
 		return 0, nil
 	}
-	for _, r := range b.log.StableLog().Records() {
+	// Records below a stable checkpoint's bound are stable, so the live
+	// log serves; a StableLog prefix would share the log's view, and
+	// the next page named would copy its ids.
+	for _, r := range b.log.Log().Records() {
 		if r.LSN >= bound {
 			break
 		}

@@ -493,12 +493,15 @@ func (d *DB) stableBounds() CutInput {
 		LowWater:  make([]core.LSN, n),
 	}
 	for i, db := range d.shards {
-		in.Frontiers[i] = db.WAL().StableLSN()
-		slog := db.StableLog()
-		if recs := slog.Records(); len(recs) > 0 {
+		// The stable log's first record, or the LSN it would number
+		// next, read off the live log: a Prefix would share the log's
+		// view, and the next page the shard names would copy its ids.
+		stable, log := db.WAL().StableLSN(), db.WAL().Log()
+		in.Frontiers[i] = stable
+		if recs := log.Records(); len(recs) > 0 && recs[0].LSN <= stable {
 			in.LowWater[i] = recs[0].LSN
 		} else {
-			in.LowWater[i] = slog.NextLSN()
+			in.LowWater[i] = min(stable+1, log.NextLSN())
 		}
 	}
 	return in

@@ -323,7 +323,6 @@ var allowedSurfaceReads = map[string]string{
 	"method.RecoverDegraded":                "the detection phases and the conservative path read the repaired log alone; the full value is taken on the fast path only",
 	"sim.Determined":                        "the brute-force oracle replays the stable log over the recovery base and runs no redo test, so a value would project a state it never reads",
 	"shard.(*DB).MergedOracle":              "the merged brute-force oracle, sim.Determined across shards",
-	"shard.(*DB).stableBounds":              "the certified cut is computed from the logs alone, before any shard's value is taken",
 	"shard.(*DB).StableTxns":                "the certified cut's transaction table, read from the logs alone",
 	"sim.onlineAuditStep":                   "the online auditor audits the stable store during normal operation, not after a crash",
 	"sim.realizeAtCrash":                    "fault injection picks a stable log record to rot before recovery runs",
