@@ -68,8 +68,6 @@ func main() {
 
 	fmt.Printf("source: %s  generated: %s\n\n", rep.Source, rep.GeneratedAt)
 	rep.RenderTable(os.Stdout)
-	fmt.Println()
-	rep.RenderCaches(os.Stdout)
 	if *widths {
 		fmt.Println()
 		rep.RenderWidths(os.Stdout)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"redotheory/internal/conflict"
 	"redotheory/internal/graph"
 	"redotheory/internal/install"
@@ -10,84 +8,38 @@ import (
 )
 
 // Auditor is the online form of the recovery-invariant checker: instead
-// of rebuilding the conflict and installation graphs from a log after
-// the fact, a running LSN-based system feeds it events as they happen —
-// each logged operation, each page install — and can ask at any moment
-// whether a crash right now would leave a recoverable state. Everything
-// is maintained incrementally: the conflict graph grows by appending,
-// the installation graph syncs only the new edges, and the written
-// values are recorded in a ledger as the operations execute, so an
-// audit never replays history.
+// of building the graphs from a log after the fact, a running LSN-based
+// system feeds it events as they happen — each logged operation, each
+// page install — and can ask at any moment whether a crash right now
+// would leave a recoverable state. It is a Checker grown one operation
+// at a time: the conflict graph grows by appending, the installation
+// graph syncs only the new edges, and the ledger records each
+// operation's written values as it executes, so an audit never replays
+// history.
 //
 // The auditor derives the installed set the way LSN recovery does
 // (Section 6.3/6.4): an operation is installed when every page it wrote
 // carries a stable LSN at least as large as the operation's. Feeding it
 // a method with a different installed-set discipline (System R logical
-// recovery) requires the offline Checker instead.
-type Auditor struct {
-	cg  *conflict.Graph
-	ig  *install.Graph
-	log *Log
-	// ledger records written values and doubles as the ValueSource.
-	ledger *valueLedger
-	// stableLSN tracks each page's stable LSN as reported by
-	// PageInstalled.
-	stableLSN map[model.Var]LSN
-	// writesByPage lists, per page, the LSNs of the operations writing
-	// it, in order — for deriving the installed set cheaply.
-	writesByPage map[model.Var][]model.OpID
-	// Audits counts invariant checks performed.
-	Audits int
-}
-
-// valueLedger implements install.ValueSource incrementally.
-type valueLedger struct {
-	initial *model.State
-	running *model.State
-	values  map[model.OpID]model.WriteSet
-}
-
-func (l *valueLedger) Initial() *model.State { return l.initial.Clone() }
-
-func (l *valueLedger) FinalState() *model.State { return l.running.Clone() }
-
-func (l *valueLedger) WriteValue(op model.OpID, x model.Var) (model.Value, bool) {
-	v, ok := l.values[op][x]
-	return v, ok
-}
+// recovery) requires NewChecker and an explicit installed set instead.
+type Auditor = Checker
 
 // NewAuditor returns an online auditor over the given initial state.
 func NewAuditor(initial *model.State) *Auditor {
 	cg := conflict.New()
-	return &Auditor{
-		cg:  cg,
-		ig:  install.NewIncremental(cg),
-		log: NewLog(),
-		ledger: &valueLedger{
-			initial: initial.Clone(),
-			running: initial.Clone(),
-			values:  make(map[model.OpID]model.WriteSet),
-		},
-		stableLSN:    make(map[model.Var]LSN),
-		writesByPage: make(map[model.Var][]model.OpID),
-	}
+	return newChecker(cg, install.NewIncremental(cg), NewLog(), initial)
 }
 
 // Logged records the next logged operation and returns its LSN. The
 // auditor executes the operation against its running copy of the
 // volatile state to learn the values it wrote.
 func (a *Auditor) Logged(op *model.Op) (LSN, error) {
-	ws, err := a.ledger.running.Apply(op)
-	if err != nil {
-		return 0, fmt.Errorf("core: auditor executing %s: %w", op, err)
+	if err := a.apply(op); err != nil {
+		return 0, err
 	}
-	a.ledger.values[op.ID()] = ws
 	rec := a.log.Append(op)
 	a.cg.Append(op)
 	a.ig.Sync()
-	for _, x := range op.Writes() {
-		a.writesByPage[x] = append(a.writesByPage[x], op.ID())
-	}
 	return rec.LSN, nil
 }
 
@@ -123,31 +75,8 @@ func (a *Auditor) InstalledSet() graph.Set[model.OpID] {
 // installation graph that explains the given stable state.
 func (a *Auditor) Audit(stable *model.State) *Report {
 	a.Audits++
-	installed := a.InstalledSet()
-	rep := &Report{Installed: installed, RedoSet: complementOf(a.cg, installed)}
-	if e, bad := a.ig.PrefixViolation(installed); bad {
-		rep.Violations = append(rep.Violations, Violation{
-			Kind: NotPrefix,
-			Edge: e,
-			Detail: fmt.Sprintf("operation %d is installed but its installation-graph predecessor %d is not (%s conflict)",
-				e[1], e[0], a.cg.Kind(e[0], e[1])),
-		})
-	} else if err := a.ig.Explains(a.ledger, installed, stable); err != nil {
-		if f, ok := err.(*install.ExplainFailure); ok && !f.NotPrefixSet {
-			rep.Violations = append(rep.Violations, Violation{
-				Kind: ExposedMismatch, Var: f.Var, Got: f.Got, Want: f.Want,
-				Detail: err.Error(),
-			})
-		} else {
-			rep.Violations = append(rep.Violations, Violation{Kind: NotPrefix, Detail: err.Error()})
-		}
-	}
-	rep.OK = len(rep.Violations) == 0
-	return rep
+	return a.CheckInstalled(stable, a.InstalledSet())
 }
 
 // Log returns the auditor's log view of the history.
 func (a *Auditor) Log() *Log { return a.log }
-
-// FinalState returns the state the full history determines.
-func (a *Auditor) FinalState() *model.State { return a.ledger.FinalState() }

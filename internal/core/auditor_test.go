@@ -5,7 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"redotheory/internal/install"
 	"redotheory/internal/model"
+	"redotheory/internal/stategraph"
 )
 
 func TestAuditorScenario2Live(t *testing.T) {
@@ -81,7 +83,10 @@ func TestAuditorCatchesCorruptExposedPage(t *testing.T) {
 
 func TestAuditorMatchesOfflineChecker(t *testing.T) {
 	// Differential test: the online auditor and the offline checker must
-	// agree on every crash state of a random page-LSN execution.
+	// agree on every crash state of a random page-LSN execution. Both
+	// share one report builder, so the theory gives a third opinion: the
+	// installation graph's Explains over the conflict state graph. Some
+	// cases corrupt one page of the stable state afterwards.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		pages := []model.Var{"p0", "p1", "p2", "p3"}
@@ -101,10 +106,14 @@ func TestAuditorMatchesOfflineChecker(t *testing.T) {
 			}
 			if rng.Float64() < 0.4 {
 				// Install this page's current version.
-				v, _ := aud.ledger.WriteValue(op.ID(), p)
+				v, _ := aud.WriteValue(op.ID(), p)
 				stable.Set(p, v)
 				aud.PageInstalled(p, lsn)
 			}
+		}
+		corrupt := rng.Float64() < 0.3
+		if corrupt {
+			stable.SetInt(pages[rng.Intn(len(pages))], -1)
 		}
 		online := aud.Audit(stable)
 		offline, err := NewChecker(aud.Log(), s0)
@@ -112,12 +121,18 @@ func TestAuditorMatchesOfflineChecker(t *testing.T) {
 			return false
 		}
 		rep := offline.CheckInstalled(stable, online.Installed)
-		if online.OK != rep.OK {
+		cg := aud.Log().ConflictGraph()
+		sg, err := stategraph.FromConflict(cg, s0)
+		if err != nil {
 			return false
 		}
-		// And both must be satisfied here: installing whole single-page
-		// ops keeps the page-LSN invariant by construction.
-		return online.OK
+		explained := install.FromConflict(cg).Explains(sg, online.Installed, stable) == nil
+		if online.OK != rep.OK || online.OK != explained {
+			return false
+		}
+		// Uncorrupted, all three must be satisfied: installing whole
+		// single-page ops keeps the page-LSN invariant by construction.
+		return corrupt || online.OK
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

@@ -8,8 +8,6 @@ import (
 	"redotheory/internal/graph"
 	"redotheory/internal/install"
 	"redotheory/internal/model"
-	"redotheory/internal/obs"
-	"redotheory/internal/stategraph"
 )
 
 // Report is the invariant checker's verdict on one system configuration.
@@ -94,44 +92,78 @@ func (r *Report) Summary() string {
 }
 
 // Checker audits the Recovery Invariant for one log's worth of history.
-// Build it once per conflict graph and reuse it across configurations.
+// It owns what the audit needs: the conflict graph, the installation
+// graph, and a ledger of the values each operation wrote, which makes it
+// the install.ValueSource of its own audit. Build it once per log and
+// reuse it across configurations. Its online form, the Auditor, grows
+// the same three one logged operation at a time.
 type Checker struct {
-	cg *conflict.Graph
-	ig *install.Graph
-	sg *stategraph.Graph
+	cg  *conflict.Graph
+	ig  *install.Graph
+	log *Log
+	// The ledger: the initial state, the running state after every
+	// operation so far in log order, and each operation's write set. Log
+	// order is a linearization of the conflict graph (Section 4.1), so
+	// by Lemma 1 these are the values the conflict state graph labels.
+	initial, running *model.State
+	values           map[model.OpID]model.WriteSet
+	// stableLSN tracks each page's stable LSN as reported by
+	// PageInstalled.
+	stableLSN map[model.Var]LSN
+	// Audits counts invariant checks performed by Audit.
+	Audits int
 }
 
 // NewChecker builds a checker for the history recorded in the log,
-// executed from the given initial state. The log supplies both the
-// operation set and (via Lemma 1) the conflict graph; the conflict and
-// installation graphs come from DefaultGraphs, so repeated analysis of
-// the same log prefix (degraded recovery's audit passes, campaign
-// re-checks) reuses one construction. Only the state graph, which also
-// depends on the initial state, is built per checker.
+// executed from the given initial state: the log supplies the operation
+// set and (via Lemma 1) the conflict graph, and replaying it in log
+// order fills the ledger. It fails when an operation fails to apply.
+// Appends to the log after the call do not reach the checker.
 func NewChecker(log *Log, initial *model.State) (*Checker, error) {
-	return NewCheckerObserved(log, initial, nil)
+	cg := log.ConflictGraph()
+	c := newChecker(cg, install.FromConflict(cg), log.Prefix(log.NextLSN()-1), initial)
+	for _, r := range c.log.Records() {
+		if err := c.apply(r.Op); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
 }
 
-// NewCheckerObserved is NewChecker with cache-effectiveness telemetry:
-// the graph-cache lookup is counted on the recorder (MGraphHits /
-// MGraphMisses). A nil recorder makes it exactly NewChecker.
-func NewCheckerObserved(log *Log, initial *model.State, rec *obs.Recorder) (*Checker, error) {
-	cg, ig := DefaultGraphs.GraphsObserved(log, rec)
-	sg, err := stategraph.FromConflict(cg, initial)
-	if err != nil {
-		return nil, fmt.Errorf("core: building state graph: %w", err)
-	}
-	return &Checker{cg: cg, ig: ig, sg: sg}, nil
+func newChecker(cg *conflict.Graph, ig *install.Graph, log *Log, initial *model.State) *Checker {
+	return &Checker{cg: cg, ig: ig, log: log, initial: initial.Clone(), running: initial.Clone(),
+		values: make(map[model.OpID]model.WriteSet), stableLSN: make(map[model.Var]LSN)}
 }
+
+// apply executes the next operation against the running state and
+// records what it wrote.
+func (c *Checker) apply(op *model.Op) error {
+	ws, err := c.running.Apply(op)
+	if err != nil {
+		return fmt.Errorf("core: executing %s: %w", op, err)
+	}
+	c.values[op.ID()] = ws
+	return nil
+}
+
+// Initial returns (a clone of) the initial state.
+func (c *Checker) Initial() *model.State { return c.initial.Clone() }
+
+// WriteValue returns the value op wrote to x.
+func (c *Checker) WriteValue(op model.OpID, x model.Var) (model.Value, bool) {
+	v, ok := c.values[op][x]
+	return v, ok
+}
+
+// FinalState returns the state recovery must reconstruct: the state the
+// whole history determines.
+func (c *Checker) FinalState() *model.State { return c.running.Clone() }
 
 // Conflict returns the checker's conflict graph.
 func (c *Checker) Conflict() *conflict.Graph { return c.cg }
 
 // Install returns the checker's installation graph.
 func (c *Checker) Install() *install.Graph { return c.ig }
-
-// FinalState returns the state recovery must reconstruct.
-func (c *Checker) FinalState() *model.State { return c.sg.FinalState() }
 
 // CheckInstalled audits the invariant for an explicitly given installed
 // set: it must induce a prefix of the installation graph that explains
@@ -146,7 +178,7 @@ func (c *Checker) CheckInstalled(state *model.State, installed graph.Set[model.O
 				e[1], e[0], c.cg.Kind(e[0], e[1])),
 		})
 	} else {
-		det, err := c.ig.DeterminedState(c.sg, installed)
+		det, err := c.ig.DeterminedState(c, installed)
 		if err != nil {
 			rep.Violations = append(rep.Violations, Violation{Kind: NotPrefix, Detail: err.Error()})
 		} else {
@@ -165,7 +197,7 @@ func (c *Checker) CheckInstalled(state *model.State, installed graph.Set[model.O
 			// exposed and must still hold their initial values: a
 			// mismatch means the state contains effects of operations
 			// missing from the log (the write-ahead-log failure shape).
-			initial := c.sg.Initial()
+			initial := c.initial
 			for _, x := range state.Diff(initial) {
 				if len(c.cg.Writers(x)) == 0 && len(c.cg.ReadersOfVersion(x, 0)) == 0 {
 					rep.Violations = append(rep.Violations, Violation{

@@ -220,7 +220,7 @@ func TestCorollary4Property(t *testing.T) {
 			return false
 		}
 		installed := randomPrefixOf(rng, ck.Install().DAG())
-		state, err := ck.Install().DeterminedState(ck.sg, installed)
+		state, err := ck.Install().DeterminedState(ck, installed)
 		if err != nil {
 			return false
 		}
@@ -379,7 +379,7 @@ func TestCheckerPropertyRandomInstalledSets(t *testing.T) {
 		isPrefix := ck.Install().IsPrefix(installed)
 		var state *model.State
 		if isPrefix {
-			state, err = ck.Install().DeterminedState(ck.sg, installed)
+			state, err = ck.Install().DeterminedState(ck, installed)
 			if err != nil {
 				return false
 			}

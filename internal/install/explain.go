@@ -10,9 +10,10 @@ import (
 // ValueSource supplies the values an execution wrote: the initial state,
 // each operation's written values, and the final state. The conflict
 // state graph (stategraph.Graph) is the canonical implementation; the
-// online auditor's incremental ledger is another. Explanation, replay,
-// and applicability need only these values — never the state graph's
-// edges — which is what makes incremental checking cheap.
+// invariant checker's log-order ledger (core.Checker) is another.
+// Explanation, replay, and applicability need only these values — never
+// the state graph's edges — which is what makes incremental checking
+// cheap.
 type ValueSource interface {
 	// Initial returns (a clone of) the initial state S0.
 	Initial() *model.State

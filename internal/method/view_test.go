@@ -174,10 +174,12 @@ func checkLogView(t *testing.T, step string, l *core.Log, named map[model.Var]co
 // TestDroppedLogsFreeTheirViews bounds the live heap of a process that
 // recovers many logs: twenty crashed physiological DBs of 20 k hot-page
 // operations are each recovered sequentially, in parallel and by a
-// drained serve engine, then dropped. Nothing may keep a dropped log or
-// its view reachable, so the live heap afterwards must be at most 1.25x
-// the live heap with one such DB held. A process-wide view memo kept
-// every recovered view, and with it its log, alive.
+// drained serve engine, and audited by the invariant checker, then
+// dropped. Nothing may keep a dropped log, its view or its graphs
+// reachable, so the live heap afterwards must be at most 1.25x the live
+// heap with one such DB held. Process-wide view and graph memos kept
+// every recovered view and audited log's graphs, and with them the log,
+// alive.
 func TestDroppedLogsFreeTheirViews(t *testing.T) {
 	const dbs, n = 20, 20000
 	ps := workload.Pages(32)
@@ -206,6 +208,14 @@ func TestDroppedLogsFreeTheirViews(t *testing.T) {
 		defer eng.Close()
 		if err := eng.Drain(); err != nil {
 			t.Fatal(err)
+		}
+		sv := method.Survivors(db)
+		ck, err := core.NewChecker(sv.Log, db.RecoveryBase())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := ck.Check(sv.State, sv.Log, sv.Checkpoint, sv.Redo, sv.Analyze, false); !rep.OK {
+			t.Fatal(rep.Summary())
 		}
 	}
 	live := func() uint64 {

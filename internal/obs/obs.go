@@ -151,10 +151,6 @@ const (
 	MShardCutDropped  = "shard.cut_dropped_txns"    // transactions outside the certified cut
 	MShardCutRecords  = "shard.cut_dropped_records" // stable records excluded by the cut
 	GShardCutLag      = "shard.cut_lag_records"     // gauge: records between stable frontiers and the last cut, summed over shards
-
-	// Shared-cache effectiveness counters (core.GraphCache).
-	MGraphHits   = "cache.graph_hits"   // conflict/install graph cache hits
-	MGraphMisses = "cache.graph_misses" // conflict/install graph builds
 )
 
 // Recorder collects metrics and (optionally) emits events. The zero

@@ -221,28 +221,6 @@ func (r *Report) RenderTable(out io.Writer) {
 	w.Flush()
 }
 
-// RenderCaches writes the campaign-wide memoization counters: hits,
-// misses, and hit rate for the operation-graph cache. Reports produced
-// before the cache counters existed render as "-".
-func (r *Report) RenderCaches(out io.Writer) {
-	if r.Totals == nil {
-		return
-	}
-	fmt.Fprintln(out, "caches:")
-	_, hOK := r.Totals.Counters[MGraphHits]
-	_, mOK := r.Totals.Counters[MGraphMisses]
-	if !hOK && !mOK {
-		fmt.Fprintf(out, "  %-10s  -\n", "op graphs")
-		return
-	}
-	hits, misses := r.Totals.Counter(MGraphHits), r.Totals.Counter(MGraphMisses)
-	rate := 0.0
-	if total := hits + misses; total > 0 {
-		rate = 100 * float64(hits) / float64(total)
-	}
-	fmt.Fprintf(out, "  %-10s  %d hits / %d misses (%.1f%% hit rate)\n", "op graphs", hits, misses, rate)
-}
-
 // PhaseTotal is one method's total time in one pipeline phase — a row
 // of the redostats -top view over metrics reports.
 type PhaseTotal struct {

@@ -13,6 +13,7 @@ import (
 	"redotheory/internal/obs"
 	"redotheory/internal/partition"
 	"redotheory/internal/serve"
+	"redotheory/internal/stategraph"
 	"redotheory/internal/supervise"
 	"redotheory/internal/workload"
 )
@@ -351,7 +352,7 @@ func onlineAuditStep(db method.DB, auditor *core.Auditor, ops []*model.Op, ok *b
 // check builds the invariant checker over the stable log once.
 func (p *probe) check(log *core.Log) (*core.Checker, error) {
 	if p.checker == nil {
-		checker, err := core.NewCheckerObserved(log, p.db.RecoveryBase(), p.c.Recorder)
+		checker, err := core.NewChecker(log, p.db.RecoveryBase())
 		if err != nil {
 			return nil, fmt.Errorf("sim: building checker: %w", err)
 		}
@@ -388,7 +389,14 @@ func (p *probe) determined() (string, string, error) {
 			return "", "", err
 		}
 	}
-	if !checker.FinalState().Equal(p.oracle) {
+	// The checker's final state is itself a log-order replay, so the
+	// reference is the state graph's: its canonical linearization of the
+	// conflict graph must determine the same state (Lemma 1, Theorem 3).
+	sg, err := stategraph.FromConflict(checker.Conflict(), p.db.RecoveryBase())
+	if err != nil {
+		return "", "", fmt.Errorf("sim: building state graph: %w", err)
+	}
+	if !sg.FinalState().Equal(p.oracle) {
 		return "determined-state", "state graph final state diverges from sequential log replay", nil
 	}
 	return "", "", nil

@@ -665,7 +665,7 @@ func (s *session) audit() (ok bool, err error) {
 		}
 	}()
 	sv := method.Survivors(s.db)
-	checker, cerr := core.NewCheckerObserved(sv.Log, s.db.RecoveryBase(), s.rec)
+	checker, cerr := core.NewChecker(sv.Log, s.db.RecoveryBase())
 	if cerr != nil {
 		return false, cerr
 	}

@@ -29,9 +29,8 @@ var (
 // allowedImports are engine → theory edges kept for now, keyed
 // "importer → imported", each with its reason.
 var allowedImports = map[string]string{
-	"core → conflict":   "Checker and DefaultGraphs build the conflict graph until the audit runs on dense tables (ROADMAP item 6)",
-	"core → install":    "Checker and DefaultGraphs build the installation graph until ROADMAP item 6",
-	"core → stategraph": "Checker's determined state comes from the state graph until ROADMAP item 6",
+	"core → conflict": "Checker builds and owns the conflict graph until the audit runs on dense tables (ROADMAP item 6)",
+	"core → install":  "Checker builds and owns the installation graph until ROADMAP item 6",
 }
 
 // allowedExports are exported functions and methods under internal/
